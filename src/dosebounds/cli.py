@@ -32,7 +32,9 @@ from .sensitivity import CMSM, BinaryMSM, DeltaMSM, Uniform
 
 __all__ = ["RunConfig", "load_run_config", "main"]
 
-_SCHEMES = ("beta", "balanced-beta", "gamma", "gaussian")
+# The fitted propensity head is Beta, so only the Beta trust schemes apply
+# here; the library's DeltaMSM keeps the gamma and gaussian schemes.
+_SCHEMES = ("beta", "balanced-beta")
 
 
 class UsageError(ValueError):
@@ -358,7 +360,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds.add_argument(
         "--model", required=True, choices=("deltamsm", "cmsm", "uniform", "binarymsm")
     )
-    bounds.add_argument("--scheme", choices=_SCHEMES, default=None)
+    bounds.add_argument(
+        "--scheme", choices=_SCHEMES, default=None,
+        help="DeltaMSM trust scheme (default balanced-beta); the fitted propensity is Beta",
+    )
     bounds.add_argument("--gamma", type=float, required=True, help="violation budget, >= 1")
     bounds.add_argument("--target", choices=("apo", "capo"), default="apo")
     bounds.add_argument("--instance", type=int, default=None, help="row index for capo")

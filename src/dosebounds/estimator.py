@@ -7,7 +7,13 @@ the outcome model and proposal density).  ``extremize`` finds the exact
 extremum of the ratio over the box: after sorting draws by f, the maximizing
 weight vector flips a prefix of draws down to their lower bound and leaves
 the rest at their upper bound, so a single sweep with running partial sums
-suffices.
+suffices (the threshold argument of Kallus, Mao & Zhou, AISTATS 2019).
+
+Binary outcomes, which every band below uses, need no sweep: with f in
+{0, 1} the threshold always sits at the 0/1 boundary, so each bound is a
+ratio of four sums of capped weights (``_bernoulli_extremes``).  The sorted
+sweep serves ``extremize`` for continuous outcomes (``outcome_draws`` with a
+proposal) and is the oracle the closed form is tested against.
 
 Curves over a dose grid come in three flavors: ``capo_interval`` conditions
 on one covariate row, ``apo_interval`` pools the draws of a whole instance
@@ -129,36 +135,46 @@ def extremize(draws: Sequence[WeightedDraw], direction: str = "max") -> float:
 def _bernoulli_extremes(p_one, d_lo, d_hi, valid=None):
     """(lo, hi) of the pooled ratio for exact binary-outcome draws.
 
-    The last axis indexes instances; leading axes are batch dimensions
-    (for example a whole gamma grid at once).  The two outcome values per
-    instance enumerate the support, so weights are p(y)/d under a
-    counting-measure proposal, and draw blocks arrive already sorted by f.
-    ``valid`` zeroes out the weight box of instances whose divisor floor
-    crossed zero, removing them from the pooled ratio; batch rows with no
-    valid instance left come back as NaN.
+    The last axis indexes instances; leading axes are batch dimensions (for
+    example a whole gamma grid at once).  The two outcome values per instance
+    enumerate the support, so weights are p(y)/d under a counting-measure
+    proposal.  With f in {0, 1} the sweep of ``_max_ratio_sorted`` always
+    stops at the 0/1 boundary: the maximum takes every one-draw at its upper
+    weight and every zero-draw at its lower weight, the minimum the reverse.
+    Hence
+
+        hi = S_hi(1) / (S_hi(1) + S_lo(0)),  lo = S_lo(1) / (S_lo(1) + S_hi(0)),
+
+    where S_hi(y) sums min(p(y) / d_lo, cap) and S_lo(y) sums
+    min(p(y) / d_hi, cap) over instances.  When the side a ratio pushes up
+    carries no weight at all (S_hi(1) = 0 for hi, S_hi(0) = 0 for lo), every
+    admissible weight vector gives 0 (for hi) or 1 (for lo), which is what
+    the sweep returns too.  ``valid`` removes instances whose divisor floor
+    crossed zero from the sums; batch rows with no weight left come back as
+    NaN.
     """
     p_one, d_lo, d_hi = np.broadcast_arrays(
         np.asarray(p_one, dtype=float),
         np.asarray(d_lo, dtype=float),
         np.asarray(d_hi, dtype=float),
     )
+    keep = True if valid is None else valid
+
+    def total(p, d):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            weights = np.minimum(p / d, _WEIGHT_CAP)
+        return weights.sum(axis=-1, where=keep)
+
     p_zero = 1.0 - p_one
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        boxes = [
-            np.minimum(ratio, _WEIGHT_CAP)
-            for ratio in (p_zero / d_hi, p_zero / d_lo, p_one / d_hi, p_one / d_lo)
-        ]
-    if valid is not None:
-        boxes = [np.where(valid, box, 0.0) for box in boxes]
-    w_lo_zero, w_hi_zero, w_lo_one, w_hi_one = boxes
-    zeros = np.zeros_like(p_one)
-    ones = np.ones_like(p_one)
-
-    def cat(a, b):
-        return np.concatenate([a, b], axis=-1)
-
-    hi = _max_ratio_sorted(cat(zeros, ones), cat(w_lo_zero, w_lo_one), cat(w_hi_zero, w_hi_one))
-    lo = -_max_ratio_sorted(cat(-ones, zeros), cat(w_lo_one, w_lo_zero), cat(w_hi_one, w_hi_zero))
+    hi_one, lo_one = total(p_one, d_lo), total(p_one, d_hi)
+    hi_zero, lo_zero = total(p_zero, d_lo), total(p_zero, d_hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hi = np.where(
+            hi_one > 0.0, hi_one / (hi_one + lo_zero), np.where(hi_zero > 0.0, 0.0, np.nan)
+        )
+        lo = np.where(
+            hi_zero > 0.0, lo_one / (lo_one + hi_zero), np.where(hi_one > 0.0, 1.0, np.nan)
+        )
     return lo, hi
 
 
@@ -231,7 +247,9 @@ def outcome_draws(
     return draws
 
 
-@dataclass
+# slotted: callers keep curves by the hundred (gamma sweeps, benchmark
+# harnesses), and each instance is about 60 bytes smaller without a __dict__
+@dataclass(slots=True)
 class IntervalCurve:
     """Lower/upper bound curves over a dose grid.
 

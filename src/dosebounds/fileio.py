@@ -3,11 +3,14 @@
 Every writer lands the full payload in a temporary file first and renames it
 into place, so interrupted runs never leave half-written artifacts.  Floats
 are rendered with 17 significant digits, which round-trips IEEE doubles.
+JSON output is strict: non-finite floats, which JSON cannot hold, are written
+as the strings "inf", "-inf" and "nan".
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -32,8 +35,19 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _strict_json(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    return value
+
+
 def write_json(path: str, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_strict_json(payload), indent=2, sort_keys=True, allow_nan=False)
+    atomic_write_text(path, text + "\n")
 
 
 def write_csv(path: str, header: list[str], rows) -> None:

@@ -404,9 +404,8 @@ def lambda_expectation_bounds(q: CompoundDensity, gamma_factor):
     gamma = _check_gamma(gamma_factor)
     s = np.log(gamma)
     if isinstance(q, BetaCompound):
-        a = q.shape_a
-        b_total = q.shape_a + q.shape_b
-        return specfun.hyp1f1(a, b_total, -s), specfun.hyp1f1(a, b_total, s)
+        up, mirror = _beta_mgf_pair(q, s)
+        return np.exp(-s) * mirror, up
     if isinstance(q, GammaCompound):
         lo = np.exp(-q.alpha * np.log1p(s / q.beta))
         if np.any(s >= np.asarray(q.beta, dtype=float)):
@@ -419,6 +418,30 @@ def lambda_expectation_bounds(q: CompoundDensity, gamma_factor):
     if isinstance(q, GaussianCompound):
         return (_gaussian_folded_mgf(q.mu, q.sigma, -s), _gaussian_folded_mgf(q.mu, q.sigma, s))
     raise ValueError(f"unknown compound density {type(q).__name__}")
+
+
+def _beta_mgf_pair(q: BetaCompound, s):
+    """(E_q[e^(s tau)], E_q[e^(s (1 - tau))]) for s >= 0, shaped like q and s broadcast.
+
+    With q = Beta(A, B) these are 1F1(A; A+B; s) and 1F1(B; A+B; s); since
+    1 - tau ~ Beta(B, A), e^-s times the second is E_q[e^(-s tau)], which is
+    Kummer's transformation.  Both come from one ``specfun.hyp1f1_grid``
+    table over the s values and the shape pairs (A, A+B), (B, A+B); the
+    table is an outer product, so pass s and q along different axes (a gamma
+    column against a row of instances) rather than matched arrays.
+    """
+    a, b = np.broadcast_arrays(
+        np.asarray(q.shape_a, dtype=float), np.asarray(q.shape_b, dtype=float)
+    )
+    s = np.asarray(s, dtype=float)
+    c = (a + b).ravel()
+    table = specfun.hyp1f1_grid(np.concatenate([a.ravel(), b.ravel()]), np.concatenate([c, c]), s)
+    rows = np.arange(s.size).reshape(s.shape)
+    cols = np.arange(a.size).reshape(a.shape)
+    up, mirror = table[rows, cols], table[rows, cols + a.size]
+    if up.ndim == 0:
+        return float(up), float(mirror)
+    return up, mirror
 
 
 def _gaussian_folded_mgf(mu, sigma, s):
@@ -532,8 +555,6 @@ class DivisorEngine:
                 if not _all_positive(trust_precision):
                     raise ValueError("trust_precision must be positive")
                 self.trust_precision = trust_precision
-            if model.scheme == "balanced-beta":
-                self._flipped = propensity.flipped()
         elif isinstance(model, BinaryMSM):
             if propensity.kind != "beta":
                 raise ValueError("BinaryMSM requires a Beta nominal propensity")
@@ -564,19 +585,24 @@ class DivisorEngine:
     # -- DeltaMSM internals
 
     def _delta_bounds(self, t, gamma):
-        scheme = self.model.scheme
-        if scheme != "balanced-beta":
-            q = self._compound_at(t, self.propensity)
-            return _anchored_divisor(q, t, gamma)
         q0 = self._compound_at(t, self.propensity)
-        lo0, hi0 = _anchored_divisor(q0, t, gamma)
+        if self.model.scheme != "balanced-beta":
+            return _anchored_divisor(q0, t, gamma, lambda_expectation_bounds(q0, gamma))
+        # The flipped propensity Beta(beta_bar, alpha_bar) compounded at dose
+        # 1 - t is the mirror Beta(B, A) of q0 = Beta(A, B), so one pair of
+        # 1F1 series serves both anchors.
+        s = np.log(gamma)
+        up, mirror = _beta_mgf_pair(q0, s)
+        down = np.exp(-s)
+        lo0, hi0 = _anchored_divisor(q0, t, gamma, (down * mirror, up))
         t_flip = 1.0 - np.asarray(t, dtype=float) if np.ndim(t) else 1.0 - float(t)
-        q1 = self._compound_at(t_flip, self._flipped, tag="flip")
-        lo1, hi1 = _anchored_divisor(q1, t_flip, gamma)
+        q1 = BetaCompound(q0.beta, q0.alpha)
+        lo1, hi1 = _anchored_divisor(q1, t_flip, gamma, (down * up, mirror))
         return t * lo0 + (1.0 - t) * lo1, t * hi0 + (1.0 - t) * hi1
 
-    def _compound_at(self, t, propensity, tag=""):
-        key = (tag, float(t)) if np.ndim(t) == 0 else None
+    def _compound_at(self, t, propensity):
+        # the cache is keyed by dose alone: propensity is always self.propensity
+        key = ("compound", float(t)) if np.ndim(t) == 0 else None
         if key is not None and key in self._cache:
             return self._cache[key]
         q = compound(propensity, trust_params(propensity.kind, t, self.trust_precision))
@@ -602,8 +628,9 @@ class DivisorEngine:
         return density
 
 
-def _anchored_divisor(q: CompoundDensity, t, gamma):
-    lo_e, hi_e = lambda_expectation_bounds(q, gamma)
+def _anchored_divisor(q: CompoundDensity, t, gamma, power_bounds):
+    """Divisor interval from q's moments and (E_q[Gamma^-|tau|], E_q[Gamma^|tau|])."""
+    lo_e, hi_e = power_bounds
     s = np.log(gamma)
     growth = gamma ** np.abs(np.asarray(t, dtype=float) if np.ndim(t) else float(t))
     m1 = q.mean - t

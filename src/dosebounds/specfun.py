@@ -8,7 +8,14 @@ remaining special functions directly:
 * ``log_gamma`` and ``erf`` wrap ``math.lgamma`` / ``math.erf`` (vectorised),
 * ``digamma`` uses the ascending recurrence plus an asymptotic tail,
 * ``hyp1f1`` (confluent hypergeometric) uses the Taylor series with the
-  Kummer reflection for negative arguments,
+  Kummer reflection for negative arguments, summed until it converges; it
+  is the elementwise oracle for ``hyp1f1_grid``,
+* ``hyp1f1_grid`` tabulates 1F1(a; c; s) for 0 <= a <= c and s >= 0 over
+  every (s, (a, c)) pair as one matrix product of scaled powers s^k/k! and
+  Pochhammer ratios (a)_k/(c)_k.  Each term is at most s^k/k! and the sum is
+  at least 1, so the tail after K terms is below s^K/K! / (1 - s/(K+1))
+  relative; ``hyp1f1_terms`` fixes K from the largest s so that this bound
+  is at most 2^-53, with no convergence test,
 * ``reg_inc_beta`` uses the continued-fraction expansion,
 * ``integrate`` is a globally adaptive 15-point Kronrod / 7-point Gauss rule
   with interval bisection; semi-infinite and infinite ranges are folded onto
@@ -32,6 +39,9 @@ __all__ = [
     "digamma",
     "erf",
     "hyp1f1",
+    "HYP1F1_TAIL_BOUND",
+    "hyp1f1_terms",
+    "hyp1f1_grid",
     "reg_inc_beta",
     "integrate",
 ]
@@ -163,6 +173,57 @@ def hyp1f1(a, b, z):
         )
     out = np.where(reflect, np.exp(zz) * total, total)
     return _ret(np.ascontiguousarray(out), scalar)
+
+
+# Relative truncation error that hyp1f1_terms guarantees: the unit roundoff
+# of a double.
+HYP1F1_TAIL_BOUND = 2.0**-53
+
+
+def hyp1f1_terms(s_max: float) -> int:
+    """Fewest terms K with K + 1 > s_max whose tail bound
+    s^K/K! / (1 - s/(K+1)) is within ``HYP1F1_TAIL_BOUND`` for every
+    0 <= s <= s_max (the bound grows with s)."""
+    s_max = float(s_max)
+    if not (0.0 <= s_max < math.inf):
+        raise DomainError(f"hyp1f1_terms requires a finite s_max >= 0, got {s_max!r}")
+    if s_max == 0.0:
+        return 1
+    log_s = math.log(s_max)
+    log_bound = math.log(HYP1F1_TAIL_BOUND)
+    k = max(1, math.floor(s_max))  # the geometric tail needs K + 1 > s
+    while k * log_s - math.lgamma(k + 1.0) - math.log1p(-s_max / (k + 1.0)) > log_bound:
+        k += 1
+    return k
+
+
+def hyp1f1_grid(a, c, s) -> np.ndarray:
+    """Table of 1F1(a_j; c_j; s_i) over every s and every (a, c) pair.
+
+    ``a`` and ``c`` broadcast to one flat list of shapes with 0 <= a <= c and
+    c > 0; ``s`` is a flat list of arguments s >= 0.  Returns the
+    (len(s), len(a)) matrix s_pow @ coeff with s_pow[i, k] = s_i^k / k! and
+    coeff[k, j] = (a_j)_k / (c_j)_k, k < ``hyp1f1_terms(max s)``.  Callers
+    reach negative arguments through Kummer's transformation (A&S 13.1.27),
+    1F1(a; c; -s) = e^-s 1F1(c - a; c; s), which keeps every term positive.
+    """
+    a, c = np.broadcast_arrays(
+        np.ravel(np.asarray(a, dtype=float)), np.ravel(np.asarray(c, dtype=float))
+    )
+    s = np.ravel(np.asarray(s, dtype=float))
+    if not (np.isfinite(a).all() and np.isfinite(c).all() and np.isfinite(s).all()):
+        raise DomainError("hyp1f1_grid requires finite arguments")
+    if np.any(a < 0.0) or np.any(c < a) or np.any(c <= 0.0):
+        raise DomainError("hyp1f1_grid requires 0 <= a <= c and c > 0")
+    if np.any(s < 0.0):
+        raise DomainError("hyp1f1_grid requires s >= 0; use Kummer's transformation")
+    n_terms = hyp1f1_terms(s.max()) if s.size else 1
+    k = np.arange(n_terms - 1, dtype=float)
+    coeff = np.ones((n_terms, a.size))
+    np.cumprod((a + k[:, None]) / (c + k[:, None]), axis=0, out=coeff[1:])
+    s_pow = np.ones((s.size, n_terms))
+    np.cumprod(s[:, None] / (k + 1.0), axis=1, out=s_pow[:, 1:])
+    return s_pow @ coeff
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:

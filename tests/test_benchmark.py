@@ -584,3 +584,27 @@ class TestReportFiles:
         )
         assert path_a.read_bytes() == path_b.read_bytes()
         assert json.loads(path_a.read_text())["schema"] == "dosebounds-benchmark-summary-v1"
+
+    def test_summary_json_is_strict_when_a_trial_costs_nothing(self, tmp_path):
+        # a zero best cost makes the other methods' ratio-to-best inf and its std NaN
+        methods = ("deltamsm", "uniform")
+        results = (
+            bm.TrialResult(0, (bm.MethodScore("deltamsm", 1.0, 1.0, 0.0),
+                               bm.MethodScore("uniform", 1.5, 0.95, 0.02))),
+            bm.TrialResult(1, (bm.MethodScore("deltamsm", 1.2, 0.93, 0.01),
+                               bm.MethodScore("uniform", 1.5, 0.95, 0.02))),
+        )
+        with np.errstate(invalid="ignore"):
+            summary = bm._summarize(small_config(), methods, results)
+        assert math.isinf(summary["per_method"]["uniform"]["mean_ratio_to_best"])
+        path = tmp_path / "summary.json"
+        bm.write_summary_json(str(path), bm.TrialReport(methods, results, summary))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        uniform = doc["per_method"]["uniform"]
+        assert uniform["mean_ratio_to_best"] == "inf"
+        assert uniform["std_ratio_to_best"] == "nan"
+        assert doc["per_method"]["deltamsm"]["mean_ratio_to_best"] == 1.0

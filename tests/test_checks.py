@@ -19,7 +19,7 @@ class TestSuitesPass:
     def test_extremizer(self):
         result = checks.check_extremizer(instances=150, max_n=10, seed=0)
         assert result.passed
-        assert result.n_checked == 300
+        assert result.n_checked == 600
         assert result.max_error < 1e-12
 
     def test_gradients(self):
@@ -32,7 +32,7 @@ class TestSuitesPass:
         result = checks.check_extremizer(instances=10, seed=0)
         text = result.describe()
         assert "extremizer: PASS" in text
-        assert "20 comparisons" in text
+        assert "40 comparisons" in text
 
 
 class TestDefectDetection:
@@ -63,6 +63,20 @@ class TestDefectDetection:
         result = checks.check_extremizer(instances=5, seed=0)
         assert not result.passed
         assert result.failures
+
+    def test_extremizer_catches_a_biased_binary_band(self, monkeypatch):
+        from dosebounds import estimator
+
+        real = estimator._bernoulli_extremes
+
+        def biased(p_one, d_lo, d_hi, valid=None):
+            lo, hi = real(p_one, d_lo, d_hi, valid)
+            return lo, hi + 1e-9
+
+        monkeypatch.setattr(checks, "_bernoulli_extremes", biased)
+        result = checks.check_extremizer(instances=5, seed=0)
+        assert not result.passed
+        assert any(item.startswith("bernoulli") for item in result.failures)
 
     def test_gradients_catches_a_wrong_gradient(self, monkeypatch):
         from dosebounds import models

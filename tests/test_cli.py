@@ -145,6 +145,24 @@ class TestBounds:
         assert run(*base, "--model", "uniform", "--gamma", 2, "--precision", -1) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("scheme", ["gamma", "gaussian"])
+    def test_non_beta_scheme_is_a_usage_error(self, tmp_path, capsys, scheme):
+        data = tmp_path / "train.csv"
+        write_training_csv(data)
+        with pytest.raises(SystemExit) as excinfo:
+            run("bounds", "--data", data, "--model", "deltamsm", "--scheme", scheme,
+                "--gamma", 2, "--out", tmp_path / "out")
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--scheme" in err and "invalid choice" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_beta_scheme_runs(self, tmp_path):
+        data = tmp_path / "train.csv"
+        write_training_csv(data)
+        assert run("bounds", "--data", data, "--model", "deltamsm", "--scheme", "beta",
+                   "--gamma", 1.5, "--out", tmp_path / "out") == 0
+
     def test_missing_data_file_fails_cleanly(self, tmp_path, capsys):
         assert run("bounds", "--data", tmp_path / "nope.csv", "--model", "uniform",
                    "--gamma", 2) == 1

@@ -3,11 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dosebounds import checks
 from dosebounds.estimator import (
+    _WEIGHT_CAP,
     DegenerateDrawsError,
     IntervalCurve,
     WeightedDraw,
+    _bernoulli_extremes,
+    _max_ratio_sorted,
     apo_interval,
     cacd_interval,
     capo_interval,
@@ -147,6 +153,112 @@ class TestExtremize:
             WeightedDraw(f=1.0, w_lo=0.5, w_hi=0.2)
         with pytest.raises(ValueError):
             WeightedDraw(f=math.nan, w_lo=0.1, w_hi=0.2)
+
+
+def sweep_extremes(p_one, d_lo, d_hi, valid):
+    """(lo, hi) per row by the sorted sweep over the concatenated 0/1 draws,
+    plus the row sums of the four weight boxes (lower zero, upper zero,
+    lower one, upper one)."""
+    p_zero = 1.0 - p_one
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        boxes = [
+            np.where(valid, np.minimum(ratio, _WEIGHT_CAP), 0.0)
+            for ratio in (p_zero / d_hi, p_zero / d_lo, p_one / d_hi, p_one / d_lo)
+        ]
+    w_lo_zero, w_hi_zero, w_lo_one, w_hi_one = boxes
+    zeros, ones = np.zeros_like(p_one), np.ones_like(p_one)
+
+    def cat(a, b):
+        return np.concatenate([a, b], axis=-1)
+
+    hi = _max_ratio_sorted(cat(zeros, ones), cat(w_lo_zero, w_lo_one), cat(w_hi_zero, w_hi_one))
+    lo = -_max_ratio_sorted(cat(-ones, zeros), cat(w_lo_one, w_lo_zero), cat(w_hi_one, w_hi_zero))
+    return lo, hi, [box.sum(axis=-1) for box in boxes]
+
+
+@st.composite
+def binary_boxes(draw, infinite_d_hi=True):
+    """Batches of pooled binary-outcome boxes: certain outcomes (zero weights
+    on one side), upper weights at the cap (d_lo = 1e-32), optionally zero
+    lower weights next to positive upper ones (d_hi = inf), masked instances
+    and, sometimes, a fully masked row."""
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+
+    def table(elements):
+        values = draw(st.lists(elements, min_size=rows * n, max_size=rows * n))
+        return np.array(values, dtype=float).reshape(rows, n)
+
+    p_one = table(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    d_lo = table(st.one_of(st.just(1e-32), st.floats(0.05, 5.0)))
+    stretch = [st.just(1.0), st.floats(1.0, 10.0)] + [st.just(math.inf)] * infinite_d_hi
+    d_hi = d_lo * table(st.one_of(*stretch))
+    valid = table(st.booleans()).astype(bool)
+    if draw(st.booleans()):
+        valid[-1] = False
+    return p_one, d_lo, d_hi, valid
+
+
+class TestBernoulliClosedForm:
+    @given(binary_boxes())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_vertex_enumeration(self, box):
+        lo, hi = _bernoulli_extremes(*box)
+        for row in range(len(box[0])):
+            want_lo, want_hi = checks._bernoulli_vertex_extrema(*(part[row] for part in box))
+            if not box[3][row].any():
+                assert math.isnan(lo[row]) and math.isnan(hi[row])
+                continue
+            assert lo[row] == pytest.approx(want_lo, rel=1e-12, abs=1e-300)
+            assert hi[row] == pytest.approx(want_hi, rel=1e-12, abs=1e-300)
+
+    # With S_lo(0) = 0 < S_hi(0) (only possible with d_hi = inf) the sweep's
+    # stopping test at the 0/1 boundary is rounding noise, and it can run on
+    # to 0/0; the vertex test covers those boxes.
+    @given(binary_boxes(infinite_d_hi=False))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_sorted_sweep(self, box):
+        lo, hi = _bernoulli_extremes(*box)
+        sweep_lo, sweep_hi, (lo_zero, hi_zero, lo_one, hi_one) = sweep_extremes(*box)
+        masked = ~box[3].any(axis=-1)
+        total = lo_zero + hi_zero + lo_one + hi_one
+        for got, want, den in ((lo, sweep_lo, lo_one + hi_zero), (hi, sweep_hi, hi_one + lo_zero)):
+            assert np.isnan(got[masked]).all() and np.isnan(want[masked]).all()
+            # The sweep differences running sums of every weight, so its error
+            # grows with the total weight over the ratio's denominator; beyond
+            # 1e4 it can stop at the wrong draw and only the vertex test holds.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scale = np.maximum(1.0, total / den)
+            held = scale <= 1e4
+            assert np.all(np.abs(got[held] - want[held]) <= 1e-12 * scale[held])
+
+    def test_degenerate_boxes_give_what_the_sweep_gives(self):
+        ones = np.ones(3)
+        inf = np.full(3, math.inf)
+        cases = [
+            # every one-weight and every lower zero-weight is zero: 0/0 naively
+            (np.zeros(3), ones, inf, (0.0, 0.0)),
+            # certain ones with zero lower weights: lo is 0/0 naively
+            (np.ones(3), ones, inf, (1.0, 1.0)),
+            (np.array([0.0, 1.0, 0.5]), ones, 2.0 * ones, (1.0 / 3.0, 2.0 / 3.0)),
+        ]
+        for p_one, d_lo, d_hi, want in cases:
+            lo, hi = _bernoulli_extremes(p_one, d_lo, d_hi, valid=np.ones(3, dtype=bool))
+            sweep_lo, sweep_hi, _ = sweep_extremes(p_one, d_lo, d_hi, np.ones(3, dtype=bool))
+            assert (float(lo), float(hi)) == pytest.approx(want, rel=1e-15)
+            sweep = (float(sweep_lo), float(sweep_hi))
+            assert (float(lo), float(hi)) == pytest.approx(sweep, rel=1e-15)
+
+    def test_capped_weights_and_masked_rows(self):
+        p_one = np.array([[0.3, 0.9], [0.3, 0.9]])
+        d_lo = np.array([[1e-40, 1.0], [1.0, 1.0]])
+        d_hi = np.array([[1.0, 2.0], [2.0, 2.0]])
+        valid = np.array([[True, True], [False, False]])
+        lo, hi = _bernoulli_extremes(p_one, d_lo, d_hi, valid=valid)
+        # both upper weights of the first instance sit at the cap
+        cap = _WEIGHT_CAP
+        assert hi[0] == pytest.approx((cap + 0.9) / (cap + 0.9 + 0.7 + 0.05), rel=1e-15)
+        assert lo[0] == pytest.approx((0.3 + 0.45) / (0.3 + 0.45 + cap + 0.1), rel=1e-15)
+        assert np.isnan(lo[1]) and np.isnan(hi[1])
 
 
 class GaussianOutcomeStub:

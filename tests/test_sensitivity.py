@@ -22,7 +22,7 @@ from dosebounds.sensitivity import (
     lambda_expectation_bounds,
     trust_params,
 )
-from dosebounds.specfun import integrate, reg_inc_beta
+from dosebounds.specfun import hyp1f1, integrate, reg_inc_beta
 
 
 def folded_power_expectation(q, gamma, sign):
@@ -202,6 +202,19 @@ class TestLambdaExpectationBounds:
         with pytest.raises(ValueError):
             lambda_expectation_bounds(BetaCompound(2.0, 2.0), 0.9)
 
+    def test_beta_grid_broadcasts_like_the_series(self):
+        rng = np.random.default_rng(8)
+        q = BetaCompound(rng.uniform(-0.5, 60.0, 5), rng.uniform(-0.5, 60.0, 5))
+        gammas = np.linspace(1.0, 10.0, 7)[:, None]
+        lo, hi = lambda_expectation_bounds(q, gammas)
+        assert lo.shape == hi.shape == (7, 5)
+        a, c = q.shape_a, q.shape_a + q.shape_b
+        s = np.log(gammas)
+        np.testing.assert_allclose(hi, hyp1f1(a, c, s), rtol=1e-14)
+        np.testing.assert_allclose(lo, hyp1f1(a, c, -s), rtol=1e-14)
+        scalar = lambda_expectation_bounds(BetaCompound(2.0, 3.0), 1.7)
+        assert all(isinstance(v, float) for v in scalar)
+
 
 class TestDivisorBounds:
     def test_cmsm_scales_nominal_density(self):
@@ -290,6 +303,30 @@ class TestDivisorBounds:
         bounds = divisor_bounds(DeltaMSM("balanced-beta"), prop, t, gamma)
         assert bounds.d_lo == pytest.approx(t * lo0 + (1.0 - t) * lo1, abs=1e-7)
         assert bounds.d_hi == pytest.approx(t * hi0 + (1.0 - t) * hi1, abs=1e-7)
+
+    def test_balanced_beta_grid_matches_flipped_compounds_and_series(self):
+        # the engine reuses one 1F1 table for the mirror compound; rebuild both
+        # anchors from the flipped propensity and the elementwise series
+        rng = np.random.default_rng(9)
+        prop = BetaPropensity(rng.uniform(1e-7, 100.0, 6), rng.uniform(1e-7, 100.0, 6))
+        r = default_trust_precision(prop)
+        gammas = np.linspace(1.0, 10.0, 9)[:, None]
+        s = np.log(gammas)
+        for t in (0.0, 0.37, 1.0):
+            d_lo, d_hi = DivisorEngine(DeltaMSM("balanced-beta"), prop).bounds(t, gammas)
+            want_lo = want_hi = 0.0
+            for weight, anchor, dose in ((t, prop, t), (1.0 - t, prop.flipped(), 1.0 - t)):
+                q = compound(anchor, trust_params("beta", dose, r))
+                a, c = q.shape_a, q.shape_a + q.shape_b
+                growth = gammas**dose
+                m1 = q.mean - dose
+                m2 = q.variance + m1 * m1
+                want_lo = want_lo + weight * (hyp1f1(a, c, -s) - s * growth * np.abs(m1))
+                want_hi = want_hi + weight * (
+                    hyp1f1(a, c, s) + s * growth * np.abs(m1) + 0.5 * s * s * growth * m2
+                )
+            np.testing.assert_allclose(d_lo, want_lo, rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(d_hi, want_hi, rtol=1e-12)
 
     def test_balanced_beta_mirror_symmetry(self):
         gamma = 2.1

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dosebounds import specfun
+from dosebounds.models import PROPENSITY_CAP
 from dosebounds.specfun import (
     DomainError,
     NumericError,
@@ -13,6 +14,8 @@ from dosebounds.specfun import (
     digamma,
     erf,
     hyp1f1,
+    hyp1f1_grid,
+    hyp1f1_terms,
     integrate,
     log_gamma,
     reg_inc_beta,
@@ -172,6 +175,85 @@ class TestHyp1F1:
             hyp1f1(1.0, 0.0, 0.5)
         with pytest.raises(DomainError):
             hyp1f1(1.0, -2.0, 0.5)
+
+
+def alternating_series(a, c, z):
+    """1F1(a; c; z) for z < 0 as the plain alternating Taylor sum, no reflection."""
+    term, terms = 1.0, [1.0]
+    for k in range(400):
+        term *= (a + k) * z / ((c + k) * (k + 1.0))
+        terms.append(term)
+    return math.fsum(terms)
+
+
+# Compound Beta shapes of fitted heads: a = alpha_bar + r t and
+# c = alpha_bar + beta_bar + r, with alpha_bar, beta_bar inside (0, PROPENSITY_CAP)
+# and r up to the default trust precision alpha_bar + beta_bar - 2.
+compound_shapes = st.tuples(
+    st.floats(1e-7, PROPENSITY_CAP),
+    st.floats(1e-7, PROPENSITY_CAP),
+    st.floats(0.0, 1.0),
+    st.floats(1e-6, 2.0 * PROPENSITY_CAP),
+).map(lambda v: (v[0] + v[3] * v[2], v[0] + v[1] + v[3]))
+
+
+class TestHyp1F1Grid:
+    @given(st.lists(compound_shapes, min_size=1, max_size=6), st.floats(1.0, 10.0))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_series_within_the_tail_bound(self, shapes, gamma):
+        a, c = np.array(shapes).T
+        s = np.array([0.0, 0.5 * math.log(gamma), math.log(gamma)])
+        n_terms = hyp1f1_terms(s.max())
+        # truncation (proven) plus the rounding of two sums of n_terms positive terms
+        tol = specfun.HYP1F1_TAIL_BOUND + 2 * n_terms * np.finfo(float).eps
+        series = hyp1f1(a, c, s[:, None])
+        np.testing.assert_allclose(hyp1f1_grid(a, c, s), series, rtol=tol, atol=0.0)
+
+    @given(compound_shapes, st.floats(1.0, 10.0))
+    @settings(max_examples=100, deadline=None)
+    def test_kummer_transformation(self, shape, gamma):
+        a, c = shape
+        s = math.log(gamma)
+        via_kummer = math.exp(-s) * hyp1f1_grid(c - a, c, s)[0, 0]
+        assert via_kummer == pytest.approx(hyp1f1(a, c, -s), rel=1e-14)
+        # the alternating sum cancels by up to e^(2s) = gamma^2
+        assert via_kummer == pytest.approx(alternating_series(a, c, -s), rel=1e-13 * gamma**2)
+
+    def test_zero_argument_is_exactly_one(self):
+        table = hyp1f1_grid([1e-7, 3.0, 150.0], [400.0, 3.0, 399.0], [0.0])
+        assert table.tolist() == [[1.0, 1.0, 1.0]]
+        assert hyp1f1_terms(0.0) == 1
+
+    def test_edge_shapes(self):
+        s = np.array([0.4, 2.0])
+        np.testing.assert_array_equal(hyp1f1_grid(0.0, 2.0, s)[:, 0], [1.0, 1.0])
+        np.testing.assert_allclose(hyp1f1_grid(2.5, 2.5, s)[:, 0], np.exp(s), rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "s_max", [1e-300, 1e-3, 0.5, math.log(2.5), math.log(10.0), 40.0, 700.0]
+    )
+    def test_term_count_is_the_smallest_that_meets_the_bound(self, s_max):
+        def log_tail(k):
+            return k * math.log(s_max) - math.lgamma(k + 1.0) - math.log1p(-s_max / (k + 1.0))
+
+        k = hyp1f1_terms(s_max)
+        assert k + 1 > s_max
+        assert log_tail(k) <= math.log(specfun.HYP1F1_TAIL_BOUND)
+        if k > 1 and k > s_max:
+            assert log_tail(k - 1) > math.log(specfun.HYP1F1_TAIL_BOUND)
+
+    def test_large_arguments_do_not_overflow(self):
+        s = 700.0
+        value = hyp1f1_grid(2.5, 2.5, [s])[0, 0]
+        assert value == pytest.approx(math.exp(s), rel=1e-12)
+
+    def test_domain(self):
+        for a, c, s in ((1.0, 2.0, -0.1), (3.0, 2.0, 0.5), (-1.0, 2.0, 0.5), (0.0, 0.0, 0.5),
+                        (1.0, 2.0, math.inf), (math.nan, 2.0, 0.5)):
+            with pytest.raises(DomainError):
+                hyp1f1_grid(a, c, s)
+        with pytest.raises(DomainError):
+            hyp1f1_terms(-1.0)
 
 
 class TestRegIncBeta:
