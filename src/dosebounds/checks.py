@@ -40,8 +40,6 @@ __all__ = [
 
 SUITE_NAMES = ("closed-forms", "extremizer", "gradients")
 
-_ALIASES = {"table1": "closed-forms", "alg1": "extremizer"}
-
 _MAX_REPORTED_FAILURES = 5
 
 
@@ -71,11 +69,10 @@ class CheckResult:
 
 
 def resolve_suite(name: str) -> str:
-    canonical = _ALIASES.get(name, name)
-    if canonical not in SUITE_NAMES:
-        known = ", ".join(SUITE_NAMES + tuple(sorted(_ALIASES)))
-        raise ValueError(f"unknown suite {name!r}; expected one of {known}")
-    return canonical
+    """``name`` itself when it names a suite; ValueError otherwise."""
+    if name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)}")
+    return name
 
 
 def _folded_power_expectation(q, gamma, sign):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -66,6 +67,16 @@ def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
         raise UsageError(f"{where}: unknown keys {unknown}")
 
 
+def _check_methods(methods, where: str) -> None:
+    if not methods:
+        raise UsageError(f"{where} must name at least one method")
+    for name in methods:
+        try:
+            bench.sensitivity_model_for(name)
+        except ValueError as exc:
+            raise UsageError(f"{where}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated benchmark settings, one JSON document per run."""
@@ -109,20 +120,22 @@ def load_run_config(doc) -> RunConfig:
         raise UsageError("config.raw: give either a path or rows/cols, not both")
 
     methods = doc.get("methods", list(bench.DEFAULT_METHODS))
-    if not isinstance(methods, (list, tuple)) or not methods:
+    if not isinstance(methods, (list, tuple)):
         raise UsageError("config.methods must be a non-empty list")
-    for name in methods:
-        bench.sensitivity_model_for(name)
+    _check_methods(methods, "config.methods")
 
+    # bool is a subclass of int, so `true` would otherwise pass as 1
     n_trials = doc.get("n_trials", 50)
-    if not isinstance(n_trials, int) or n_trials < 1:
+    if isinstance(n_trials, bool) or not isinstance(n_trials, int) or n_trials < 1:
         raise UsageError("config.n_trials must be a positive integer")
 
     trust_precision = doc.get("trust_precision")
     if trust_precision is not None:
+        if isinstance(trust_precision, bool) or not isinstance(trust_precision, (int, float)):
+            raise UsageError("config.trust_precision must be a number")
         trust_precision = float(trust_precision)
-        if not trust_precision > 0.0:
-            raise UsageError("config.trust_precision must be positive")
+        if not 0.0 < trust_precision < math.inf:
+            raise UsageError("config.trust_precision must be positive and finite")
 
     try:
         trial = bench.TrialConfig(**trial_doc)
@@ -202,10 +215,14 @@ def cmd_dgp(args) -> int:
             _, raw = fileio.read_csv(args.from_csv)
         else:
             raw = bench.synthetic_raw(args.rows, args.cols, seed=args.seed)
-        config = bench.TrialConfig(
-            n_confounders=args.confounders, form=args.form, seed=args.seed
-        )
-        trial = bench.generate_trial(raw, config)
+        # every ValueError here is about the flags or the raw table given
+        try:
+            config = bench.TrialConfig(
+                n_confounders=args.confounders, form=args.form, seed=args.seed
+            )
+            trial = bench.generate_trial(raw, config)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         _write_trial_bundle(trial, config, args.out)
         print(
             f"wrote train.csv, test.csv, truth.csv to {args.out} "
@@ -279,6 +296,7 @@ def cmd_benchmark(args) -> int:
     methods = config.methods
     if args.methods is not None:
         methods = tuple(name.strip() for name in args.methods.split(",") if name.strip())
+        _check_methods(methods, "--methods")
     n_trials = args.trials if args.trials is not None else config.n_trials
     out_dir = args.out if args.out is not None else config.out_dir
     if config.raw_path is not None:

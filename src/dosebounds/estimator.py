@@ -15,10 +15,12 @@ ratio of four sums of capped weights (``_bernoulli_extremes``).  The sorted
 sweep serves ``extremize`` for continuous outcomes (``outcome_draws`` with a
 proposal) and is the oracle the closed form is tested against.
 
-Curves over a dose grid come in three flavors: ``capo_interval`` conditions
-on one covariate row, ``apo_interval`` pools the draws of a whole instance
-set before extremizing, and ``cacd_interval`` turns a CAPO band into a band
-on the derivative via conservative central differences.
+One kernel, ``apo_band_matrix``, computes every binary-outcome band: it
+pools the instances of a probability matrix into one closed-form band per
+(dose, gamma) pair.  The curves are views of it at a single gamma:
+``capo_interval`` conditions on one covariate row, ``apo_interval`` pools a
+whole instance set, and ``cacd_interval`` turns a CAPO band into a band on
+the derivative via conservative central differences.
 """
 
 from __future__ import annotations
@@ -78,8 +80,16 @@ class WeightedDraw:
 
 
 def _padded_cumsum(x: np.ndarray) -> np.ndarray:
+    """out[..., k] = sum of x[..., :k]."""
     out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,), dtype=float)
     np.cumsum(x, axis=-1, out=out[..., 1:])
+    return out
+
+
+def _padded_suffix_sum(x: np.ndarray) -> np.ndarray:
+    """out[..., k] = sum of x[..., k:], accumulated from the last element."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,), dtype=float)
+    np.cumsum(x[..., ::-1], axis=-1, out=out[..., -2::-1])
     return out
 
 
@@ -89,23 +99,24 @@ def _max_ratio_sorted(f: np.ndarray, w_lo: np.ndarray, w_hi: np.ndarray) -> np.n
     Starting from all-upper weights, dragging the smallest-f draws down to
     their lower weight raises the ratio for as long as the directional
     derivative sum_i w_i (f_j - f_i) stays negative; the first non-negative
-    derivative ends the sweep.  Partial sums make every test O(1).
+    derivative ends the sweep.  The state after lowering the first k draws is
+    a prefix sum of lower weights plus a suffix sum of upper weights, both
+    tabulated once, so every test is O(1).  Summing the upper side directly
+    from the end, rather than as the total minus a prefix, keeps each term's
+    rounding relative to the draws it covers: an upper side of only f = 1
+    draws then gives f S - P = 0 exactly.
     """
     sl = _padded_cumsum(w_lo)
     pl = _padded_cumsum(w_lo * f)
-    sh = _padded_cumsum(w_hi)
-    ph = _padded_cumsum(w_hi * f)
-    sh_total = sh[..., -1:]
-    ph_total = ph[..., -1:]
-    s_state = sl[..., :-1] + sh_total - sh[..., :-1]
-    p_state = pl[..., :-1] + ph_total - ph[..., :-1]
-    delta = f * s_state - p_state
+    sh = _padded_suffix_sum(w_hi)
+    ph = _padded_suffix_sum(w_hi * f)
+    delta = f * (sl[..., :-1] + sh[..., :-1]) - (pl[..., :-1] + ph[..., :-1])
     stop = delta >= 0.0
     n = f.shape[-1]
     prefix = np.where(stop.any(axis=-1), np.argmax(stop, axis=-1), n)
     pick = np.expand_dims(prefix, axis=-1)
-    num = np.take_along_axis(pl, pick, -1) + ph_total - np.take_along_axis(ph, pick, -1)
-    den = np.take_along_axis(sl, pick, -1) + sh_total - np.take_along_axis(sh, pick, -1)
+    num = np.take_along_axis(pl, pick, -1) + np.take_along_axis(ph, pick, -1)
+    den = np.take_along_axis(sl, pick, -1) + np.take_along_axis(sh, pick, -1)
     # an all-zero weight box (every instance masked out) yields NaN
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.squeeze(num / den, axis=-1)
@@ -136,7 +147,8 @@ def _bernoulli_extremes(p_one, d_lo, d_hi, valid=None):
     """(lo, hi) of the pooled ratio for exact binary-outcome draws.
 
     The last axis indexes instances; leading axes are batch dimensions (for
-    example a whole gamma grid at once).  The two outcome values per instance
+    example a whole gamma grid at once), and the inputs broadcast against
+    each other, so a gamma column of divisors meets one row of probabilities.  The two outcome values per instance
     enumerate the support, so weights are p(y)/d under a counting-measure
     proposal.  With f in {0, 1} the sweep of ``_max_ratio_sorted`` always
     stops at the 0/1 boundary: the maximum takes every one-draw at its upper
@@ -153,11 +165,7 @@ def _bernoulli_extremes(p_one, d_lo, d_hi, valid=None):
     crossed zero from the sums; batch rows with no weight left come back as
     NaN.
     """
-    p_one, d_lo, d_hi = np.broadcast_arrays(
-        np.asarray(p_one, dtype=float),
-        np.asarray(d_lo, dtype=float),
-        np.asarray(d_hi, dtype=float),
-    )
+    p_one = np.asarray(p_one, dtype=float)
     keep = True if valid is None else valid
 
     def total(p, d):
@@ -295,26 +303,14 @@ def _models_pair(models):
         return outcome, propensity
 
 
-def _curve_from_engine(
-    engine: DivisorEngine,
-    prob_one_at: Callable[[float], np.ndarray],
-    t_grid: np.ndarray,
-    gamma_factor: float,
-    target: str,
-) -> IntervalCurve:
-    n = len(t_grid)
-    lo = np.empty(n)
-    hi = np.empty(n)
-    mask = np.zeros(n, dtype=bool)
-    for i, t in enumerate(t_grid):
-        d_lo, d_hi = engine.bounds(float(t), gamma_factor)
-        d_lo = np.atleast_1d(np.asarray(d_lo, dtype=float))
-        d_hi = np.atleast_1d(np.asarray(d_hi, dtype=float))
-        keep = d_lo > 0.0
-        p_one = np.atleast_1d(np.asarray(prob_one_at(float(t)), dtype=float))
-        mask[i] = not keep.all()
-        lo[i], hi[i] = _bernoulli_extremes(p_one, d_lo, d_hi, valid=keep)
-    return IntervalCurve(np.asarray(t_grid, dtype=float), lo, hi, target, mask)
+def _one_gamma_curve(models, sens, x, t_grid, gamma_factor, trust_precision, target):
+    """Column ``gamma_factor`` of ``apo_band_matrix`` for the rows ``x``."""
+    outcome, propensity = _models_pair(models)
+    t_grid = np.asarray(t_grid, dtype=float)
+    probs = np.array([np.atleast_1d(outcome.predict(x, float(t))) for t in t_grid])
+    engine = DivisorEngine(sens, propensity.predict(x), trust_precision=trust_precision)
+    lo, hi, undefined = apo_band_matrix(engine, probs, t_grid, [gamma_factor])
+    return IntervalCurve(t_grid, lo[:, 0], hi[:, 0], target, undefined[:, 0])
 
 
 def capo_interval(
@@ -326,12 +322,8 @@ def capo_interval(
     trust_precision=None,
 ) -> IntervalCurve:
     """Covariate-conditional outcome bounds over a dose grid."""
-    outcome, propensity = _models_pair(models)
-    params = propensity.predict(np.asarray(x, dtype=float))
-    engine = DivisorEngine(sens, params, trust_precision=trust_precision)
-    return _curve_from_engine(
-        engine, lambda t: outcome.predict(x, t), np.asarray(t_grid, dtype=float), gamma_factor, "capo"
-    )
+    x = np.asarray(x, dtype=float)
+    return _one_gamma_curve(models, sens, x, t_grid, gamma_factor, trust_precision, "capo")
 
 
 def apo_interval(
@@ -344,15 +336,10 @@ def apo_interval(
 ) -> IntervalCurve:
     """Population-averaged outcome bounds: draws of all instances are pooled
     into a single extremization per grid point."""
-    outcome, propensity = _models_pair(models)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if len(xs) == 0:
         raise ValueError("apo_interval needs at least one instance")
-    params = propensity.predict(xs)
-    engine = DivisorEngine(sens, params, trust_precision=trust_precision)
-    return _curve_from_engine(
-        engine, lambda t: outcome.predict(xs, t), np.asarray(t_grid, dtype=float), gamma_factor, "apo"
-    )
+    return _one_gamma_curve(models, sens, xs, t_grid, gamma_factor, trust_precision, "apo")
 
 
 def apo_band_matrix(engine: DivisorEngine, prob_matrix, t_grid, gamma_grid):
@@ -360,31 +347,28 @@ def apo_band_matrix(engine: DivisorEngine, prob_matrix, t_grid, gamma_grid):
 
     ``prob_matrix[i, j]`` holds P(Y=1 | x_j, t_grid[i]); the engine carries
     the per-instance propensity parameters.  Returns (lo, hi, undefined)
-    arrays of shape (len(t_grid), len(gamma_grid)).  Sweeping the whole gamma
-    grid per dose amortizes the compound-density work, which only depends on
-    the dose.  Instances whose divisor floor crosses zero at a given (dose,
-    gamma) are dropped from that pooled ratio and the point is flagged; when
-    every instance drops, the bounds are NaN.
+    arrays of shape (len(t_grid), len(gamma_grid)).  Each dose asks the
+    engine for the whole gamma column at once, so divisors come back as
+    (gammas, instances) tables that broadcast against the dose's row of
+    probabilities.  Instances whose divisor floor crosses zero at a given
+    (dose, gamma) are dropped from that pooled ratio and the point is
+    flagged; when every instance drops, the bounds are NaN.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     gammas = np.asarray(gamma_grid, dtype=float)
     prob_matrix = np.atleast_2d(np.asarray(prob_matrix, dtype=float))
     if prob_matrix.shape[0] != len(t_grid):
         raise ValueError("prob_matrix must have one row per dose grid point")
-    n_dose, n_gamma = len(t_grid), len(gammas)
-    n_instances = prob_matrix.shape[1]
-    lo = np.empty((n_dose, n_gamma))
-    hi = np.empty((n_dose, n_gamma))
-    undefined = np.zeros((n_dose, n_gamma), dtype=bool)
+    shape = (len(t_grid), len(gammas))
+    lo = np.empty(shape)
+    hi = np.empty(shape)
+    undefined = np.zeros(shape, dtype=bool)
     gamma_col = gammas[:, None]
     for i, t in enumerate(t_grid):
-        d_lo, d_hi = engine.bounds(float(t), gamma_col)
-        d_lo = np.broadcast_to(np.asarray(d_lo, dtype=float), (n_gamma, n_instances))
-        d_hi = np.broadcast_to(np.asarray(d_hi, dtype=float), (n_gamma, n_instances))
+        d_lo, d_hi = engine.bounds(t, gamma_col)
         valid = d_lo > 0.0
         undefined[i] = ~valid.all(axis=-1)
-        p_one = np.broadcast_to(prob_matrix[i], (n_gamma, n_instances))
-        lo[i], hi[i] = _bernoulli_extremes(p_one, d_lo, d_hi, valid=valid)
+        lo[i], hi[i] = _bernoulli_extremes(prob_matrix[i], d_lo, d_hi, valid=valid)
     return lo, hi, undefined
 
 

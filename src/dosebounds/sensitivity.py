@@ -93,13 +93,6 @@ def _pow_log(base, exponent):
     return np.where(exponent == 0.0, 0.0, out)
 
 
-def _scalar_like(value, *templates):
-    """Collapse a 0-d result to a float when every input was scalar."""
-    if all(np.ndim(v) == 0 for v in templates):
-        return float(value)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # nominal propensity families
 
@@ -198,13 +191,13 @@ def default_trust_precision(propensity: PropensityParams):
 
 @dataclass(frozen=True)
 class BetaTrust:
-    """w(tau) = c tau^(a-1) (1-tau)^(b-1) with mode t and precision r."""
+    """w(tau) proportional to tau^(a-1) (1-tau)^(b-1), with mode t and
+    precision r, scaled so that w(t) = 1 (``weight`` divides by the kernel at t)."""
 
     t: float | np.ndarray
     r: float | np.ndarray
     a: float | np.ndarray
     b: float | np.ndarray
-    c: float | np.ndarray
 
     kind = "beta"
 
@@ -221,13 +214,13 @@ class BetaTrust:
 
 @dataclass(frozen=True)
 class GammaTrust:
-    """w(tau) = c tau^(a-1) exp(-b tau) with mode t and precision r = a/b^2."""
+    """w(tau) proportional to tau^(a-1) exp(-b tau), with mode t and precision
+    r = a/b^2, scaled so that w(t) = 1 (``weight`` divides by the kernel at t)."""
 
     t: float | np.ndarray
     r: float | np.ndarray
     a: float | np.ndarray
     b: float | np.ndarray
-    c: float | np.ndarray
 
     kind = "gamma"
 
@@ -259,26 +252,19 @@ TrustScheme = Union[BetaTrust, GammaTrust, GaussianTrust]
 
 def trust_params(kind: str, t, r) -> TrustScheme:
     """Per-dose trust weight parameters for the given propensity family."""
-    t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
-    r = np.asarray(r, dtype=float) if np.ndim(r) else float(r)
+    t = np.asarray(t, dtype=float)
+    r = np.asarray(r, dtype=float)
     if not _all_finite(t, r) or not _all_positive(r):
         raise ValueError("trust_params requires finite t and r > 0")
     if kind == "beta":
-        if np.any(np.asarray(t) < 0.0) or np.any(np.asarray(t) > 1.0):
+        if np.any(t < 0.0) or np.any(t > 1.0):
             raise ValueError("Beta trust requires 0 <= t <= 1")
-        a = r * t + 1.0
-        b = r * (1.0 - t) + 1.0
-        with np.errstate(over="ignore"):
-            c = np.exp(-(_pow_log(t, r * t) + _pow_log(1.0 - t, r * (1.0 - t))))
-        return BetaTrust(t=t, r=r, a=a, b=b, c=_scalar_like(c, t, r))
+        return BetaTrust(t=t, r=r, a=r * t + 1.0, b=r * (1.0 - t) + 1.0)
     if kind == "gamma":
-        if np.any(np.asarray(t) < 0.0):
+        if np.any(t < 0.0):
             raise ValueError("Gamma trust requires t >= 0")
         b = (t + np.sqrt(t * t + 4.0 * r)) / (2.0 * r)
-        a = 1.0 + t * b
-        with np.errstate(over="ignore"):
-            c = np.exp(b * t - _pow_log(t, a - 1.0))
-        return GammaTrust(t=t, r=r, a=a, b=b, c=_scalar_like(c, t, r))
+        return GammaTrust(t=t, r=r, a=1.0 + t * b, b=b)
     if kind == "gaussian":
         return GaussianTrust(t=t, r=r, mu=t, sigma=1.0 / r)
     raise ValueError(f"unknown trust kind {kind!r}")
@@ -438,10 +424,7 @@ def _beta_mgf_pair(q: BetaCompound, s):
     table = specfun.hyp1f1_grid(np.concatenate([a.ravel(), b.ravel()]), np.concatenate([c, c]), s)
     rows = np.arange(s.size).reshape(s.shape)
     cols = np.arange(a.size).reshape(a.shape)
-    up, mirror = table[rows, cols], table[rows, cols + a.size]
-    if up.ndim == 0:
-        return float(up), float(mirror)
-    return up, mirror
+    return table[rows, cols], table[rows, cols + a.size]
 
 
 def _gaussian_folded_mgf(mu, sigma, s):
@@ -512,25 +495,25 @@ class DivisorBounds:
     @property
     def upper_undefined(self):
         """True where d_lo <= 0: the counterfactual density bound blows up."""
-        return np.asarray(self.d_lo) <= 0.0 if np.ndim(self.d_lo) else self.d_lo <= 0.0
+        return np.asarray(self.d_lo) <= 0.0
 
 
 def _check_gamma(gamma_factor):
-    """Validated gamma, scalar in scalar out; arrays sweep a whole grid."""
+    """Validated gamma as an array; a gamma column sweeps a whole grid."""
     gamma = np.asarray(gamma_factor, dtype=float)
     if not np.all(np.isfinite(gamma)) or np.any(gamma < 1.0):
         raise ValueError(f"gamma_factor must be finite and >= 1, got {gamma_factor!r}")
-    return float(gamma) if gamma.ndim == 0 else gamma
+    return gamma
 
 
 class DivisorEngine:
-    """Reusable divisor-bound evaluator for one sensitivity model.
+    """Divisor-bound evaluator for one sensitivity model.
 
-    Precomputes everything that does not depend on (t, gamma_factor), such as
-    dichotomized propensities, and caches the per-dose compound densities, so
-    that sweeping a (dose grid) x (gamma grid) stays cheap.  Propensity
-    parameters may be arrays covering many instances at once; bounds then
-    return arrays of the same shape.
+    Precomputes only what does not depend on (t, gamma_factor), such as the
+    dichotomized propensities of ``BinaryMSM``; every ``bounds`` call is
+    otherwise a pure function of its arguments.  Propensity parameters may be
+    arrays covering many instances at once, and gamma_factor may be a column
+    of budgets; bounds then broadcast to (gammas, instances).
     """
 
     def __init__(
@@ -541,7 +524,6 @@ class DivisorEngine:
     ):
         self.model = model
         self.propensity = propensity
-        self._cache: dict[float, tuple] = {}
         if isinstance(model, DeltaMSM):
             expected = "beta" if model.scheme == "balanced-beta" else model.scheme
             if propensity.kind != expected:
@@ -566,26 +548,30 @@ class DivisorEngine:
 
     def bounds(self, t, gamma_factor):
         """(d_lo, d_hi) at dose t under budget gamma_factor."""
+        t = np.asarray(t, dtype=float)
         gamma = _check_gamma(gamma_factor)
         model = self.model
         if isinstance(model, DeltaMSM):
             return self._delta_bounds(t, gamma)
         if isinstance(model, CMSM):
-            density = self._nominal_density(t)
+            # +-inf edges stay infinite under the clearance
+            lo_edge, hi_edge = self.propensity.support
+            density = self.propensity.pdf(
+                np.clip(t, lo_edge + _EDGE_CLEARANCE, hi_edge - _EDGE_CLEARANCE)
+            )
             return density / gamma, density * gamma
         if isinstance(model, Uniform):
-            shape = np.shape(getattr(self.propensity, "alpha_bar", getattr(self.propensity, "mu_bar", 0.0)))
-            base = np.ones(shape) if shape else 1.0
-            return base / gamma, base * gamma
-        e = np.where(np.asarray(t, dtype=float) > model.threshold, 1.0 - self._below, self._below)
-        if not np.shape(e):
-            e = float(e)
+            prop = self.propensity
+            ones = np.ones(np.shape(getattr(prop, "alpha_bar", getattr(prop, "mu_bar", 0.0))))
+            return ones / gamma, ones * gamma
+        e = np.where(t > model.threshold, 1.0 - self._below, self._below)
         return 1.0 / (e + gamma * (1.0 - e)), gamma / (gamma * e + (1.0 - e))
 
     # -- DeltaMSM internals
 
     def _delta_bounds(self, t, gamma):
-        q0 = self._compound_at(t, self.propensity)
+        prop = self.propensity
+        q0 = compound(prop, trust_params(prop.kind, t, self.trust_precision))
         if self.model.scheme != "balanced-beta":
             return _anchored_divisor(q0, t, gamma, lambda_expectation_bounds(q0, gamma))
         # The flipped propensity Beta(beta_bar, alpha_bar) compounded at dose
@@ -595,44 +581,16 @@ class DivisorEngine:
         up, mirror = _beta_mgf_pair(q0, s)
         down = np.exp(-s)
         lo0, hi0 = _anchored_divisor(q0, t, gamma, (down * mirror, up))
-        t_flip = 1.0 - np.asarray(t, dtype=float) if np.ndim(t) else 1.0 - float(t)
         q1 = BetaCompound(q0.beta, q0.alpha)
-        lo1, hi1 = _anchored_divisor(q1, t_flip, gamma, (down * up, mirror))
+        lo1, hi1 = _anchored_divisor(q1, 1.0 - t, gamma, (down * up, mirror))
         return t * lo0 + (1.0 - t) * lo1, t * hi0 + (1.0 - t) * hi1
-
-    def _compound_at(self, t, propensity):
-        # the cache is keyed by dose alone: propensity is always self.propensity
-        key = ("compound", float(t)) if np.ndim(t) == 0 else None
-        if key is not None and key in self._cache:
-            return self._cache[key]
-        q = compound(propensity, trust_params(propensity.kind, t, self.trust_precision))
-        if key is not None:
-            self._cache[key] = q
-        return q
-
-    def _nominal_density(self, t):
-        key = ("pdf", float(t)) if np.ndim(t) == 0 else None
-        if key is not None and key in self._cache:
-            return self._cache[key]
-        lo_edge, hi_edge = self.propensity.support
-        t_eval = np.clip(
-            np.asarray(t, dtype=float),
-            lo_edge + _EDGE_CLEARANCE if math.isfinite(lo_edge) else -np.inf,
-            hi_edge - _EDGE_CLEARANCE if math.isfinite(hi_edge) else np.inf,
-        )
-        if np.ndim(t) == 0:
-            t_eval = float(t_eval)
-        density = self.propensity.pdf(t_eval)
-        if key is not None:
-            self._cache[key] = density
-        return density
 
 
 def _anchored_divisor(q: CompoundDensity, t, gamma, power_bounds):
     """Divisor interval from q's moments and (E_q[Gamma^-|tau|], E_q[Gamma^|tau|])."""
     lo_e, hi_e = power_bounds
     s = np.log(gamma)
-    growth = gamma ** np.abs(np.asarray(t, dtype=float) if np.ndim(t) else float(t))
+    growth = gamma ** np.abs(t)
     m1 = q.mean - t
     abs_m1 = np.abs(m1)
     m2 = q.variance + m1 * m1

@@ -77,6 +77,11 @@ class TestDgp:
         assert run("dgp", "--from-csv", tmp_path / "nope.csv") == 2
         assert "usage error" in capsys.readouterr().err
 
+    def test_too_few_raw_rows_for_a_trial_is_a_usage_error(self, tmp_path, capsys):
+        assert run("dgp", "--trial", "--rows", 50, "--out", tmp_path) == 2
+        assert "raw data has 50 rows; the trial needs 1000" in capsys.readouterr().err
+        assert not (tmp_path / "train.csv").exists()
+
 
 class TestBounds:
     def test_uniform_bounds_match_the_library_call(self, tmp_path):
@@ -230,6 +235,27 @@ class TestBenchmarkCommand:
     def test_missing_config_is_a_usage_error(self, tmp_path):
         assert run("benchmark", "--config", tmp_path / "none.json") == 2
 
+    def test_non_numeric_trust_precision_is_a_usage_error(self, tmp_path, capsys):
+        config = benchmark_config(tmp_path, trust_precision="abc")
+        assert run("benchmark", "--config", config, "--out", tmp_path) == 2
+        assert "config.trust_precision must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_boolean_n_trials_is_a_usage_error(self, tmp_path, capsys):
+        config = benchmark_config(tmp_path, n_trials=True)
+        assert run("benchmark", "--config", config, "--out", tmp_path) == 2
+        assert "config.n_trials must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_unknown_method_is_a_usage_error(self, tmp_path, capsys):
+        config = benchmark_config(tmp_path, methods=["msm"])
+        assert run("benchmark", "--config", config, "--out", tmp_path) == 2
+        assert "unknown method 'msm'" in capsys.readouterr().err
+        config = benchmark_config(tmp_path)
+        assert run("benchmark", "--config", config, "--methods", "bogus", "--out", tmp_path) == 2
+        assert "unknown method 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
 
 class TestRunConfig:
     def test_defaults(self):
@@ -267,8 +293,9 @@ class TestCheckCommand:
         assert "extremizer: PASS" in out
 
     def test_alias_suites(self, capsys):
-        assert run("check", "--suite", "alg1", "--instances", 5, "--n", 4) == 0
-        assert "extremizer: PASS" in capsys.readouterr().out
+        # the retired short names table1/alg1 are unknown suites now
+        assert run("check", "--suite", "alg1", "--instances", 5, "--n", 4) == 2
+        assert "unknown suite 'alg1'" in capsys.readouterr().err
 
     def test_all_suites_by_default(self, capsys):
         assert run("check", "--samples", 2, "--instances", 5, "--n", 4, "--points", 2) == 0

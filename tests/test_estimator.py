@@ -14,6 +14,7 @@ from dosebounds.estimator import (
     WeightedDraw,
     _bernoulli_extremes,
     _max_ratio_sorted,
+    apo_band_matrix,
     apo_interval,
     cacd_interval,
     capo_interval,
@@ -23,8 +24,10 @@ from dosebounds.estimator import (
 from dosebounds.sensitivity import (
     CMSM,
     BetaPropensity,
+    BinaryMSM,
     DeltaMSM,
     DivisorBounds,
+    DivisorEngine,
     PartialIdentificationError,
     Uniform,
     divisor_bounds,
@@ -177,11 +180,11 @@ def sweep_extremes(p_one, d_lo, d_hi, valid):
 
 
 @st.composite
-def binary_boxes(draw, infinite_d_hi=True):
+def binary_boxes(draw):
     """Batches of pooled binary-outcome boxes: certain outcomes (zero weights
-    on one side), upper weights at the cap (d_lo = 1e-32), optionally zero
-    lower weights next to positive upper ones (d_hi = inf), masked instances
-    and, sometimes, a fully masked row."""
+    on one side), upper weights at the cap (d_lo = 1e-32), zero lower weights
+    next to positive upper ones (d_hi = inf), masked instances and,
+    sometimes, a fully masked row."""
     rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
 
     def table(elements):
@@ -190,8 +193,7 @@ def binary_boxes(draw, infinite_d_hi=True):
 
     p_one = table(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
     d_lo = table(st.one_of(st.just(1e-32), st.floats(0.05, 5.0)))
-    stretch = [st.just(1.0), st.floats(1.0, 10.0)] + [st.just(math.inf)] * infinite_d_hi
-    d_hi = d_lo * table(st.one_of(*stretch))
+    d_hi = d_lo * table(st.one_of(st.just(1.0), st.floats(1.0, 10.0), st.just(math.inf)))
     valid = table(st.booleans()).astype(bool)
     if draw(st.booleans()):
         valid[-1] = False
@@ -211,10 +213,7 @@ class TestBernoulliClosedForm:
             assert lo[row] == pytest.approx(want_lo, rel=1e-12, abs=1e-300)
             assert hi[row] == pytest.approx(want_hi, rel=1e-12, abs=1e-300)
 
-    # With S_lo(0) = 0 < S_hi(0) (only possible with d_hi = inf) the sweep's
-    # stopping test at the 0/1 boundary is rounding noise, and it can run on
-    # to 0/0; the vertex test covers those boxes.
-    @given(binary_boxes(infinite_d_hi=False))
+    @given(binary_boxes())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_sorted_sweep(self, box):
         lo, hi = _bernoulli_extremes(*box)
@@ -223,10 +222,11 @@ class TestBernoulliClosedForm:
         total = lo_zero + hi_zero + lo_one + hi_one
         for got, want, den in ((lo, sweep_lo, lo_one + hi_zero), (hi, sweep_hi, hi_one + lo_zero)):
             assert np.isnan(got[masked]).all() and np.isnan(want[masked]).all()
-            # The sweep differences running sums of every weight, so its error
-            # grows with the total weight over the ratio's denominator; beyond
-            # 1e4 it can stop at the wrong draw and only the vertex test holds.
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # The sweep's stopping test f S - P sums every weight, so its
+            # rounding grows with the total weight over the ratio's
+            # denominator; beyond 1e4 (capped 1e30 weights) it can stop at the
+            # wrong draw and only the vertex test holds.
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 scale = np.maximum(1.0, total / den)
             held = scale <= 1e4
             assert np.all(np.abs(got[held] - want[held]) <= 1e-12 * scale[held])
@@ -514,6 +514,68 @@ class TestApoBandMatrix:
         engine = DivisorEngine(Uniform(), propensity.predict(np.asarray(xs)))
         with pytest.raises(ValueError):
             apo_band_matrix(engine, prob[:-1], self.t_grid, self.gamma_grid)
+
+
+@st.composite
+def band_cases(draw):
+    """Random Beta propensities and outcome probabilities for a few instances
+    over a dose grid that includes both support edges, plus an increasing
+    gamma grid that starts at 1."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(2, 7))
+    params = st.lists(st.floats(0.5, 100.0), min_size=n, max_size=n)
+    alphas, betas = np.array(draw(params)), np.array(draw(params))
+    probs = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+            min_size=k * n,
+            max_size=k * n,
+        )
+    )
+    steps = draw(st.lists(st.floats(0.01, 0.8), min_size=1, max_size=5))
+    gammas = np.concatenate([[1.0], 1.0 + np.cumsum(steps)])
+    return alphas, betas, np.array(probs).reshape(k, n), np.linspace(0.0, 1.0, k), gammas
+
+
+class TestBandKernelProperties:
+    """Ordering, nesting and point identification of ``apo_band_matrix``."""
+
+    collapsing = [DeltaMSM("beta"), DeltaMSM("balanced-beta"), Uniform(), BinaryMSM()]
+
+    @given(band_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_bands_order_nest_and_collapse(self, case):
+        alphas, betas, prob, t_grid, gammas = case
+        for model in self.collapsing + [CMSM()]:
+            engine = DivisorEngine(model, BetaPropensity(alphas, betas))
+            lo, hi, undefined = apo_band_matrix(engine, prob, t_grid, gammas)
+            defined = ~undefined
+            assert np.all(lo[defined] <= hi[defined] + 1e-12)
+            # a divisor floor that crossed zero stays crossed at larger gamma
+            assert np.all(undefined[:, :-1] <= undefined[:, 1:])
+            wider = defined[:, 1:]
+            assert np.all(lo[:, 1:][wider] <= lo[:, :-1][wider] + 1e-12)
+            assert np.all(hi[:, 1:][wider] >= hi[:, :-1][wider] - 1e-12)
+            if model in self.collapsing:
+                # CMSM is left out: its gamma = 1 band is density-weighted
+                assert not undefined[:, 0].any()
+                np.testing.assert_allclose(lo[:, 0], prob.mean(axis=1), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(hi[:, 0], prob.mean(axis=1), rtol=0, atol=1e-12)
+
+    @given(band_cases(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_capo_is_the_one_gamma_column(self, case, data):
+        alphas, betas, prob, t_grid, gammas = case
+        row = data.draw(st.integers(0, len(alphas) - 1))
+        outcome = BernoulliStub(lambda x, t: prob[int(np.argmin(np.abs(t_grid - t))), int(x[0])])
+        models = (outcome, PropensityStub(alphas, betas))
+        for model in self.collapsing + [CMSM()]:
+            engine = DivisorEngine(model, BetaPropensity(alphas[row : row + 1], betas[row : row + 1]))
+            lo, hi, undefined = apo_band_matrix(engine, prob[:, row : row + 1], t_grid, gammas)
+            for g, gamma in enumerate(gammas):
+                curve = capo_interval(models, model, [float(row)], t_grid, gamma)
+                np.testing.assert_array_equal(curve.undefined_mask, undefined[:, g])
+                np.testing.assert_allclose(curve.lo, lo[:, g], rtol=0, atol=1e-15)
+                np.testing.assert_allclose(curve.hi, hi[:, g], rtol=0, atol=1e-15)
 
 
 def flat_curve(grid, fn, half_width=0.0):

@@ -62,13 +62,11 @@ class TestTrustParams:
         trust = trust_params("beta", 0.5, 2.0)
         assert trust.a == pytest.approx(2.0)
         assert trust.b == pytest.approx(2.0)
-        assert trust.c == pytest.approx(4.0)
 
     def test_gamma_at_origin(self):
         trust = trust_params("gamma", 0.0, 4.0)
         assert trust.b == pytest.approx(0.5)
         assert trust.a == pytest.approx(1.0)
-        assert trust.c == pytest.approx(1.0)
 
     def test_gaussian(self):
         trust = trust_params("gaussian", -1.3, 2.0)
@@ -374,13 +372,12 @@ class TestDivisorBounds:
         # the gamma kernel's r is its variance, so sharpness there is r -> 0
         gamma = 2.0
         cases = [
-            (DeltaMSM("beta"), BetaPropensity(3.0, 5.0), 0.3, 1e6),
-            (DeltaMSM("gamma"), GammaPropensity(3.0, 2.0), 1.2, 1e-6),
-            (DeltaMSM("gaussian"), GaussianPropensity(0.5, 1.0), 0.8, 1e6),
+            (BetaPropensity(3.0, 5.0), 0.3, 1e6),
+            (GammaPropensity(3.0, 2.0), 1.2, 1e-6),
+            (GaussianPropensity(0.5, 1.0), 0.8, 1e6),
         ]
-        for model, prop, t, r in cases:
-            engine = DivisorEngine(model, prop, trust_precision=r)
-            q = engine._compound_at(t, prop)
+        for prop, t, r in cases:
+            q = compound(prop, trust_params(prop.kind, t, r))
             lo, hi = lambda_expectation_bounds(q, gamma)
             assert lo == pytest.approx(gamma ** (-abs(t)), abs=1e-4)
             assert hi == pytest.approx(gamma ** (+abs(t)), abs=1e-4)
