@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import _WEIGHT_CAP, WeightedDraw, _bernoulli_extremes, extremize
+from .estimator import _WEIGHT_CAP, _bernoulli_extremes, extremize
 from .models import outcome_loss_grad, propensity_loss_grad
 from .seeds import substream
 from .sensitivity import (
@@ -214,14 +214,10 @@ def check_extremizer(
         w_lo = rng.uniform(0.0, 1.0, size=n)
         w_lo[rng.uniform(size=n) < 0.3] = 0.0
         w_hi = w_lo + rng.uniform(0.1, 1.0, size=n)
-        draws = [
-            WeightedDraw(f=float(f[j]), w_lo=float(w_lo[j]), w_hi=float(w_hi[j]), draw=j)
-            for j in range(n)
-        ]
         want_min, want_max = _vertex_extrema(f, w_lo, w_hi)
         err = max(
-            abs(extremize(draws, "max") - want_max),
-            abs(extremize(draws, "min") - want_min),
+            abs(extremize(f, w_lo, w_hi, "max") - want_max),
+            abs(extremize(f, w_lo, w_hi, "min") - want_min),
         )
         if err > worst:
             worst = err

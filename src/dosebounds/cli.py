@@ -29,7 +29,7 @@ from . import benchmark as bench
 from . import checks, fileio
 from .estimator import apo_interval, capo_interval
 from .models import TrainConfig, fit_outcome, fit_propensity, model_payload
-from .sensitivity import CMSM, BinaryMSM, DeltaMSM, Uniform
+from .sensitivity import DeltaMSM
 
 __all__ = ["RunConfig", "load_run_config", "main"]
 
@@ -75,6 +75,13 @@ def _check_methods(methods, where: str) -> None:
             bench.sensitivity_model_for(name)
         except ValueError as exc:
             raise UsageError(f"{where}: {exc}") from exc
+
+
+def _raw_size(raw_doc: dict, key: str, default: int, least: int) -> int:
+    value = raw_doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise UsageError(f"config.raw.{key} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -142,6 +149,8 @@ def load_run_config(doc) -> RunConfig:
         train = TrainConfig(**train_doc)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"config: {exc}") from exc
+    # a raw.path table is measured once it is read, in cmd_benchmark
+    least_rows = 1 if raw_path is not None else trial.n_train + trial.n_test
 
     return RunConfig(
         trial=trial,
@@ -149,8 +158,8 @@ def load_run_config(doc) -> RunConfig:
         methods=tuple(methods),
         n_trials=n_trials,
         trust_precision=trust_precision,
-        raw_rows=int(raw_doc.get("rows", 1000)),
-        raw_cols=int(raw_doc.get("cols", 16)),
+        raw_rows=_raw_size(raw_doc, "rows", 1000, least_rows),
+        raw_cols=_raw_size(raw_doc, "cols", 16, 1),
         raw_path=raw_path,
         out_dir=str(doc.get("out", ".")),
     )
@@ -179,13 +188,7 @@ def _sensitivity_from_flags(model: str, scheme: str | None):
         return DeltaMSM(scheme or "balanced-beta")
     if scheme is not None:
         raise UsageError("--scheme only applies to --model deltamsm")
-    if model == "cmsm":
-        return CMSM()
-    if model == "uniform":
-        return Uniform()
-    if model == "binarymsm":
-        return BinaryMSM()
-    raise UsageError(f"unknown model {model!r}")
+    return bench.sensitivity_model_for(model)
 
 
 def _write_trial_bundle(trial, config, out_dir: str) -> None:
@@ -210,28 +213,28 @@ def _write_trial_bundle(trial, config, out_dir: str) -> None:
 
 
 def cmd_dgp(args) -> int:
-    if args.trial:
+    if args.from_csv is not None and not args.trial:
+        raise UsageError("--from-csv only makes sense together with --trial")
+    # every ValueError here is about the flags or the raw table given
+    try:
         if args.from_csv is not None:
             _, raw = fileio.read_csv(args.from_csv)
         else:
             raw = bench.synthetic_raw(args.rows, args.cols, seed=args.seed)
-        # every ValueError here is about the flags or the raw table given
-        try:
+        if args.trial:
             config = bench.TrialConfig(
                 n_confounders=args.confounders, form=args.form, seed=args.seed
             )
             trial = bench.generate_trial(raw, config)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if args.trial:
         _write_trial_bundle(trial, config, args.out)
         print(
             f"wrote train.csv, test.csv, truth.csv to {args.out} "
             f"({config.n_train}/{config.n_test} rows, {config.treatment_index} visible confounders)"
         )
         return 0
-    if args.from_csv is not None:
-        raise UsageError("--from-csv only makes sense together with --trial")
-    raw = bench.synthetic_raw(args.rows, args.cols, seed=args.seed)
     path = _out_path(args.out, "raw.csv")
     fileio.write_csv(path, [f"x{j}" for j in range(args.cols)], raw.tolist())
     print(f"wrote {path} ({args.rows} rows, {args.cols} columns)")
@@ -301,6 +304,9 @@ def cmd_benchmark(args) -> int:
     out_dir = args.out if args.out is not None else config.out_dir
     if config.raw_path is not None:
         _, raw = fileio.read_csv(config.raw_path)
+        needed = trial.n_train + trial.n_test
+        if len(raw) < needed:
+            raise UsageError(f"{config.raw_path} has {len(raw)} rows; the trial needs {needed}")
     else:
         raw = bench.synthetic_raw(config.raw_rows, config.raw_cols, seed=trial.seed)
     report = bench.run_benchmark(
@@ -375,9 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bounds = sub.add_parser("bounds", help="fit models and write bound curves")
     bounds.add_argument("--data", required=True, help="training CSV (x..., t, y)")
-    bounds.add_argument(
-        "--model", required=True, choices=("deltamsm", "cmsm", "uniform", "binarymsm")
-    )
+    bounds.add_argument("--model", required=True, choices=bench.DEFAULT_METHODS)
     bounds.add_argument(
         "--scheme", choices=_SCHEMES, default=None,
         help="DeltaMSM trust scheme (default balanced-beta); the fitted propensity is Beta",

@@ -3,11 +3,13 @@
 Counterfactual means are self-normalized importance-sampling ratios
 sum_i w_i f_i / sum_i w_i whose weights are only known up to a box
 [w_lo_i, w_hi_i] (the divisor interval of the sensitivity model, folded with
-the outcome model and proposal density).  ``extremize`` finds the exact
-extremum of the ratio over the box: after sorting draws by f, the maximizing
-weight vector flips a prefix of draws down to their lower bound and leaves
-the rest at their upper bound, so a single sweep with running partial sums
-suffices (the threshold argument of Kallus, Mao & Zhou, AISTATS 2019).
+the outcome model and proposal density).  A box is three flat arrays
+``(f, w_lo, w_hi)`` with one entry per draw, as ``outcome_draws`` returns
+it.  ``extremize`` finds the exact extremum of the ratio over the box: after
+sorting draws by f, the maximizing weight vector flips a prefix of draws
+down to their lower bound and leaves the rest at their upper bound, so a
+single sweep with running partial sums suffices (the threshold argument of
+Kallus, Mao & Zhou, AISTATS 2019).
 
 Binary outcomes, which every band below uses, need no sweep: with f in
 {0, 1} the threshold always sits at the 0/1 boundary, so each bound is a
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +42,6 @@ from .sensitivity import (
 
 __all__ = [
     "DegenerateDrawsError",
-    "WeightedDraw",
     "IntervalCurve",
     "extremize",
     "outcome_draws",
@@ -60,23 +61,6 @@ class DegenerateDrawsError(ValueError):
 # every partial sum finite; a capped instance still dominates the pooled
 # ratio, so the extremum moves by at most ~n max|f| / _WEIGHT_CAP.
 _WEIGHT_CAP = 1e30
-
-
-@dataclass(frozen=True)
-class WeightedDraw:
-    """One Monte Carlo draw with its statistic and admissible weight range."""
-
-    f: float
-    w_lo: float
-    w_hi: float
-    draw: int = 0
-    instance: int = 0
-
-    def __post_init__(self):
-        if not math.isfinite(self.f):
-            raise ValueError("draw statistic must be finite")
-        if not (0.0 <= self.w_lo <= self.w_hi) or not math.isfinite(self.w_hi):
-            raise ValueError("weights must satisfy 0 <= w_lo <= w_hi < inf")
 
 
 def _padded_cumsum(x: np.ndarray) -> np.ndarray:
@@ -122,23 +106,28 @@ def _max_ratio_sorted(f: np.ndarray, w_lo: np.ndarray, w_hi: np.ndarray) -> np.n
         return np.squeeze(num / den, axis=-1)
 
 
-def extremize(draws: Sequence[WeightedDraw], direction: str = "max") -> float:
-    """Exact extremum of the self-normalized ratio over the weight box."""
+def extremize(f, w_lo, w_hi, direction: str = "max") -> float:
+    """Exact extremum of sum(w f)/sum(w) over the box w_lo <= w <= w_hi.
+
+    ``f``, ``w_lo`` and ``w_hi`` are 1-d arrays with one entry per draw, as
+    ``outcome_draws`` returns them.  Draws with equal ``f`` keep the order
+    they are given in, so the result is a fixed function of the arrays.
+    """
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
-    if len(draws) == 0:
+    f, w_lo, w_hi = (np.asarray(a, dtype=float) for a in (f, w_lo, w_hi))
+    if not (f.ndim == 1 and f.shape == w_lo.shape == w_hi.shape):
+        raise ValueError("f, w_lo and w_hi must be 1-d arrays of one length")
+    if f.size == 0:
         raise ValueError("extremize requires at least one draw")
-    f = np.array([d.f for d in draws], dtype=float)
-    w_lo = np.array([d.w_lo for d in draws], dtype=float)
-    w_hi = np.array([d.w_hi for d in draws], dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("draw statistic must be finite")
+    if not (np.all(w_lo >= 0.0) and np.all(w_lo <= w_hi) and np.all(np.isfinite(w_hi))):
+        raise ValueError("weights must satisfy 0 <= w_lo <= w_hi < inf")
     if not np.any(w_hi > 0.0):
         raise DegenerateDrawsError("all upper weights are zero")
-    draw_ids = np.array([d.draw for d in draws])
-    inst_ids = np.array([d.instance for d in draws])
     key = f if direction == "max" else -f
-    # stable order on (key, instance, draw) makes the result independent of
-    # the order draws were supplied in
-    order = np.lexsort((draw_ids, inst_ids, key))
+    order = np.argsort(key, kind="stable")
     value = _max_ratio_sorted(key[order], w_lo[order], w_hi[order])
     return float(value) if direction == "max" else -float(value)
 
@@ -195,15 +184,22 @@ def outcome_draws(
     n_samples: int | None = None,
     rng: np.random.Generator | None = None,
     statistic: Callable | None = None,
-) -> list[WeightedDraw]:
-    """Weighted draws for the instances in ``x_subset`` at dose ``t``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted draws ``(f, w_lo, w_hi)`` for the instances in ``x_subset``
+    at dose ``t``, ready for ``extremize(f, w_lo, w_hi, direction)``.
 
-    Discrete outcome models (anything exposing ``outcome_support``) are
-    enumerated exactly.  Continuous models need a ``proposal`` with
+    The three flat float arrays hold one entry per (instance, draw), instance
+    by instance.  Discrete outcome models (anything exposing
+    ``outcome_support``) are enumerated exactly, so instances may contribute
+    supports of different sizes.  Continuous models need a ``proposal`` with
     ``sample(n, rng)`` and ``density(y)`` plus an ``outcome_density(y, x, t)``
     method on the model; the same ``n_samples`` proposal draws are shared by
-    every instance.  ``statistic`` maps outcomes to the quantity averaged
-    (identity by default).
+    every instance.  A draw's weights are w_lo = min(p / d_hi, _WEIGHT_CAP)
+    and w_hi = min(p / d_lo, _WEIGHT_CAP) for its instance's divisor box,
+    with p the support probability or the importance ratio
+    density / (proposal density x n_samples).
+    ``statistic`` maps an array of outcomes elementwise to the quantity
+    averaged (identity by default).
     """
     x_subset = np.atleast_2d(np.asarray(x_subset, dtype=float))
     d_lo = np.broadcast_to(np.asarray(divisors.d_lo, dtype=float), (len(x_subset),))
@@ -212,47 +208,36 @@ def outcome_draws(
         raise PartialIdentificationError(
             "divisor lower bound is not positive; the outcome bound is undefined here"
         )
-    stat = statistic if statistic is not None else (lambda y: y)
-    draws: list[WeightedDraw] = []
     if proposal is None:
         if not hasattr(outcome_model, "outcome_support"):
             raise ValueError(
                 "outcome model has no finite support; supply a proposal density"
             )
-        for j, x in enumerate(x_subset):
-            values, probs = outcome_model.outcome_support(x, t)
-            for i, (value, prob) in enumerate(zip(values, probs)):
-                draws.append(
-                    WeightedDraw(
-                        f=float(stat(value)),
-                        w_lo=float(min(prob / d_hi[j], _WEIGHT_CAP)),
-                        w_hi=float(min(prob / d_lo[j], _WEIGHT_CAP)),
-                        draw=i,
-                        instance=j,
-                    )
-                )
-        return draws
-    if n_samples is None or n_samples < 1:
-        raise ValueError("continuous proposals need n_samples >= 1")
-    rng = rng if rng is not None else np.random.default_rng()
-    ys = np.asarray(proposal.sample(n_samples, rng), dtype=float)
-    g = np.asarray(proposal.density(ys), dtype=float)
-    if np.any(g <= 0.0):
-        raise ValueError("proposal density must be positive at its own samples")
-    for j, x in enumerate(x_subset):
-        density = np.asarray(outcome_model.outcome_density(ys, x, t), dtype=float)
-        base = density / (g * n_samples)
-        for i, y in enumerate(ys):
-            draws.append(
-                WeightedDraw(
-                    f=float(stat(y)),
-                    w_lo=float(min(base[i] / d_hi[j], _WEIGHT_CAP)),
-                    w_hi=float(min(base[i] / d_lo[j], _WEIGHT_CAP)),
-                    draw=i,
-                    instance=j,
-                )
-            )
-    return draws
+        supports = [outcome_model.outcome_support(x, t) for x in x_subset]
+        ys = [np.asarray(values, dtype=float) for values, _ in supports]
+        base = [np.asarray(probs, dtype=float) for _, probs in supports]
+    else:
+        if n_samples is None or n_samples < 1:
+            raise ValueError("continuous proposals need n_samples >= 1")
+        rng = rng if rng is not None else np.random.default_rng()
+        samples = np.asarray(proposal.sample(n_samples, rng), dtype=float)
+        g = np.asarray(proposal.density(samples), dtype=float)
+        if np.any(g <= 0.0):
+            raise ValueError("proposal density must be positive at its own samples")
+        base = [
+            np.asarray(outcome_model.outcome_density(samples, x, t), dtype=float)
+            / (g * n_samples)
+            for x in x_subset
+        ]
+        ys = [samples] * len(base)
+    sizes = [len(b) for b in base]
+    # the leading empty array lets an empty instance set give empty arrays
+    base = np.concatenate([np.empty(0), *base])
+    y = np.concatenate([np.empty(0), *ys])
+    f = np.asarray(y if statistic is None else statistic(y), dtype=float)
+    w_lo = np.minimum(base / np.repeat(d_hi, sizes), _WEIGHT_CAP)
+    w_hi = np.minimum(base / np.repeat(d_lo, sizes), _WEIGHT_CAP)
+    return f, w_lo, w_hi
 
 
 # slotted: callers keep curves by the hundred (gamma sweeps, benchmark
@@ -377,8 +362,10 @@ def cacd_interval(capo_curve: IntervalCurve, h: float) -> IntervalCurve:
 
     Interior points use the worst-case central quotient
     (lo(t+h) - hi(t-h)) / (2h) (and its mirror image for the upper bound);
-    endpoints fall back to one-sided quotients and are flagged.  ``h`` must
-    equal a whole number of grid steps.
+    points within ``h`` of an end fall back to one-sided quotients and are
+    flagged.  ``h`` must equal a whole number of grid steps, at most half
+    the number of grid points, so that every point has a neighbour ``h``
+    away on at least one side.
     """
     if not (h > 0.0) or not math.isfinite(h):
         raise ValueError("h must be a positive finite step")
@@ -393,28 +380,17 @@ def cacd_interval(capo_curve: IntervalCurve, h: float) -> IntervalCurve:
     if steps < 1 or abs(steps * dt - h) > 1e-9 * max(h, 1.0):
         raise ValueError(f"h={h!r} is not a whole number of grid steps (dt={dt!r})")
     n = len(grid)
-    if steps >= n:
-        raise ValueError("h spans the whole grid")
+    if 2 * steps > n:
+        raise ValueError(
+            f"h={h!r} is {steps} grid steps; a {n}-point grid allows at most {n // 2}"
+        )
+    i = np.arange(n)
+    back = np.where(i >= steps, i - steps, i)
+    fwd = np.where(i + steps < n, i + steps, i)
+    one_sided = (back == i) | (fwd == i)
+    span = np.where(one_sided, h, 2.0 * h)
     lo_in, hi_in, mask_in = capo_curve.lo, capo_curve.hi, capo_curve.undefined_mask
-    lo = np.empty(n)
-    hi = np.empty(n)
-    mask = np.zeros(n, dtype=bool)
-    one_sided = np.zeros(n, dtype=bool)
-    for i in range(n):
-        fwd = i + steps
-        back = i - steps
-        if back >= 0 and fwd < n:
-            lo[i] = (lo_in[fwd] - hi_in[back]) / (2.0 * h)
-            hi[i] = (hi_in[fwd] - lo_in[back]) / (2.0 * h)
-            mask[i] = mask_in[fwd] or mask_in[back]
-        elif fwd < n:
-            lo[i] = (lo_in[fwd] - hi_in[i]) / h
-            hi[i] = (hi_in[fwd] - lo_in[i]) / h
-            mask[i] = mask_in[fwd] or mask_in[i]
-            one_sided[i] = True
-        else:
-            lo[i] = (lo_in[i] - hi_in[back]) / h
-            hi[i] = (hi_in[i] - lo_in[back]) / h
-            mask[i] = mask_in[i] or mask_in[back]
-            one_sided[i] = True
+    lo = (lo_in[fwd] - hi_in[back]) / span
+    hi = (hi_in[fwd] - lo_in[back]) / span
+    mask = mask_in[fwd] | mask_in[back]
     return IntervalCurve(grid, lo, hi, "cacd", mask, one_sided=one_sided)

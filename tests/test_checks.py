@@ -61,8 +61,8 @@ class TestDefectDetection:
 
         real = estimator.extremize
 
-        def biased(draws, direction="max"):
-            return real(draws, direction) + 1e-9
+        def biased(f, w_lo, w_hi, direction="max"):
+            return real(f, w_lo, w_hi, direction) + 1e-9
 
         monkeypatch.setattr(checks, "extremize", biased)
         result = checks.check_extremizer(instances=5, seed=0)

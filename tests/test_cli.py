@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from dosebounds import benchmark as bm
 from dosebounds import fileio
-from dosebounds.cli import load_run_config, main
+from dosebounds.cli import _sensitivity_from_flags, load_run_config, main
 from dosebounds.estimator import apo_interval
 from dosebounds.models import TrainConfig, fit_outcome, fit_propensity
 from dosebounds.sensitivity import Uniform
@@ -57,8 +58,6 @@ class TestDgp:
         assert np.all((truth[:, 1] > 0.0) & (truth[:, 1] < 1.0))
 
     def test_trial_from_csv_uses_the_given_raw_data(self, tmp_path):
-        from dosebounds import benchmark as bm
-
         raw_dir = tmp_path / "raw"
         assert run("dgp", "--rows", 1000, "--cols", 4, "--seed", 5, "--out", raw_dir) == 0
         out = tmp_path / "a"
@@ -76,6 +75,12 @@ class TestDgp:
     def test_from_csv_without_trial_is_a_usage_error(self, tmp_path, capsys):
         assert run("dgp", "--from-csv", tmp_path / "nope.csv") == 2
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--rows", 1), ("--cols", 0)])
+    def test_bad_raw_size_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        assert run("dgp", flag, value, "--out", tmp_path) == 2
+        assert "synthetic_raw needs n_rows >= 2 and n_cols >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "raw.csv").exists()
 
     def test_too_few_raw_rows_for_a_trial_is_a_usage_error(self, tmp_path, capsys):
         assert run("dgp", "--trial", "--rows", 50, "--out", tmp_path) == 2
@@ -149,6 +154,20 @@ class TestBounds:
                    "--instance", 999) == 2
         assert run(*base, "--model", "uniform", "--gamma", 2, "--precision", -1) == 2
         capsys.readouterr()
+
+    def test_models_are_the_benchmark_methods(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        write_training_csv(data)
+        with pytest.raises(SystemExit) as excinfo:
+            run("bounds", "--data", data, "--model", "msm", "--gamma", 2)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert all(repr(name) in err for name in bm.DEFAULT_METHODS)
+        for name in bm.DEFAULT_METHODS:
+            assert _sensitivity_from_flags(name, None) == bm.sensitivity_model_for(name)
+        assert run("bounds", "--data", data, "--model", "uniform", "--scheme", "beta",
+                   "--gamma", 2) == 2
+        assert "--scheme only applies to --model deltamsm" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scheme", ["gamma", "gaussian"])
     def test_non_beta_scheme_is_a_usage_error(self, tmp_path, capsys, scheme):
@@ -247,6 +266,31 @@ class TestBenchmarkCommand:
         assert "config.n_trials must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"rows": "abc"}, "config.raw.rows must be an integer >= 80, got 'abc'"),
+            ({"rows": 1}, "config.raw.rows must be an integer >= 80, got 1"),
+            ({"rows": 60}, "config.raw.rows must be an integer >= 80, got 60"),
+            ({"rows": True}, "config.raw.rows must be an integer >= 80, got True"),
+            ({"cols": 2.7}, "config.raw.cols must be an integer >= 1, got 2.7"),
+            ({"cols": 0}, "config.raw.cols must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_bad_raw_size_is_a_usage_error(self, tmp_path, capsys, raw, message):
+        config = benchmark_config(tmp_path, raw=raw)
+        assert run("benchmark", "--config", config, "--out", tmp_path) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_short_raw_table_is_a_usage_error(self, tmp_path, capsys):
+        table = tmp_path / "raw.csv"
+        fileio.write_csv(str(table), ["a", "b"], np.ones((60, 2)).tolist())
+        config = benchmark_config(tmp_path, raw={"path": str(table)})
+        assert run("benchmark", "--config", config, "--out", tmp_path) == 2
+        assert "has 60 rows; the trial needs 80" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
     def test_unknown_method_is_a_usage_error(self, tmp_path, capsys):
         config = benchmark_config(tmp_path, methods=["msm"])
         assert run("benchmark", "--config", config, "--out", tmp_path) == 2
@@ -265,6 +309,12 @@ class TestRunConfig:
         assert config.raw_rows == 1000 and config.raw_cols == 16
         assert config.trust_precision is None
         assert config.out_dir == "."
+
+    def test_raw_path_is_not_held_to_the_default_row_count(self):
+        config = load_run_config(
+            {"raw": {"path": "x.csv"}, "trial": {"n_train": 1500, "n_test": 500}}
+        )
+        assert config.raw_path == "x.csv"
 
     def test_top_level_seed_mirrors_into_the_trial(self):
         config = load_run_config({"seed": 42})

@@ -11,7 +11,6 @@ from dosebounds.estimator import (
     _WEIGHT_CAP,
     DegenerateDrawsError,
     IntervalCurve,
-    WeightedDraw,
     _bernoulli_extremes,
     _max_ratio_sorted,
     apo_band_matrix,
@@ -34,14 +33,14 @@ from dosebounds.sensitivity import (
 )
 
 
-def brute_force_ratio(draws, direction):
+def brute_force_ratio(f, w_lo, w_hi, direction):
     """Extremum over every corner of the weight box."""
     best = None
-    for corner in itertools.product(*[(d.w_lo, d.w_hi) for d in draws]):
+    for corner in itertools.product(*zip(w_lo, w_hi)):
         total = sum(corner)
         if total == 0.0:
             continue
-        value = sum(w * d.f for w, d in zip(corner, draws)) / total
+        value = sum(w * fi for w, fi in zip(corner, f)) / total
         if best is None:
             best = value
         else:
@@ -50,10 +49,7 @@ def brute_force_ratio(draws, direction):
 
 
 def make_draws(f, w_lo, w_hi):
-    return [
-        WeightedDraw(f=float(fi), w_lo=float(li), w_hi=float(hi), draw=i)
-        for i, (fi, li, hi) in enumerate(zip(f, w_lo, w_hi))
-    ]
+    return tuple(np.asarray(a, dtype=float) for a in (f, w_lo, w_hi))
 
 
 class BernoulliStub:
@@ -92,17 +88,14 @@ class PropensityStub:
 class TestExtremize:
     def test_worked_example(self):
         draws = make_draws([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0])
-        assert extremize(draws, "max") == pytest.approx(2.25, abs=1e-14)
-        assert extremize(draws, "min") == pytest.approx(1.75, abs=1e-14)
+        assert extremize(*draws, "max") == pytest.approx(2.25, abs=1e-14)
+        assert extremize(*draws, "min") == pytest.approx(1.75, abs=1e-14)
 
     def test_bernoulli_worked_example(self):
         # p(Y=1) = 0.7 with divisor box [0.5, 2.0]
-        draws = [
-            WeightedDraw(f=0.0, w_lo=0.15, w_hi=0.6, draw=0),
-            WeightedDraw(f=1.0, w_lo=0.35, w_hi=1.4, draw=1),
-        ]
-        assert extremize(draws, "max") == pytest.approx(1.4 / 1.55, rel=1e-14)
-        assert extremize(draws, "min") == pytest.approx(0.35 / 0.95, rel=1e-14)
+        draws = make_draws([0.0, 1.0], [0.15, 0.35], [0.6, 1.4])
+        assert extremize(*draws, "max") == pytest.approx(1.4 / 1.55, rel=1e-14)
+        assert extremize(*draws, "min") == pytest.approx(0.35 / 0.95, rel=1e-14)
 
     def test_fixed_weights_reduce_to_weighted_mean(self):
         rng = np.random.default_rng(42)
@@ -110,8 +103,8 @@ class TestExtremize:
         w = rng.uniform(0.1, 2.0, size=9)
         draws = make_draws(f, w, w)
         expected = float(np.sum(f * w) / np.sum(w))
-        assert extremize(draws, "max") == pytest.approx(expected, rel=1e-13)
-        assert extremize(draws, "min") == pytest.approx(expected, rel=1e-13)
+        assert extremize(*draws, "max") == pytest.approx(expected, rel=1e-13)
+        assert extremize(*draws, "min") == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("direction", ["max", "min"])
     def test_matches_corner_enumeration(self, direction):
@@ -124,38 +117,43 @@ class TestExtremize:
             if not np.any(w_hi > 0.0):
                 continue
             draws = make_draws(f, w_lo, w_hi)
-            assert extremize(draws, direction) == pytest.approx(
-                brute_force_ratio(draws, direction), abs=1e-12
+            assert extremize(*draws, direction) == pytest.approx(
+                brute_force_ratio(*draws, direction), abs=1e-12
             )
 
     def test_order_invariance_with_ties(self):
+        # ties keep the order they are given in, so a permutation may change
+        # the summation order but not the value beyond rounding
         rng = np.random.default_rng(42)
         f = np.array([0.0, 1.0, 1.0, 1.0, 2.0, 2.0])
-        draws = [
-            WeightedDraw(f=float(fi), w_lo=0.1 * (i + 1), w_hi=0.5 * (i + 1), draw=i, instance=i % 2)
-            for i, fi in enumerate(f)
-        ]
-        reference_max = extremize(draws, "max")
-        reference_min = extremize(draws, "min")
+        i = np.arange(len(f))
+        draws = make_draws(f, 0.1 * (i + 1), 0.5 * (i + 1))
+        reference_max = extremize(*draws, "max")
+        reference_min = extremize(*draws, "min")
         for _ in range(20):
-            shuffled = [draws[i] for i in rng.permutation(len(draws))]
-            assert extremize(shuffled, "max") == reference_max
-            assert extremize(shuffled, "min") == reference_min
+            order = rng.permutation(len(f))
+            shuffled = [a[order] for a in draws]
+            assert extremize(*shuffled, "max") == pytest.approx(reference_max, rel=1e-15)
+            assert extremize(*shuffled, "min") == pytest.approx(reference_min, rel=1e-15)
 
     def test_validation(self):
         draws = make_draws([1.0], [0.5], [1.0])
         with pytest.raises(ValueError):
-            extremize(draws, "up")
+            extremize(*draws, "up")
         with pytest.raises(ValueError):
-            extremize([], "max")
+            extremize([], [], [], "max")
         with pytest.raises(DegenerateDrawsError):
-            extremize(make_draws([1.0, 2.0], [0.0, 0.0], [0.0, 0.0]), "max")
+            extremize(*make_draws([1.0, 2.0], [0.0, 0.0], [0.0, 0.0]), "max")
         with pytest.raises(ValueError):
-            WeightedDraw(f=1.0, w_lo=-0.1, w_hi=1.0)
+            extremize([1.0], [-0.1], [1.0])
         with pytest.raises(ValueError):
-            WeightedDraw(f=1.0, w_lo=0.5, w_hi=0.2)
+            extremize([1.0], [0.5], [0.2])
         with pytest.raises(ValueError):
-            WeightedDraw(f=math.nan, w_lo=0.1, w_hi=0.2)
+            extremize([math.nan], [0.1], [0.2])
+        with pytest.raises(ValueError):
+            extremize([1.0], [0.1], [math.inf])
+        with pytest.raises(ValueError):
+            extremize([1.0, 2.0], [0.1], [0.2, 0.3])
 
 
 def sweep_extremes(p_one, d_lo, d_hi, valid):
@@ -287,14 +285,46 @@ class TestOutcomeDraws:
     def test_discrete_enumeration(self):
         model = BernoulliStub(lambda x, t: 0.7)
         divisors = DivisorBounds(np.array([0.5, 1.0]), np.array([2.0, 1.0]))
-        draws = outcome_draws(model, 0.3, [[0.0], [1.0]], divisors)
-        assert len(draws) == 4
-        by_key = {(d.instance, d.draw): d for d in draws}
-        assert by_key[(0, 0)].f == 0.0 and by_key[(0, 1)].f == 1.0
-        assert by_key[(0, 1)].w_lo == pytest.approx(0.35)
-        assert by_key[(0, 1)].w_hi == pytest.approx(1.4)
-        assert by_key[(1, 1)].w_lo == pytest.approx(0.7)
-        assert by_key[(1, 1)].w_hi == pytest.approx(0.7)
+        f, w_lo, w_hi = outcome_draws(model, 0.3, [[0.0], [1.0]], divisors)
+        # flat (instance, draw) order: instance 0 draws 0, 1, then instance 1
+        assert len(f) == len(w_lo) == len(w_hi) == 4
+        np.testing.assert_array_equal(f, [0.0, 1.0, 0.0, 1.0])
+        assert w_lo[1] == pytest.approx(0.35)
+        assert w_hi[1] == pytest.approx(1.4)
+        assert w_lo[3] == pytest.approx(0.7)
+        assert w_hi[3] == pytest.approx(0.7)
+
+    def test_supports_of_different_sizes_stay_flat(self):
+        class GrowingSupport:
+            """Instance j has the j + 2 outcomes 0, 1, ..., j + 1, uniformly."""
+
+            def outcome_support(self, x, t):
+                k = int(x[0]) + 2
+                return np.arange(float(k)), np.full(k, 1.0 / k)
+
+        xs = [[0.0], [1.0], [2.0]]
+        divisors = DivisorBounds(np.array([0.5, 1.0, 2.0]), np.array([2.0, 4.0, 8.0]))
+        f, w_lo, w_hi = outcome_draws(
+            GrowingSupport(), 0.3, xs, divisors, statistic=lambda y: y * y
+        )
+        np.testing.assert_array_equal(f, [0, 1, 0, 1, 4, 0, 1, 4, 9])
+        probs = np.repeat([1 / 2, 1 / 3, 1 / 4], [2, 3, 4])
+        np.testing.assert_allclose(w_lo, probs / np.repeat([2.0, 4.0, 8.0], [2, 3, 4]))
+        np.testing.assert_allclose(w_hi, probs / np.repeat([0.5, 1.0, 2.0], [2, 3, 4]))
+        assert extremize(f, w_lo, w_hi, "max") == pytest.approx(
+            brute_force_ratio(f, w_lo, w_hi, "max"), rel=1e-13
+        )
+        assert extremize(f, w_lo, w_hi, "min") == pytest.approx(
+            brute_force_ratio(f, w_lo, w_hi, "min"), rel=1e-13
+        )
+
+    def test_no_instances_give_an_empty_box(self):
+        f, w_lo, w_hi = outcome_draws(
+            BernoulliStub(lambda x, t: 0.7), 0.3, np.zeros((0, 1)), DivisorBounds(1.0, 1.0)
+        )
+        assert f.shape == w_lo.shape == w_hi.shape == (0,)
+        with pytest.raises(ValueError, match="at least one draw"):
+            extremize(f, w_lo, w_hi, "max")
 
     def test_rejects_nonpositive_divisor(self):
         model = BernoulliStub(lambda x, t: 0.7)
@@ -329,8 +359,8 @@ class TestOutcomeDraws:
             n_samples=20000,
             rng=np.random.default_rng(42),
         )
-        hi = extremize(draws, "max")
-        lo = extremize(draws, "min")
+        hi = extremize(*draws, "max")
+        lo = extremize(*draws, "min")
         assert hi == pytest.approx(lo, abs=1e-12)
         assert hi == pytest.approx(target_mean, abs=0.05)
 
@@ -344,15 +374,15 @@ class TestOutcomeDraws:
         point = outcome_draws(model, 0.6, [[0.4]], DivisorBounds(1.0, 1.0), **common)
         common["rng"] = np.random.default_rng(42)
         band = outcome_draws(model, 0.6, [[0.4]], DivisorBounds(0.5, 2.0), **common)
-        assert extremize(band, "min") < extremize(point, "min")
-        assert extremize(band, "max") > extremize(point, "max")
+        assert extremize(*band, "min") < extremize(*point, "min")
+        assert extremize(*band, "max") > extremize(*point, "max")
 
     def test_statistic_transforms_outcomes(self):
         model = BernoulliStub(lambda x, t: 0.7)
         draws = outcome_draws(
             model, 0.3, [[0.0]], DivisorBounds(1.0, 1.0), statistic=lambda y: 3.0 * y
         )
-        assert extremize(draws, "max") == pytest.approx(2.1)
+        assert extremize(*draws, "max") == pytest.approx(2.1)
 
 
 class TestCurves:
@@ -410,8 +440,8 @@ class TestCurves:
         params = models[1].predict(np.asarray(xs))
         bounds = divisor_bounds(DeltaMSM("beta"), params, t, gamma)
         draws = outcome_draws(self.outcome(), t, xs, bounds)
-        assert curve.lo[0] == pytest.approx(extremize(draws, "min"), rel=1e-12)
-        assert curve.hi[0] == pytest.approx(extremize(draws, "max"), rel=1e-12)
+        assert curve.lo[0] == pytest.approx(extremize(*draws, "min"), rel=1e-12)
+        assert curve.hi[0] == pytest.approx(extremize(*draws, "max"), rel=1e-12)
 
     def test_apo_flags_and_drops_undefined_instances(self):
         # at gamma = 2.5 and t = 0.9 the far-from-dose instance loses its
@@ -630,6 +660,22 @@ class TestCacd:
         deriv = cacd_interval(curve, 2.0 * float(self.grid[1] - self.grid[0]))
         assert deriv.undefined_mask[8] and deriv.undefined_mask[12]
         assert not deriv.undefined_mask[9] and not deriv.undefined_mask[11]
+
+    def test_step_past_half_the_grid_is_rejected(self):
+        # on 5 points a 3-step h leaves the middle point without a neighbour
+        # h away on either side
+        grid = np.linspace(0.0, 1.0, 5)
+        curve = flat_curve(grid, lambda t: 0.4 * t)
+        with pytest.raises(ValueError, match="at most 2"):
+            cacd_interval(curve, 3.0 * float(grid[1] - grid[0]))
+
+    def test_half_grid_step_is_one_sided_everywhere(self):
+        grid = np.linspace(0.0, 1.0, 6)
+        curve = flat_curve(grid, lambda t: 0.4 * t)
+        deriv = cacd_interval(curve, 3.0 * float(grid[1] - grid[0]))
+        assert deriv.one_sided.all()
+        np.testing.assert_allclose(deriv.lo, 0.4, rtol=1e-12)
+        np.testing.assert_allclose(deriv.hi, 0.4, rtol=1e-12)
 
     def test_validation(self):
         curve = flat_curve(self.grid, lambda t: t)
