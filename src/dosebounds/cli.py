@@ -175,12 +175,28 @@ def _out_path(directory: str, name: str) -> str:
 
 def _load_training_table(path: str):
     """(x, t, y) from a CSV whose last two columns are named t and y."""
-    names, data = fileio.read_csv(path)
+    try:
+        names, data = fileio.read_csv(path)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read training table {path}: {exc}") from exc
     if len(names) < 3 or names[-2] != "t" or names[-1] != "y":
         raise UsageError(
             f"{path}: expected covariate columns followed by 't' and 'y', got {names}"
         )
-    return data[:, :-2], data[:, -2], data[:, -1]
+    if not np.isfinite(data).all():
+        raise UsageError(f"{path}: every value must be finite")
+    y = data[:, -1]
+    if np.any((y != 0.0) & (y != 1.0)):
+        raise UsageError(f"{path}: column 'y' must hold binary outcomes (0 or 1)")
+    return data[:, :-2], data[:, -2], y
+
+
+def _require_positive(args, *flags: str) -> None:
+    """Reject any of the named integer flags that is below 1."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise UsageError(f"--{flag} must be a positive integer, got {value}")
 
 
 def _sensitivity_from_flags(model: str, scheme: str | None):
@@ -242,22 +258,22 @@ def cmd_dgp(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.gamma < 1.0:
-        raise UsageError("--gamma must be >= 1")
+    if not 1.0 <= args.gamma < math.inf:
+        raise UsageError(f"--gamma must be finite and >= 1, got {args.gamma}")
     if args.target == "capo" and args.instance is None:
         raise UsageError("--target capo requires --instance")
-    if args.precision is not None and not args.precision > 0.0:
-        raise UsageError("--precision must be positive")
+    if args.precision is not None and not 0.0 < args.precision < math.inf:
+        raise UsageError(f"--precision must be positive and finite, got {args.precision}")
     sens = _sensitivity_from_flags(args.model, args.scheme)
     x, t, y = _load_training_table(args.data)
+    if args.target == "capo" and not 0 <= args.instance < len(x):
+        raise UsageError(f"--instance must index a row of {args.data} (0..{len(x) - 1})")
     train = TrainConfig(seed=args.seed)
     outcome = fit_outcome(x, t, y, train)
     propensity = fit_propensity(x, t, train)
     models = (outcome, propensity)
     grid = np.linspace(0.0, 1.0, 100)
     if args.target == "capo":
-        if not (0 <= args.instance < len(x)):
-            raise UsageError(f"--instance must index a row of {args.data} (0..{len(x) - 1})")
         curve = capo_interval(
             models, sens, x[args.instance], grid, args.gamma, trust_precision=args.precision
         )
@@ -287,6 +303,11 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    _require_positive(args, "trials")
+    try:
+        workers = bench.thread_count()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -315,6 +336,7 @@ def cmd_benchmark(args) -> int:
         methods=methods,
         n_trials=n_trials,
         train_config=config.train,
+        n_workers=workers,
         trust_precision=config.trust_precision,
     )
     bench.write_trials_csv(_out_path(out_dir, "trials.csv"), report)
@@ -338,6 +360,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _require_positive(args, "samples", "instances", "n", "points")
     if args.suite is not None:
         try:
             checks.resolve_suite(args.suite)

@@ -7,6 +7,13 @@ learning rate is an unusual 10: parameter-space steps that large correspond
 to small moves in output space.  Fits are bit-reproducible: zero
 initialization, a fixed batch partition order, and batch shuffling drawn
 from a named substream of the config seed.
+
+ADAM takes gradient-only steps: ``_outcome_grad`` and ``_propensity_grad``
+never evaluate the loss.  A propensity step makes one ``digamma`` call, and
+the outcome features, log(t) and log(1 - t) are built once per fit.
+``outcome_loss_grad`` and ``propensity_loss_grad`` return the loss plus that
+same gradient, bit for bit; they serve the gradient self-check, the
+finite-difference tests and perfbench's layer counts, not training.
 """
 
 from __future__ import annotations
@@ -155,6 +162,13 @@ class FittedModels:
     propensity: PropensityModel
 
 
+def _outcome_grad(params, feats, y, stretch):
+    """Gradient of the mean Bernoulli negative log-likelihood (no loss)."""
+    u = (feats @ params[:-1] + params[-1]) / stretch
+    dz = (_sigmoid(u) - y) / (stretch * len(y))
+    return np.concatenate([feats.T @ dz, [dz.sum()]])
+
+
 def outcome_loss_grad(params, x, t, y, stretch=STRETCH):
     """Mean Bernoulli negative log-likelihood and its parameter gradient.
 
@@ -165,9 +179,34 @@ def outcome_loss_grad(params, x, t, y, stretch=STRETCH):
     y = np.asarray(y, dtype=float)
     u = (feats @ params[:-1] + params[-1]) / stretch
     loss = float(np.mean(_softplus(u) - y * u))
-    dz = (_sigmoid(u) - y) / (stretch * len(y))
-    grad = np.concatenate([feats.T @ dz, [dz.sum()]])
-    return loss, grad
+    return loss, _outcome_grad(params, feats, y, stretch)
+
+
+def _beta_heads(params, x2, cap, stretch):
+    """Gates and (alpha, beta) of the two Beta heads at stacked ``params``."""
+    d = x2.shape[1]
+    gate_a = _sigmoid((x2 @ params[:d] + params[d]) / stretch)
+    gate_b = _sigmoid((x2 @ params[d + 1 : 2 * d + 1] + params[2 * d + 1]) / stretch)
+    return gate_a, gate_b, cap * gate_a, cap * gate_b
+
+
+def _propensity_grad(params, x2, ln_t, ln_1mt, cap, stretch):
+    """Gradient of the mean Beta negative log-likelihood (no loss).
+
+    Takes log(t) and log(1 - t) so that a fit computes them once.  One
+    ``digamma`` call covers alpha, beta and alpha + beta; it is elementwise,
+    so this equals three separate calls bit for bit.
+    """
+    gate_a, gate_b, alpha, beta = _beta_heads(params, x2, cap, stretch)
+    psi_a, psi_b, psi_sum = np.split(digamma(np.concatenate([alpha, beta, alpha + beta])), 3)
+    n = len(ln_t)
+    dl_da = (psi_a - psi_sum - ln_t) / n
+    dl_db = (psi_b - psi_sum - ln_1mt) / n
+    da_du = cap * gate_a * (1.0 - gate_a) / stretch
+    db_du = cap * gate_b * (1.0 - gate_b) / stretch
+    pull_a = dl_da * da_du
+    pull_b = dl_db * db_du
+    return np.concatenate([x2.T @ pull_a, [pull_a.sum()], x2.T @ pull_b, [pull_b.sum()]])
 
 
 def propensity_loss_grad(params, x, t, cap=PROPENSITY_CAP, stretch=STRETCH):
@@ -184,12 +223,7 @@ def propensity_loss_grad(params, x, t, cap=PROPENSITY_CAP, stretch=STRETCH):
     d = x2.shape[1]
     if len(params) != 2 * d + 2:
         raise ValueError(f"expected {2 * d + 2} parameters, got {len(params)}")
-    wa, ba = params[:d], params[d]
-    wb, bb = params[d + 1 : 2 * d + 1], params[2 * d + 1]
-    gate_a = _sigmoid((x2 @ wa + ba) / stretch)
-    gate_b = _sigmoid((x2 @ wb + bb) / stretch)
-    alpha = cap * gate_a
-    beta = cap * gate_b
+    _, _, alpha, beta = _beta_heads(params, x2, cap, stretch)
     ln_t = np.log(t)
     ln_1mt = np.log1p(-t)
     loss = float(
@@ -198,16 +232,7 @@ def propensity_loss_grad(params, x, t, cap=PROPENSITY_CAP, stretch=STRETCH):
             - (alpha - 1.0) * ln_t - (beta - 1.0) * ln_1mt
         )
     )
-    psi_sum = digamma(alpha + beta)
-    n = len(t)
-    dl_da = (digamma(alpha) - psi_sum - ln_t) / n
-    dl_db = (digamma(beta) - psi_sum - ln_1mt) / n
-    da_du = cap * gate_a * (1.0 - gate_a) / stretch
-    db_du = cap * gate_b * (1.0 - gate_b) / stretch
-    pull_a = dl_da * da_du
-    pull_b = dl_db * db_du
-    grad = np.concatenate([x2.T @ pull_a, [pull_a.sum()], x2.T @ pull_b, [pull_b.sum()]])
-    return loss, grad
+    return loss, _propensity_grad(params, x2, ln_t, ln_1mt, cap, stretch)
 
 
 def _adam(grad_fn, params, config: TrainConfig, n_samples: int) -> np.ndarray:
@@ -220,7 +245,7 @@ def _adam(grad_fn, params, config: TrainConfig, n_samples: int) -> np.ndarray:
         for batch in np.array_split(order, config.batches):
             if len(batch) == 0:
                 continue
-            _, grad = grad_fn(params, batch)
+            grad = grad_fn(params, batch)
             step += 1
             m = config.beta1 * m + (1.0 - config.beta1) * grad
             v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
@@ -244,8 +269,10 @@ def fit_outcome(x, t, y, config: TrainConfig | None = None) -> OutcomeModel:
     if np.all(y == y[0]):
         flags.append("constant_outcome")
 
+    feats, _ = _features(x2, t)
+
     def grad_fn(params, batch):
-        return outcome_loss_grad(params, x2[batch], t[batch], y[batch])
+        return _outcome_grad(params, feats[batch], y[batch], STRETCH)
 
     params = _adam(grad_fn, np.zeros(x2.shape[1] + 2), config, len(y))
     return OutcomeModel(weights=params[:-1], bias=float(params[-1]), flags=tuple(flags))
@@ -263,8 +290,13 @@ def fit_propensity(x, t, config: TrainConfig | None = None) -> PropensityModel:
     if np.any(clamped != t):
         flags.append("clamped_treatments")
 
+    ln_t = np.log(clamped)
+    ln_1mt = np.log1p(-clamped)
+
     def grad_fn(params, batch):
-        return propensity_loss_grad(params, x2[batch], clamped[batch])
+        return _propensity_grad(
+            params, x2[batch], ln_t[batch], ln_1mt[batch], PROPENSITY_CAP, STRETCH
+        )
 
     d = x2.shape[1]
     params = _adam(grad_fn, np.zeros(2 * d + 2), config, len(t))

@@ -113,18 +113,22 @@ def digamma(x):
 
     Arguments below 10 are raised by the recurrence psi(x+1) = psi(x) + 1/x
     until the asymptotic series applies; combined error is below 1e-12.
+    Each element sees the same operations whatever else is in the array, so
+    one call on a concatenation equals the concatenated per-part calls bit
+    for bit; batching several arguments into one call is exact.
     """
     arr, scalar = _as_floats(x, "x")
     if np.any(arr <= 0.0):
         raise DomainError("digamma requires x > 0")
-    work = arr.astype(float).copy()
+    work = arr
     acc = np.zeros_like(work)
-    while True:
+    # x > 0 passes the shift after at most _DIGAMMA_SHIFT unit steps
+    for _ in range(int(_DIGAMMA_SHIFT)):
         low = work < _DIGAMMA_SHIFT
         if not low.any():
             break
-        acc[low] -= 1.0 / work[low]
-        work[low] += 1.0
+        acc = np.where(low, acc - 1.0 / work, acc)
+        work = np.where(low, work + 1.0, work)
     inv2 = 1.0 / (work * work)
     tail = np.zeros_like(work)
     for coeff in reversed(_DIGAMMA_TAIL):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dosebounds import benchmark as bm
-from dosebounds import fileio
+from dosebounds import checks, cli, fileio
 from dosebounds.cli import _sensitivity_from_flags, load_run_config, main
 from dosebounds.estimator import apo_interval
 from dosebounds.models import TrainConfig, fit_outcome, fit_propensity
@@ -24,6 +24,19 @@ def write_training_csv(path, n=30, seed=4):
     y = (rng.uniform(size=n) < 0.5).astype(float)
     fileio.write_csv(str(path), ["x0", "t", "y"], np.column_stack([x, t, y]).tolist())
     return x, t, y
+
+
+@pytest.fixture
+def no_fitting(monkeypatch):
+    """Fail the test if the command reaches a model fit or a computation."""
+
+    def reached(*args, **kwargs):
+        pytest.fail("bad input reached the computation")
+
+    monkeypatch.setattr(cli, "fit_outcome", reached)
+    monkeypatch.setattr(cli, "fit_propensity", reached)
+    monkeypatch.setattr(bm, "run_benchmark", reached)
+    monkeypatch.setattr(checks, "run_suites", reached)
 
 
 class TestDgp:
@@ -187,10 +200,43 @@ class TestBounds:
         assert run("bounds", "--data", data, "--model", "deltamsm", "--scheme", "beta",
                    "--gamma", 1.5, "--out", tmp_path / "out") == 0
 
-    def test_missing_data_file_fails_cleanly(self, tmp_path, capsys):
+    def test_missing_data_file_fails_cleanly(self, tmp_path, capsys, no_fitting):
         assert run("bounds", "--data", tmp_path / "nope.csv", "--model", "uniform",
-                   "--gamma", 2) == 1
-        assert "error" in capsys.readouterr().err
+                   "--gamma", 2) == 2
+        assert "cannot read training table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_is_a_usage_error(self, tmp_path, capsys, no_fitting, gamma):
+        data = tmp_path / "train.csv"
+        write_training_csv(data)
+        assert run("bounds", "--data", data, "--model", "uniform", "--gamma", gamma) == 2
+        assert "--gamma must be finite and >= 1" in capsys.readouterr().err
+
+    def test_infinite_precision_is_a_usage_error(self, tmp_path, capsys, no_fitting):
+        data = tmp_path / "train.csv"
+        write_training_csv(data)
+        assert run("bounds", "--data", data, "--model", "uniform", "--gamma", 2,
+                   "--precision", "inf") == 2
+        assert "--precision must be positive and finite" in capsys.readouterr().err
+
+    def test_non_binary_outcomes_are_a_usage_error(self, tmp_path, capsys, no_fitting):
+        data = tmp_path / "train.csv"
+        fileio.write_csv(str(data), ["x0", "t", "y"], [[0.1, 0.5, 1.0], [0.2, 0.4, 0.5]])
+        assert run("bounds", "--data", data, "--model", "uniform", "--gamma", 2) == 2
+        assert "column 'y' must hold binary outcomes" in capsys.readouterr().err
+
+    def test_non_finite_table_value_is_a_usage_error(self, tmp_path, capsys, no_fitting):
+        data = tmp_path / "train.csv"
+        data.write_text("x0,t,y\n0.1,0.5,1\nnan,0.4,0\n")
+        assert run("bounds", "--data", data, "--model", "uniform", "--gamma", 2) == 2
+        assert "every value must be finite" in capsys.readouterr().err
+
+    def test_out_of_range_instance_exits_before_fitting(self, tmp_path, capsys, no_fitting):
+        data = tmp_path / "train.csv"
+        write_training_csv(data)
+        assert run("bounds", "--data", data, "--model", "uniform", "--gamma", 2,
+                   "--target", "capo", "--instance", 30) == 2
+        assert "--instance must index a row" in capsys.readouterr().err
 
     def test_malformed_header_is_a_usage_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -291,6 +337,19 @@ class TestBenchmarkCommand:
         assert "has 60 rows; the trial needs 80" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_non_positive_trials_is_a_usage_error(self, tmp_path, capsys, no_fitting, trials):
+        config = benchmark_config(tmp_path)
+        assert run("benchmark", "--config", config, "--trials", trials, "--out", tmp_path) == 2
+        assert f"--trials must be a positive integer, got {trials}" in capsys.readouterr().err
+
+    def test_bad_thread_count_is_a_usage_error(self, tmp_path, capsys, monkeypatch, no_fitting):
+        monkeypatch.setenv("DOSEBOUNDS_THREADS", "abc")
+        config = benchmark_config(tmp_path)
+        assert run("benchmark", "--config", config, "--out", tmp_path) == 2
+        assert "DOSEBOUNDS_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
     def test_unknown_method_is_a_usage_error(self, tmp_path, capsys):
         config = benchmark_config(tmp_path, methods=["msm"])
         assert run("benchmark", "--config", config, "--out", tmp_path) == 2
@@ -358,9 +417,12 @@ class TestCheckCommand:
         assert run("check", "--suite", "everything") == 2
         assert "unknown suite" in capsys.readouterr().err
 
-    def test_failing_suite_sets_exit_one(self, monkeypatch, capsys):
-        from dosebounds import checks
+    @pytest.mark.parametrize("flag", ["--instances", "--n", "--points", "--samples"])
+    def test_non_positive_size_is_a_usage_error(self, capsys, no_fitting, flag):
+        assert run("check", flag, 0) == 2
+        assert f"{flag} must be a positive integer, got 0" in capsys.readouterr().err
 
+    def test_failing_suite_sets_exit_one(self, monkeypatch, capsys):
         def broken(**kwargs):
             return checks.CheckResult("gradients", 1, 1.0, 1e-4)
 

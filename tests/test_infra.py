@@ -1,4 +1,5 @@
 import glob
+import importlib.util
 import os
 
 import numpy as np
@@ -92,3 +93,21 @@ class TestFileio:
         path = tmp_path / "mixed.csv"
         write_csv(str(path), ["trial", "value"], [[3, 0.5]])
         assert path.read_text().splitlines()[1] == "3,0.5"
+
+
+class TestBenchmarkTracer:
+    def test_every_patched_name_exists(self):
+        # perfbench's tracer rebinds names inside the package; a renamed or
+        # moved function would silently drop out of its layer timings
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        table = tracing._patch_table()
+        assert table
+        missing = [
+            f"{getattr(owner, '__name__', owner)}.{attr}"
+            for owner, attr, *_ in table
+            if attr not in vars(owner)
+        ]
+        assert not missing, f"perfbench tracer patches names that do not exist: {missing}"

@@ -12,7 +12,16 @@ from dosebounds.models import (
     propensity_loss_grad,
     save_model,
 )
-from dosebounds.models import _sigmoid
+from dosebounds.models import (
+    PROPENSITY_CAP,
+    STRETCH,
+    TREATMENT_CLEARANCE,
+    _adam,
+    _features,
+    _outcome_grad,
+    _propensity_grad,
+    _sigmoid,
+)
 from dosebounds.seeds import substream
 from dosebounds.sensitivity import BetaPropensity
 
@@ -143,6 +152,65 @@ class TestGradients:
             propensity_loss_grad(np.zeros(4), np.zeros((2, 1)), np.array([0.0, 0.5]))
         with pytest.raises(ValueError):
             propensity_loss_grad(np.zeros(5), np.zeros((2, 1)), np.array([0.2, 0.5]))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestGradientOnlySteps:
+    """Training steps skip the loss; they must equal the *_loss_grad gradient bit for bit."""
+
+    def test_outcome_grad_equals_the_loss_grad_gradient(self):
+        rng = substream(13, "exact-steps")
+        for n, d in ((1, 1), (40, 3), (187, 5)):
+            x = rng.normal(size=(n, d))
+            t = rng.uniform(0.0, 1.0, size=n)
+            y = (rng.uniform(size=n) < 0.5).astype(float)
+            feats, _ = _features(x, t)
+            for _ in range(5):
+                params = rng.normal(scale=20.0, size=d + 2)
+                _, grad = outcome_loss_grad(params, x, t, y)
+                assert bits(_outcome_grad(params, feats, y, STRETCH)) == bits(grad)
+
+    def test_propensity_grad_equals_the_loss_grad_gradient(self):
+        rng = substream(14, "exact-steps")
+        for n, d in ((1, 1), (40, 3), (187, 5)):
+            x = rng.normal(size=(n, d))
+            t = rng.uniform(1e-6, 1.0 - 1e-6, size=n)
+            for _ in range(5):
+                params = rng.normal(scale=50.0, size=2 * d + 2)
+                _, grad = propensity_loss_grad(params, x, t)
+                fast = _propensity_grad(
+                    params, x, np.log(t), np.log1p(-t), PROPENSITY_CAP, STRETCH
+                )
+                assert bits(fast) == bits(grad)
+
+    @pytest.mark.parametrize(
+        "config", [TrainConfig(seed=3), TrainConfig(seed=5, batches=7, epochs=13, learning_rate=0.5)]
+    )
+    def test_fits_equal_a_loss_grad_reference(self, config):
+        rng = substream(15, "exact-fits")
+        x = rng.normal(size=(301, 3))
+        t = rng.beta(2.0, 3.0, size=301)
+        t[:2] = (0.0, 1.0)  # exercises the clamped-treatment path
+        y = (rng.uniform(size=301) < 0.4).astype(float)
+        clamped = np.clip(t, TREATMENT_CLEARANCE, 1.0 - TREATMENT_CLEARANCE)
+
+        ref_outcome = _adam(
+            lambda p, b: outcome_loss_grad(p, x[b], t[b], y[b])[1], np.zeros(5), config, 301
+        )
+        ref_propensity = _adam(
+            lambda p, b: propensity_loss_grad(p, x[b], clamped[b])[1], np.zeros(8), config, 301
+        )
+        outcome = fit_outcome(x, t, y, config)
+        propensity = fit_propensity(x, t, config)
+        assert bits(np.append(outcome.weights, outcome.bias)) == bits(ref_outcome)
+        fitted = np.concatenate(
+            [propensity.alpha_weights, [propensity.alpha_bias],
+             propensity.beta_weights, [propensity.beta_bias]]
+        )
+        assert bits(fitted) == bits(ref_propensity)
 
 
 class TestFitting:

@@ -114,6 +114,42 @@ class TestDigamma:
             slope = (log_gamma(x + step) - log_gamma(x - step)) / (2.0 * step)
             assert digamma(x) == pytest.approx(slope, abs=1e-6)
 
+    def test_matches_the_masked_loop_bitwise(self):
+        # a boolean gather/scatter shift loop does the same operations per
+        # element as digamma's np.where steps, so it is the bitwise reference
+        def masked_loop(x):
+            work = x.copy()
+            acc = np.zeros_like(work)
+            while (low := work < specfun._DIGAMMA_SHIFT).any():
+                acc[low] -= 1.0 / work[low]
+                work[low] += 1.0
+            inv2 = 1.0 / (work * work)
+            tail = np.zeros_like(work)
+            for coeff in reversed(specfun._DIGAMMA_TAIL):
+                tail = inv2 * (coeff + tail)
+            return acc + np.log(work) - 0.5 / work - tail
+
+        rng = np.random.default_rng(22)
+        x = np.concatenate(
+            [rng.uniform(0.0, 2.0 * PROPENSITY_CAP, 20000), np.geomspace(1e-300, 20.0, 2000)]
+        )
+        x = x[x > 0.0]
+        assert digamma(x).tobytes() == masked_loop(x).tobytes()
+
+    def test_batching_is_exact(self):
+        # the propensity fit evaluates alpha, beta and alpha + beta in one call
+        rng = np.random.default_rng(21)
+        alpha = rng.uniform(0.0, PROPENSITY_CAP, 187)
+        beta = np.geomspace(1e-12, PROPENSITY_CAP, 188)
+        edges = np.array([9.999999999999998, 10.0, 2.0 * PROPENSITY_CAP])
+        spread = rng.uniform(0.0, 2.0 * PROPENSITY_CAP, 3000)
+        parts = [alpha, beta, alpha[:100] + beta[:100], edges, spread]
+        whole = digamma(np.concatenate(parts))
+        assert whole.tobytes() == np.concatenate([digamma(p) for p in parts]).tobytes()
+        head = np.concatenate(parts[:4])
+        one_by_one = np.array([digamma(float(v)) for v in head])
+        assert one_by_one.tobytes() == whole[: len(head)].tobytes()
+
     def test_domain(self):
         with pytest.raises(DomainError):
             digamma(0.0)
