@@ -10,6 +10,12 @@ dose-response curve, and scored by how much information the resulting
 ignorance band gives away (average Bernoulli KL from truth to the points of
 the band).  Lower cost at equal coverage is better.
 
+Calibration builds about 2 sqrt(n) of the n gamma columns: coverage is
+nondecreasing in gamma, so a two-stage search (``calibrate_gamma``) finds the
+first crossing.  Every probe set holds at least two columns and ends at
+gamma_max, which keeps the Beta-compound 1F1 tables, and so every score,
+bitwise equal to those of a full sweep.
+
 Trials are independent: every trial derives its own named random substreams
 from the benchmark seed, so reports are bit-identical across reruns and
 thread counts (results aggregate in trial order).
@@ -397,31 +403,48 @@ def _calibrate_from_tables(
     engine = DivisorEngine(
         sensitivity_model_for(method), propensity_params, trust_precision=trust_precision
     )
-    lo, hi, undefined = apo_band_matrix(engine, prob_matrix, t_grid, gammas)
-    with np.errstate(invalid="ignore"):
-        inside = (lo <= p_true[:, None]) & (p_true[:, None] <= hi)
-    covered = np.mean(inside | undefined, axis=0)
-    reached = covered >= target
-    flags = []
-    if reached.any():
-        pick = int(np.argmax(reached))
-    else:
-        pick = len(gammas) - 1
-        flags.append("uncalibrated")
-    if undefined[:, pick].any():
+
+    def probe(cols):
+        """(lo, hi, undefined, coverage) at ascending gamma columns ``cols``."""
+        lo, hi, undefined = apo_band_matrix(engine, prob_matrix, t_grid, gammas[cols])
+        with np.errstate(invalid="ignore"):
+            inside = (lo <= p_true[:, None]) & (p_true[:, None] <= hi)
+        return lo, hi, undefined, np.mean(inside | undefined, axis=0)
+
+    # stage 1: every step-th column, counted back from gamma_max; the step is
+    # ceil(sqrt(n)), except that a two-gamma grid probes both columns at once
+    last = len(gammas) - 1
+    step = min(math.isqrt(last) + 1, last)
+    cols = np.arange(last % step, last + 1, step)
+    band = probe(cols)
+    reached = band[3] >= target
+    calibrated = bool(reached[-1])
+    j = int(np.argmax(reached)) if calibrated else len(cols) - 1
+    # stage 2: the columns between the last coarse miss and the first coarse
+    # hit, probed together with gamma_max again
+    between = np.arange(cols[j - 1] + 1 if j else 0, cols[j])
+    if calibrated and between.size:
+        fine_cols = np.append(between, last)
+        fine = probe(fine_cols)
+        fine_reached = fine[3][:-1] >= target
+        if fine_reached.any():
+            cols, band, j = fine_cols, fine, int(np.argmax(fine_reached))
+    lo, hi, undefined, covered = (part[..., j] for part in band)
+    flags = [] if calibrated else ["uncalibrated"]
+    if undefined.any():
         flags.append("undefined_points")
-    if "uncalibrated" in flags:
+    if calibrated:
+        curve = IntervalCurve(t_grid, lo, hi, "apo", undefined)
+    else:
         # the only band such a method can certify is the vacuous one
         curve = IntervalCurve(
             t_grid, np.zeros_like(t_grid), np.ones_like(t_grid), "apo",
             np.zeros(len(t_grid), dtype=bool),
         )
-    else:
-        curve = IntervalCurve(t_grid, lo[:, pick], hi[:, pick], "apo", undefined[:, pick])
     return MethodScore(
         method=method,
-        gamma_star=float(gammas[pick]),
-        coverage=float(covered[pick]),
+        gamma_star=float(gammas[cols[j]]),
+        coverage=float(covered),
         cost=divergence_cost(p_true, curve),
         flags=tuple(flags),
     )
@@ -437,7 +460,18 @@ def calibrate_gamma(
     """Smallest grid gamma reaching the target coverage, and its cost.
 
     Coverage is nondecreasing in gamma (bands nest, and points that lose
-    their divisor floor stay flagged), so the first crossing is the optimum.
+    their divisor floor stay flagged), so the first crossing is the optimum
+    and a search finds it.  With s = ceil(sqrt(n)) for n grid gammas, stage 1
+    builds the bands of every s-th column counted back from gamma_max; if
+    gamma_max misses the target, the method is uncalibrated.  Stage 2 builds
+    the columns strictly between the last coarse column that misses and the
+    first that reaches, plus gamma_max again; the pick is the first of them
+    that reaches, else that coarse column.  Each stage ends at gamma_max
+    with at least two columns because a column's DeltaMSM band depends on
+    the set it is computed with: the 1F1 term count follows the largest
+    gamma, and a one-column table goes through a matrix-vector product that
+    sums in another order.  So every probed column equals the full sweep's
+    bit for bit.
     A method that never reaches the target keeps the largest gamma, takes an
     "uncalibrated" flag, and is charged for the fully ignorant band: the cost
     measures the price of the target coverage, and a band that never attains

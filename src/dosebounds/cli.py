@@ -173,18 +173,25 @@ def _out_path(directory: str, name: str) -> str:
     return os.path.join(directory, name)
 
 
-def _load_training_table(path: str):
-    """(x, t, y) from a CSV whose last two columns are named t and y."""
+def _read_table(path: str, what: str):
+    """(names, data) of a numeric CSV; a table that cannot be read or holds a
+    non-finite value is a usage error."""
     try:
         names, data = fileio.read_csv(path)
     except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read training table {path}: {exc}") from exc
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+    if not np.isfinite(data).all():
+        raise UsageError(f"{path}: every value must be finite")
+    return names, data
+
+
+def _load_training_table(path: str):
+    """(x, t, y) from a CSV whose last two columns are named t and y."""
+    names, data = _read_table(path, "training table")
     if len(names) < 3 or names[-2] != "t" or names[-1] != "y":
         raise UsageError(
             f"{path}: expected covariate columns followed by 't' and 'y', got {names}"
         )
-    if not np.isfinite(data).all():
-        raise UsageError(f"{path}: every value must be finite")
     y = data[:, -1]
     if np.any((y != 0.0) & (y != 1.0)):
         raise UsageError(f"{path}: column 'y' must hold binary outcomes (0 or 1)")
@@ -234,7 +241,7 @@ def cmd_dgp(args) -> int:
     # every ValueError here is about the flags or the raw table given
     try:
         if args.from_csv is not None:
-            _, raw = fileio.read_csv(args.from_csv)
+            _, raw = _read_table(args.from_csv, "raw table")
         else:
             raw = bench.synthetic_raw(args.rows, args.cols, seed=args.seed)
         if args.trial:
@@ -324,7 +331,7 @@ def cmd_benchmark(args) -> int:
     n_trials = args.trials if args.trials is not None else config.n_trials
     out_dir = args.out if args.out is not None else config.out_dir
     if config.raw_path is not None:
-        _, raw = fileio.read_csv(config.raw_path)
+        _, raw = _read_table(config.raw_path, "raw table")
         needed = trial.n_train + trial.n_test
         if len(raw) < needed:
             raise UsageError(f"{config.raw_path} has {len(raw)} rows; the trial needs {needed}")
@@ -442,6 +449,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

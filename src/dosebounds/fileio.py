@@ -65,8 +65,11 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
     """Numeric CSV with one header row -> (column names, float matrix)."""
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().strip()
+        has_rows = any(line.strip() for line in handle)
     if not header:
         raise ValueError(f"{path}: empty file")
+    if not has_rows:
+        raise ValueError(f"{path}: no data rows")
     names = [cell.strip() for cell in header.split(",")]
     data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
     if data.shape[1] != len(names):

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from dosebounds import benchmark as bm
-from dosebounds.estimator import IntervalCurve, apo_interval
+from dosebounds.estimator import IntervalCurve, apo_band_matrix, apo_interval
 from dosebounds.models import FittedModels, TrainConfig, fit_outcome, fit_propensity
-from dosebounds.sensitivity import CMSM, BinaryMSM, DeltaMSM, Uniform
+from dosebounds.seeds import derive_seed
+from dosebounds.sensitivity import CMSM, BinaryMSM, DeltaMSM, DivisorEngine, Uniform
 from dosebounds.specfun import integrate
 
 
@@ -444,6 +445,148 @@ class TestCalibrateGamma:
             "uniform", trial, fitted_for(trial), dataclasses.replace(config, target_coverage=0.0)
         )
         assert score.cost > raw.cost
+
+
+def full_scan_score(method, propensity_params, prob_matrix, p_true, t_grid, gammas, target):
+    """Calibration by scanning every gamma column: the oracle for the search."""
+    engine = DivisorEngine(bm.sensitivity_model_for(method), propensity_params)
+    lo, hi, undefined = apo_band_matrix(engine, prob_matrix, t_grid, gammas)
+    with np.errstate(invalid="ignore"):
+        inside = (lo <= p_true[:, None]) & (p_true[:, None] <= hi)
+    covered = np.mean(inside | undefined, axis=0)
+    reached = covered >= target
+    flags = []
+    if reached.any():
+        pick = int(np.argmax(reached))
+    else:
+        pick = len(gammas) - 1
+        flags.append("uncalibrated")
+    if undefined[:, pick].any():
+        flags.append("undefined_points")
+    if "uncalibrated" in flags:
+        curve = IntervalCurve(
+            t_grid, np.zeros_like(t_grid), np.ones_like(t_grid), "apo",
+            np.zeros(len(t_grid), dtype=bool),
+        )
+    else:
+        curve = IntervalCurve(t_grid, lo[:, pick], hi[:, pick], "apo", undefined[:, pick])
+    return bm.MethodScore(
+        method=method,
+        gamma_star=float(gammas[pick]),
+        coverage=float(covered[pick]),
+        cost=bm.divergence_cost(p_true, curve),
+        flags=tuple(flags),
+    )
+
+
+def trial_tables(raw, config, train_config, trial_id):
+    """(propensity params, outcome probabilities, true APO, dose grid) that
+    run_benchmark calibrates trial ``trial_id`` on."""
+    trial = bm.generate_trial(
+        raw, dataclasses.replace(config, seed=derive_seed(config.seed, "trial", trial_id))
+    )
+    fit = dataclasses.replace(train_config, seed=derive_seed(config.seed, "fit", trial_id))
+    x, t = trial.visible(trial.train_idx), trial.treatments(trial.train_idx)
+    outcome = fit_outcome(x, t, trial.outcomes(trial.train_idx), fit)
+    propensity = fit_propensity(x, t, fit)
+    t_grid = config.dose_grid()
+    test_x = trial.visible(trial.test_idx)
+    return (
+        propensity.predict(test_x),
+        bm._outcome_prob_matrix(outcome, test_x, t_grid),
+        bm.true_apo(trial, t_grid),
+        t_grid,
+    )
+
+
+# Reduced scale: 50 test rows, 15 doses, 25 gammas up to 3, target 0.8.  Its
+# 50 trials hold calibrated and uncalibrated methods and flagged points.
+REDUCED = bm.TrialConfig(
+    n_confounders=4, form="quadratic", n_train=150, n_test=50, t_grid_size=15,
+    gamma_grid_size=25, gamma_max=3.0, target_coverage=0.8, seed=3,
+)
+
+
+@pytest.fixture(scope="module")
+def reduced_tables():
+    raw = bm.synthetic_raw(300, 6, seed=2)
+    return [trial_tables(raw, REDUCED, TrainConfig(epochs=10), i) for i in range(50)]
+
+
+def search_and_scan(tables, gammas, target, methods=bm.DEFAULT_METHODS):
+    """(search score, full-scan score) pairs for every method on one trial."""
+    propensity, prob_matrix, p_true, t_grid = tables
+    return [
+        (
+            bm._calibrate_from_tables(
+                method, propensity, prob_matrix, p_true, t_grid, gammas, target
+            ),
+            full_scan_score(method, propensity, prob_matrix, p_true, t_grid, gammas, target),
+        )
+        for method in methods
+    ]
+
+
+class TestCalibrationSearch:
+    """The two-stage gamma search picks what a scan of every column picks,
+    with bitwise-equal coverage and cost."""
+
+    def assert_same(self, pairs):
+        for got, want in pairs:
+            assert got == want
+            assert got.cost.hex() == want.cost.hex()
+
+    def test_matches_the_full_scan_on_fifty_reduced_trials(self, reduced_tables):
+        seen = set()
+        for tables in reduced_tables:
+            pairs = search_and_scan(tables, REDUCED.gamma_grid(), REDUCED.target_coverage)
+            self.assert_same(pairs)
+            for got, _ in pairs:
+                seen.update(got.flags)
+                seen.add("interior" if 1.0 < got.gamma_star < REDUCED.gamma_max else "edge")
+        assert seen == {"uncalibrated", "undefined_points", "interior", "edge"}
+
+    def test_matches_the_full_scan_on_default_trials(self):
+        config = bm.TrialConfig()
+        raw = bm.synthetic_raw(1000, 16, seed=0)
+        flags = set()
+        for trial_id in range(4):
+            tables = trial_tables(raw, config, TrainConfig(), trial_id)
+            pairs = search_and_scan(tables, config.gamma_grid(), config.target_coverage)
+            self.assert_same(pairs)
+            flags.update(flag for got, _ in pairs for flag in got.flags)
+        assert flags == {"uncalibrated", "undefined_points"}
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 8, 17, 100])
+    @pytest.mark.parametrize("target", [0.0, 0.5, 0.8, 1.0])
+    def test_matches_the_full_scan_on_any_grid_and_target(self, reduced_tables, size, target):
+        gammas = np.linspace(1.0, REDUCED.gamma_max, size)
+        for tables in reduced_tables[:8]:
+            self.assert_same(search_and_scan(tables, gammas, target))
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 8, 17, 100])
+    def test_probes_few_columns_in_at_most_two_calls(self, reduced_tables, monkeypatch, size):
+        calls = []
+
+        def counting(engine, prob_matrix, t_grid, gamma_grid):
+            calls.append(np.array(gamma_grid))
+            return apo_band_matrix(engine, prob_matrix, t_grid, gamma_grid)
+
+        monkeypatch.setattr(bm, "apo_band_matrix", counting)
+        gammas = np.linspace(1.0, REDUCED.gamma_max, size)
+        budget = 2 * math.ceil(math.sqrt(size)) + 1
+        for tables in reduced_tables[:8]:
+            for target in (0.0, 0.8, 1.0):
+                for method in bm.DEFAULT_METHODS:
+                    calls.clear()
+                    bm._calibrate_from_tables(method, *tables, gammas, target)
+                    assert 1 <= len(calls) <= 2
+                    assert sum(len(probe) for probe in calls) <= budget
+                    for probe in calls:
+                        # the exactness premise: at least two columns, the
+                        # last one gamma_max
+                        assert len(probe) >= 2 and probe[-1] == gammas[-1]
+                        assert np.all(np.diff(probe) > 0.0)
 
 
 class TestRunBenchmark:

@@ -26,6 +26,14 @@ def write_training_csv(path, n=30, seed=4):
     return x, t, y
 
 
+def write_raw_table(path, rows=1000, bad=None):
+    """A raw covariate table; ``bad`` replaces one cell with that literal."""
+    lines = ["a,b,c"] + [f"{i % 7}.5,{i % 11}.25,{i % 13}.0" for i in range(rows)]
+    if bad is not None:
+        lines[rows // 2] = f"1.0,{bad},2.0"
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.fixture
 def no_fitting(monkeypatch):
     """Fail the test if the command reaches a model fit or a computation."""
@@ -99,6 +107,26 @@ class TestDgp:
         assert run("dgp", "--trial", "--rows", 50, "--out", tmp_path) == 2
         assert "raw data has 50 rows; the trial needs 1000" in capsys.readouterr().err
         assert not (tmp_path / "train.csv").exists()
+
+    def test_missing_from_csv_file_is_a_usage_error(self, tmp_path, capsys):
+        assert run("dgp", "--trial", "--from-csv", tmp_path / "nope.csv", "--out", tmp_path) == 2
+        assert "cannot read raw table" in capsys.readouterr().err
+        assert not (tmp_path / "train.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_from_csv_value_is_a_usage_error(self, tmp_path, capsys, value):
+        table = tmp_path / "raw.csv"
+        write_raw_table(table, bad=value)
+        assert run("dgp", "--trial", "--from-csv", table, "--out", tmp_path) == 2
+        assert "every value must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "train.csv").exists()
+
+    def test_header_only_from_csv_is_a_usage_error(self, tmp_path, capsys, recwarn):
+        table = tmp_path / "raw.csv"
+        table.write_text("a,b,c\n")
+        assert run("dgp", "--trial", "--from-csv", table, "--out", tmp_path) == 2
+        assert "no data rows" in capsys.readouterr().err
+        assert not recwarn.list
 
 
 class TestBounds:
@@ -238,6 +266,14 @@ class TestBounds:
                    "--target", "capo", "--instance", 30) == 2
         assert "--instance must index a row" in capsys.readouterr().err
 
+    def test_header_only_table_is_a_usage_error(self, tmp_path, capsys, recwarn, no_fitting):
+        data = tmp_path / "train.csv"
+        data.write_text("x0,t,y\n\n")
+        assert run("bounds", "--data", data, "--model", "uniform", "--gamma", 2) == 2
+        err = capsys.readouterr().err
+        assert "no data rows" in err and "columns" not in err
+        assert not recwarn.list
+
     def test_malformed_header_is_a_usage_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         fileio.write_csv(str(bad), ["a", "b", "c"], [[1.0, 0.5, 1.0]])
@@ -337,6 +373,29 @@ class TestBenchmarkCommand:
         assert "has 60 rows; the trial needs 80" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    def test_missing_raw_table_is_a_usage_error(self, tmp_path, capsys, no_fitting):
+        config = benchmark_config(tmp_path, raw={"path": str(tmp_path / "nope.csv")})
+        assert run("benchmark", "--config", config, "--out", tmp_path) == 2
+        assert "cannot read raw table" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_raw_table_is_a_usage_error(self, tmp_path, capsys, no_fitting, value):
+        table = tmp_path / "raw.csv"
+        write_raw_table(table, rows=100, bad=value)
+        config = benchmark_config(tmp_path, raw={"path": str(table)})
+        assert run("benchmark", "--config", config, "--out", tmp_path) == 2
+        assert "every value must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_header_only_raw_table_is_a_usage_error(self, tmp_path, capsys, recwarn, no_fitting):
+        table = tmp_path / "raw.csv"
+        table.write_text("a,b,c\n")
+        config = benchmark_config(tmp_path, raw={"path": str(table)})
+        assert run("benchmark", "--config", config, "--out", tmp_path) == 2
+        assert "no data rows" in capsys.readouterr().err
+        assert not recwarn.list
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_non_positive_trials_is_a_usage_error(self, tmp_path, capsys, no_fitting, trials):
         config = benchmark_config(tmp_path)
@@ -429,6 +488,28 @@ class TestCheckCommand:
         monkeypatch.setattr(checks, "check_gradients", broken)
         assert run("check", "--suite", "gradients") == 1
         assert "gradients: FAIL" in capsys.readouterr().out
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["benchmark", "--config", "{config}", "--out", "{out}"],
+            ["bounds", "--data", "{data}", "--model", "uniform", "--gamma", "2", "--out", "{out}"],
+            ["check", "--suite", "gradients"],
+            ["dgp", "--rows", "50", "--cols", "3", "--out", "{out}"],
+        ],
+        ids=["benchmark", "bounds", "check", "dgp"],
+    )
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, no_fitting, argv):
+        data = tmp_path / "train.csv"
+        write_training_csv(data)
+        config = benchmark_config(tmp_path)
+        out = tmp_path / "out"
+        argv = [arg.format(config=config, data=data, out=out) for arg in argv]
+        assert run(*argv, "--seed", -1) == 2
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParser:

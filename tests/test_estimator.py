@@ -546,6 +546,33 @@ class TestApoBandMatrix:
             apo_band_matrix(engine, prob[:-1], self.t_grid, self.gamma_grid)
 
 
+class TestGammaSubsetExactness:
+    """Calibration probes gamma subsets instead of the whole grid and must
+    score exactly what the full sweep scores.  For DeltaMSM that holds only
+    because a subset of two or more columns ending at the last gamma keeps
+    the full sweep's 1F1 term count (set by the largest s) and a matrix,
+    not a vector, product in ``hyp1f1_grid``.  A lone column can differ in
+    the last bits, so it is not part of the premise."""
+
+    def test_subsets_ending_at_the_last_gamma_match_the_full_sweep(self):
+        rng = np.random.default_rng(7)
+        n = 250
+        propensity = BetaPropensity(rng.uniform(1.0, 20.0, n), rng.uniform(1.0, 20.0, n))
+        t_grid = np.linspace(0.0, 1.0, 12)
+        prob = rng.uniform(0.05, 0.95, (len(t_grid), n))
+        gammas = np.linspace(1.0, 2.5, 100)
+        engine = DivisorEngine(DeltaMSM("balanced-beta"), propensity)
+        full = apo_band_matrix(engine, prob, t_grid, gammas)
+        subsets = [[0, 99], [98, 99], list(range(9, 100, 10)), list(range(40, 50)) + [99]]
+        for size in (2, 3, 5, 11, 21, 40):
+            picks = rng.choice(99, size - 1, replace=False)
+            subsets.append(sorted(picks.tolist()) + [99])
+        for cols in subsets:
+            part = apo_band_matrix(engine, prob, t_grid, gammas[cols])
+            for whole, sub in zip(full, part):
+                assert sub.tobytes() == whole[:, cols].tobytes()
+
+
 @st.composite
 def band_cases(draw):
     """Random Beta propensities and outcome probabilities for a few instances
