@@ -12,8 +12,9 @@ the band).  Lower cost at equal coverage is better.
 
 Calibration builds about 2 sqrt(n) of the n gamma columns: coverage is
 nondecreasing in gamma, so a two-stage search (``calibrate_gamma``) finds the
-first crossing.  A band column does not depend on the other gammas it is
-computed with, so every score is bitwise equal to that of a full sweep.
+first crossing.  Every probe set holds at least two columns and ends at
+gamma_max, which keeps the Beta-compound 1F1 tables, and so every score,
+bitwise equal to those of a full sweep.
 
 Trials are independent: every trial derives its own named random substreams
 from the benchmark seed, so reports are bit-identical across reruns and
@@ -466,9 +467,11 @@ def calibrate_gamma(
     the columns strictly between the last coarse column that misses and the
     first that reaches, plus gamma_max again; the pick is the first of them
     that reaches, else that coarse column.  Each stage ends at gamma_max
-    with at least two columns.  ``hyp1f1_grid`` sums every entry on its own,
-    so a column's DeltaMSM band does not depend on the set it is computed
-    with, and every probed column equals the full sweep's bit for bit.
+    with at least two columns because a column's DeltaMSM band depends on
+    the set it is computed with: the 1F1 term count follows the largest
+    gamma, and a one-column table goes through a matrix-vector product that
+    sums in another order.  So every probed column equals the full sweep's
+    bit for bit.
     A method that never reaches the target keeps the largest gamma, takes an
     "uncalibrated" flag, and is charged for the fully ignorant band: the cost
     measures the price of the target coverage, and a band that never attains

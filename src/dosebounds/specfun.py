@@ -11,12 +11,11 @@ remaining special functions directly:
   Kummer reflection for negative arguments, summed until it converges; it
   is the elementwise oracle for ``hyp1f1_grid``,
 * ``hyp1f1_grid`` tabulates 1F1(a; c; s) for 0 <= a <= c and s >= 0 over
-  every (s, (a, c)) pair as an ascending sum of scaled powers s^k/k! times
+  every (s, (a, c)) pair as one matrix product of scaled powers s^k/k! and
   Pochhammer ratios (a)_k/(c)_k.  Each term is at most s^k/k! and the sum is
   at least 1, so the tail after K terms is below s^K/K! / (1 - s/(K+1))
   relative; ``hyp1f1_terms`` fixes K from the largest s so that this bound
-  is at most 2^-53, with no convergence test.  Terms past an s's own K
-  round away, so each entry is bitwise independent of the rest of the call,
+  is at most 2^-53, with no convergence test,
 * ``reg_inc_beta`` uses the continued-fraction expansion,
 * ``integrate`` is a globally adaptive 15-point Kronrod / 7-point Gauss rule
   with interval bisection; semi-infinite and infinite ranges are folded onto
@@ -207,17 +206,10 @@ def hyp1f1_grid(a, c, s) -> np.ndarray:
 
     ``a`` and ``c`` broadcast to one flat list of shapes with 0 <= a <= c and
     c > 0; ``s`` is a flat list of arguments s >= 0.  Returns the
-    (len(s), len(a)) table of sums over k of s_pow[i, k] * coeff[k, j] with
-    s_pow[i, k] = s_i^k / k! and coeff[k, j] = (a_j)_k / (c_j)_k,
-    k < ``hyp1f1_terms(max s)``.  Callers reach negative arguments through
-    Kummer's transformation (A&S 13.1.27), 1F1(a; c; -s) = e^-s
-    1F1(c - a; c; s), which keeps every term positive.
-
-    The sums run in ascending k, one product and one add per term.  Every
-    partial sum is at least 1 and every term past s_i's own term count is
-    below 2^-53, so those terms round away: an entry is bitwise the same
-    whatever other s values and pairs share the call.  A matrix product
-    would not be, since BLAS picks its summation order by shape.
+    (len(s), len(a)) matrix s_pow @ coeff with s_pow[i, k] = s_i^k / k! and
+    coeff[k, j] = (a_j)_k / (c_j)_k, k < ``hyp1f1_terms(max s)``.  Callers
+    reach negative arguments through Kummer's transformation (A&S 13.1.27),
+    1F1(a; c; -s) = e^-s 1F1(c - a; c; s), which keeps every term positive.
     """
     a, c = np.broadcast_arrays(
         np.ravel(np.asarray(a, dtype=float)), np.ravel(np.asarray(c, dtype=float))
@@ -235,12 +227,7 @@ def hyp1f1_grid(a, c, s) -> np.ndarray:
     np.cumprod((a + k[:, None]) / (c + k[:, None]), axis=0, out=coeff[1:])
     s_pow = np.ones((s.size, n_terms))
     np.cumprod(s[:, None] / (k + 1.0), axis=1, out=s_pow[:, 1:])
-    table = np.ones((s.size, a.size))
-    term = np.empty_like(table)
-    for order in range(1, n_terms):
-        np.multiply(s_pow[:, order, None], coeff[order], out=term)
-        table += term
-    return table
+    return s_pow @ coeff
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:

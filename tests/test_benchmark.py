@@ -583,7 +583,8 @@ class TestCalibrationSearch:
                     assert 1 <= len(calls) <= 2
                     assert sum(len(probe) for probe in calls) <= budget
                     for probe in calls:
-                        # at least two columns, the last one gamma_max
+                        # the exactness premise: at least two columns, the
+                        # last one gamma_max
                         assert len(probe) >= 2 and probe[-1] == gammas[-1]
                         assert np.all(np.diff(probe) > 0.0)
 

@@ -255,21 +255,6 @@ class TestHyp1F1Grid:
         # the alternating sum cancels by up to e^(2s) = gamma^2
         assert via_kummer == pytest.approx(alternating_series(a, c, -s), rel=1e-13 * gamma**2)
 
-    @given(
-        st.lists(compound_shapes, min_size=1, max_size=6),
-        st.lists(st.floats(0.0, 30.0), min_size=1, max_size=6),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_entries_do_not_depend_on_the_rest_of_the_call(self, shapes, s):
-        # terms past an s's own term count round away, so a lone s or a lone
-        # pair gets the entry of the whole table bit for bit
-        a, c = np.array(shapes).T
-        table = hyp1f1_grid(a, c, s)
-        for i, s_i in enumerate(s):
-            assert hyp1f1_grid(a, c, [s_i])[0].tobytes() == table[i].tobytes()
-            for j in range(len(a)):
-                assert hyp1f1_grid(a[j], c[j], s_i)[0, 0] == table[i, j]
-
     def test_zero_argument_is_exactly_one(self):
         table = hyp1f1_grid([1e-7, 3.0, 150.0], [400.0, 3.0, 399.0], [0.0])
         assert table.tolist() == [[1.0, 1.0, 1.0]]
