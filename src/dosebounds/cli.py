@@ -28,7 +28,7 @@ import numpy as np
 from . import benchmark as bench
 from . import checks, fileio
 from .estimator import apo_interval, capo_interval
-from .models import TrainConfig, fit_outcome, fit_propensity, model_payload
+from .models import FittedModels, TrainConfig, fit_outcome, fit_propensity, model_payload
 from .sensitivity import DeltaMSM
 
 __all__ = ["RunConfig", "load_run_config", "main"]
@@ -117,12 +117,16 @@ def load_run_config(doc) -> RunConfig:
     if not isinstance(train_doc, dict):
         raise UsageError("config.train must be an object")
     _reject_unknown(train_doc, _TRAIN_KEYS, "config.train")
+    # the documented key `lr` is TrainConfig's learning_rate
+    train_doc = {("learning_rate" if k == "lr" else k): v for k, v in train_doc.items()}
 
     raw_doc = doc.get("raw", {})
     if not isinstance(raw_doc, dict):
         raise UsageError("config.raw must be an object")
     _reject_unknown(raw_doc, _RAW_KEYS, "config.raw")
     raw_path = raw_doc.get("path")
+    if raw_path is not None and not isinstance(raw_path, str):
+        raise UsageError(f"config.raw.path must be a string, got {raw_path!r}")
     if raw_path is not None and ("rows" in raw_doc or "cols" in raw_doc):
         raise UsageError("config.raw: give either a path or rows/cols, not both")
 
@@ -130,6 +134,10 @@ def load_run_config(doc) -> RunConfig:
     if not isinstance(methods, (list, tuple)):
         raise UsageError("config.methods must be a non-empty list")
     _check_methods(methods, "config.methods")
+
+    out_dir = doc.get("out", ".")
+    if not isinstance(out_dir, str):
+        raise UsageError(f"config.out must be a string, got {out_dir!r}")
 
     # bool is a subclass of int, so `true` would otherwise pass as 1
     n_trials = doc.get("n_trials", 50)
@@ -161,7 +169,7 @@ def load_run_config(doc) -> RunConfig:
         raw_rows=_raw_size(raw_doc, "rows", 1000, least_rows),
         raw_cols=_raw_size(raw_doc, "cols", 16, 1),
         raw_path=raw_path,
-        out_dir=str(doc.get("out", ".")),
+        out_dir=out_dir,
     )
 
 
@@ -276,9 +284,7 @@ def cmd_bounds(args) -> int:
     if args.target == "capo" and not 0 <= args.instance < len(x):
         raise UsageError(f"--instance must index a row of {args.data} (0..{len(x) - 1})")
     train = TrainConfig(seed=args.seed)
-    outcome = fit_outcome(x, t, y, train)
-    propensity = fit_propensity(x, t, train)
-    models = (outcome, propensity)
+    models = FittedModels(fit_outcome(x, t, y, train), fit_propensity(x, t, train))
     grid = np.linspace(0.0, 1.0, 100)
     if args.target == "capo":
         curve = capo_interval(
@@ -300,8 +306,8 @@ def cmd_bounds(args) -> int:
         models_path,
         {
             "format_version": 1,
-            "outcome": model_payload(outcome),
-            "propensity": model_payload(propensity),
+            "outcome": model_payload(models.outcome),
+            "propensity": model_payload(models.propensity),
         },
     )
     n_undefined = int(curve.undefined_mask.sum())

@@ -2,13 +2,13 @@
 
 Counterfactual means are self-normalized importance-sampling ratios
 sum_i w_i f_i / sum_i w_i whose weights are only known up to a box
-[w_lo_i, w_hi_i] (the divisor interval of the sensitivity model, folded with
-the outcome model and proposal density).  A box is three flat arrays
-``(f, w_lo, w_hi)`` with one entry per draw, as ``outcome_draws`` returns
-it.  ``extremize`` finds the exact extremum of the ratio over the box: after
-sorting draws by f, the maximizing weight vector flips a prefix of draws
-down to their lower bound and leaves the rest at their upper bound, so a
-single sweep with running partial sums suffices (the threshold argument of
+[w_lo_i, w_hi_i]: ``outcome_draws`` folds the divisor interval
+``(d_lo, d_hi)`` of ``DivisorEngine.bounds`` with the outcome model and
+proposal density into three flat arrays ``(f, w_lo, w_hi)``, one entry per
+draw.  ``extremize`` finds the exact extremum of the ratio over the box:
+after sorting draws by f, the maximizing weight vector flips a prefix of
+draws down to their lower bound and leaves the rest at their upper bound, so
+a single sweep with running partial sums suffices (the threshold argument of
 Kallus, Mao & Zhou, AISTATS 2019).
 
 Binary outcomes, which every band below uses, need no sweep: with f in
@@ -19,10 +19,10 @@ proposal) and is the oracle the closed form is tested against.
 
 One kernel, ``apo_band_matrix``, computes every binary-outcome band: it
 pools the instances of a probability matrix into one closed-form band per
-(dose, gamma) pair.  The curves are views of it at a single gamma:
-``capo_interval`` conditions on one covariate row, ``apo_interval`` pools a
-whole instance set, and ``cacd_interval`` turns a CAPO band into a band on
-the derivative via conservative central differences.
+(dose, gamma) pair.  The curves are views of it at one gamma for a
+``FittedModels``: ``capo_interval`` conditions on one covariate row,
+``apo_interval`` pools a whole instance set, and ``cacd_interval`` turns a
+CAPO band into a band on the derivative via conservative central differences.
 """
 
 from __future__ import annotations
@@ -33,12 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sensitivity import (
-    DivisorBounds,
-    DivisorEngine,
-    PartialIdentificationError,
-    SensitivityModel,
-)
+from .sensitivity import DivisorEngine, PartialIdentificationError, SensitivityModel
 
 __all__ = [
     "DegenerateDrawsError",
@@ -179,7 +174,8 @@ def outcome_draws(
     outcome_model,
     t: float,
     x_subset,
-    divisors: DivisorBounds,
+    d_lo,
+    d_hi,
     proposal=None,
     n_samples: int | None = None,
     rng: np.random.Generator | None = None,
@@ -194,16 +190,17 @@ def outcome_draws(
     supports of different sizes.  Continuous models need a ``proposal`` with
     ``sample(n, rng)`` and ``density(y)`` plus an ``outcome_density(y, x, t)``
     method on the model; the same ``n_samples`` proposal draws are shared by
-    every instance.  A draw's weights are w_lo = min(p / d_hi, _WEIGHT_CAP)
-    and w_hi = min(p / d_lo, _WEIGHT_CAP) for its instance's divisor box,
+    every instance.  ``d_lo`` and ``d_hi`` come from ``DivisorEngine.bounds``
+    (scalars or one entry per instance); a draw's weights are
+    w_lo = min(p / d_hi, _WEIGHT_CAP) and w_hi = min(p / d_lo, _WEIGHT_CAP),
     with p the support probability or the importance ratio
     density / (proposal density x n_samples).
     ``statistic`` maps an array of outcomes elementwise to the quantity
     averaged (identity by default).
     """
     x_subset = np.atleast_2d(np.asarray(x_subset, dtype=float))
-    d_lo = np.broadcast_to(np.asarray(divisors.d_lo, dtype=float), (len(x_subset),))
-    d_hi = np.broadcast_to(np.asarray(divisors.d_hi, dtype=float), (len(x_subset),))
+    d_lo = np.broadcast_to(np.asarray(d_lo, dtype=float), (len(x_subset),))
+    d_hi = np.broadcast_to(np.asarray(d_hi, dtype=float), (len(x_subset),))
     if np.any(d_lo <= 0.0):
         raise PartialIdentificationError(
             "divisor lower bound is not positive; the outcome bound is undefined here"
@@ -280,20 +277,11 @@ class IntervalCurve:
         return self.hi - self.lo
 
 
-def _models_pair(models):
-    try:
-        return models.outcome, models.propensity
-    except AttributeError:
-        outcome, propensity = models
-        return outcome, propensity
-
-
 def _one_gamma_curve(models, sens, x, t_grid, gamma_factor, trust_precision, target):
     """Column ``gamma_factor`` of ``apo_band_matrix`` for the rows ``x``."""
-    outcome, propensity = _models_pair(models)
     t_grid = np.asarray(t_grid, dtype=float)
-    probs = np.array([np.atleast_1d(outcome.predict(x, float(t))) for t in t_grid])
-    engine = DivisorEngine(sens, propensity.predict(x), trust_precision=trust_precision)
+    probs = np.array([np.atleast_1d(models.outcome.predict(x, float(t))) for t in t_grid])
+    engine = DivisorEngine(sens, models.propensity.predict(x), trust_precision=trust_precision)
     lo, hi, undefined = apo_band_matrix(engine, probs, t_grid, [gamma_factor])
     return IntervalCurve(t_grid, lo[:, 0], hi[:, 0], target, undefined[:, 0])
 

@@ -49,6 +49,15 @@ _PARAM_EDGE = 1e-7  # keeps predicted Beta parameters strictly inside (0, cap)
 _FORMAT_VERSION = 1
 
 
+def require_integer_fields(config, *names: str) -> None:
+    """Reject a named field that is not an int or numpy integer; bools and
+    whole floats such as 4.0 count as non-integers."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 10.0
@@ -60,6 +69,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integer_fields(self, "batches", "epochs", "seed")
         if self.learning_rate <= 0.0 or self.batches < 1 or self.epochs < 0:
             raise ValueError("learning_rate > 0, batches >= 1, epochs >= 0 required")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.epsilon > 0.0):

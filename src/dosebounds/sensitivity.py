@@ -4,7 +4,8 @@ The central object is the divisor ``d`` that deflates an observed outcome
 density into the counterfactual one, ``p~(y | do(t), x) = p(y | t, x) / d``.
 Each sensitivity model turns a violation budget ``gamma_factor`` (written
 Gamma below, with Gamma = 1 meaning no hidden confounding) into an interval
-``(d_lo, d_hi)`` around the ideal value 1.
+``(d_lo, d_hi)`` around the ideal value 1, which ``DivisorEngine(model,
+propensity, trust_precision).bounds(t, gamma_factor)`` returns as two arrays.
 
 For the smoothness-bounded model (``DeltaMSM``) the odds of treatment given
 a counterfactual outcome may drift away from the nominal propensity at a
@@ -57,10 +58,7 @@ __all__ = [
     "Uniform",
     "BinaryMSM",
     "SensitivityModel",
-    "DivisorBounds",
     "DivisorEngine",
-    "divisor_bounds",
-    "default_trust_precision",
 ]
 
 # Trust precisions below this floor are numerically indistinguishable from a
@@ -121,6 +119,7 @@ class BetaPropensity:
 
     @property
     def nominal_precision(self):
+        """Heuristic ``DeltaMSM`` trust precision matched to this density's own scale."""
         return np.maximum(self.alpha_bar + self.beta_bar - 2.0, MIN_TRUST_PRECISION)
 
     def flipped(self) -> "BetaPropensity":
@@ -151,6 +150,7 @@ class GammaPropensity:
 
     @property
     def nominal_precision(self):
+        """Heuristic ``DeltaMSM`` trust precision matched to this density's own scale."""
         return self.alpha_bar / (self.beta_bar * self.beta_bar)
 
 
@@ -174,15 +174,11 @@ class GaussianPropensity:
 
     @property
     def nominal_precision(self):
+        """Heuristic ``DeltaMSM`` trust precision matched to this density's own scale."""
         return 1.0 / self.sigma_bar
 
 
 PropensityParams = Union[BetaPropensity, GammaPropensity, GaussianPropensity]
-
-
-def default_trust_precision(propensity: PropensityParams):
-    """Heuristic trust parameter matched to the nominal density's own scale."""
-    return propensity.nominal_precision
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +191,6 @@ class BetaTrust:
     precision r, scaled so that w(t) = 1 (``weight`` divides by the kernel at t)."""
 
     t: float | np.ndarray
-    r: float | np.ndarray
     a: float | np.ndarray
     b: float | np.ndarray
 
@@ -218,7 +213,6 @@ class GammaTrust:
     r = a/b^2, scaled so that w(t) = 1 (``weight`` divides by the kernel at t)."""
 
     t: float | np.ndarray
-    r: float | np.ndarray
     a: float | np.ndarray
     b: float | np.ndarray
 
@@ -235,8 +229,6 @@ class GammaTrust:
 class GaussianTrust:
     """w(tau) = exp(-(tau - mu)^2 / (2 sigma^2)) with mu = t, sigma = 1/r."""
 
-    t: float | np.ndarray
-    r: float | np.ndarray
     mu: float | np.ndarray
     sigma: float | np.ndarray
 
@@ -259,14 +251,14 @@ def trust_params(kind: str, t, r) -> TrustScheme:
     if kind == "beta":
         if np.any(t < 0.0) or np.any(t > 1.0):
             raise ValueError("Beta trust requires 0 <= t <= 1")
-        return BetaTrust(t=t, r=r, a=r * t + 1.0, b=r * (1.0 - t) + 1.0)
+        return BetaTrust(t=t, a=r * t + 1.0, b=r * (1.0 - t) + 1.0)
     if kind == "gamma":
         if np.any(t < 0.0):
             raise ValueError("Gamma trust requires t >= 0")
         b = (t + np.sqrt(t * t + 4.0 * r)) / (2.0 * r)
-        return GammaTrust(t=t, r=r, a=1.0 + t * b, b=b)
+        return GammaTrust(t=t, a=1.0 + t * b, b=b)
     if kind == "gaussian":
-        return GaussianTrust(t=t, r=r, mu=t, sigma=1.0 / r)
+        return GaussianTrust(mu=t, sigma=1.0 / r)
     raise ValueError(f"unknown trust kind {kind!r}")
 
 
@@ -485,19 +477,6 @@ class BinaryMSM:
 SensitivityModel = Union[DeltaMSM, CMSM, Uniform, BinaryMSM]
 
 
-@dataclass(frozen=True)
-class DivisorBounds:
-    """Interval for the divisor d at one dose; d_lo <= 1 <= d_hi when admissible."""
-
-    d_lo: float | np.ndarray
-    d_hi: float | np.ndarray
-
-    @property
-    def upper_undefined(self):
-        """True where d_lo <= 0: the counterfactual density bound blows up."""
-        return np.asarray(self.d_lo) <= 0.0
-
-
 def _check_gamma(gamma_factor):
     """Validated gamma as an array; a gamma column sweeps a whole grid."""
     gamma = np.asarray(gamma_factor, dtype=float)
@@ -513,7 +492,8 @@ class DivisorEngine:
     dichotomized propensities of ``BinaryMSM``; every ``bounds`` call is
     otherwise a pure function of its arguments.  Propensity parameters may be
     arrays covering many instances at once, and gamma_factor may be a column
-    of budgets; bounds then broadcast to (gammas, instances).
+    of budgets; bounds then broadcast to (gammas, instances).  Only
+    ``DeltaMSM`` reads ``trust_precision`` (default ``nominal_precision``).
     """
 
     def __init__(
@@ -532,11 +512,10 @@ class DivisorEngine:
                     f"got {propensity.kind}"
                 )
             if trust_precision is None:
-                self.trust_precision = default_trust_precision(propensity)
-            else:
-                if not _all_positive(trust_precision):
-                    raise ValueError("trust_precision must be positive")
-                self.trust_precision = trust_precision
+                trust_precision = propensity.nominal_precision
+            elif not _all_positive(trust_precision):
+                raise ValueError("trust_precision must be positive")
+            self.trust_precision = trust_precision
         elif isinstance(model, BinaryMSM):
             if propensity.kind != "beta":
                 raise ValueError("BinaryMSM requires a Beta nominal propensity")
@@ -547,7 +526,8 @@ class DivisorEngine:
             raise ValueError(f"unknown sensitivity model {type(model).__name__}")
 
     def bounds(self, t, gamma_factor):
-        """(d_lo, d_hi) at dose t under budget gamma_factor."""
+        """(d_lo, d_hi) at dose t under budget gamma_factor; where d_lo <= 0
+        the upper counterfactual bound is lost and only d_hi stays meaningful."""
         t = np.asarray(t, dtype=float)
         gamma = _check_gamma(gamma_factor)
         model = self.model
@@ -597,25 +577,3 @@ def _anchored_divisor(q: CompoundDensity, t, gamma, power_bounds):
     d_lo = lo_e - s * growth * abs_m1
     d_hi = hi_e + s * growth * abs_m1 + 0.5 * s * s * growth * m2
     return d_lo, d_hi
-
-
-def divisor_bounds(
-    model: SensitivityModel,
-    propensity: PropensityParams,
-    t,
-    gamma_factor,
-    trust_precision=None,
-) -> DivisorBounds:
-    """Divisor interval at dose ``t`` under the given sensitivity model.
-
-    ``trust_precision`` overrides the per-family heuristic (match the nominal
-    propensity's precision) used by ``DeltaMSM``; the other models ignore it.
-    A result with ``upper_undefined`` set has lost its upper counterfactual
-    bound: d_lo has crossed zero and only d_hi remains meaningful.
-    """
-    engine = DivisorEngine(model, propensity, trust_precision=trust_precision)
-    d_lo, d_hi = engine.bounds(t, gamma_factor)
-    if np.ndim(d_lo) == 0 and np.ndim(d_hi) == 0:
-        return DivisorBounds(float(d_lo), float(d_hi))
-    d_lo, d_hi = np.broadcast_arrays(d_lo, d_hi)
-    return DivisorBounds(np.asarray(d_lo, dtype=float), np.asarray(d_hi, dtype=float))

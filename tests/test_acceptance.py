@@ -24,7 +24,6 @@ from dosebounds.sensitivity import (
     GammaPropensity,
     GaussianPropensity,
     Uniform,
-    divisor_bounds,
 )
 
 
@@ -82,7 +81,7 @@ def test_01_point_identification_collapse():
                 float(np.max(np.abs(np.asarray(d_lo) - 1.0))),
                 float(np.max(np.abs(np.asarray(d_hi) - 1.0))),
             )
-        models = (outcome, StubPropensity(params))
+        models = FittedModels(outcome, StubPropensity(params))
         apo = apo_interval(models, sens, x, grid, 1.0)
         single = (
             BetaPropensity(float(np.asarray(params.alpha_bar)[0]), float(np.asarray(params.beta_bar)[0]))
@@ -91,7 +90,7 @@ def test_01_point_identification_collapse():
             if params.kind == "gamma"
             else GaussianPropensity(float(np.asarray(params.mu_bar)[0]), float(np.asarray(params.sigma_bar)[0]))
         )
-        capo = capo_interval((outcome, StubPropensity(single)), sens, x[0], grid, 1.0)
+        capo = capo_interval(FittedModels(outcome, StubPropensity(single)), sens, x[0], grid, 1.0)
         worst_width = max(worst_width, float(np.max(apo.width)), float(np.max(capo.width)))
     elapsed = time.perf_counter() - start
     report(

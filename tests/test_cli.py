@@ -9,7 +9,7 @@ from dosebounds import benchmark as bm
 from dosebounds import checks, cli, fileio
 from dosebounds.cli import _sensitivity_from_flags, load_run_config, main
 from dosebounds.estimator import apo_interval
-from dosebounds.models import TrainConfig, fit_outcome, fit_propensity
+from dosebounds.models import FittedModels, TrainConfig, fit_outcome, fit_propensity
 from dosebounds.sensitivity import Uniform
 
 
@@ -143,7 +143,7 @@ class TestBounds:
         assert names == ["t", "lo", "hi", "undefined_flag"]
         assert table.shape == (100, 4)
         train = TrainConfig(seed=1)
-        models = (fit_outcome(x, t, y, train), fit_propensity(x, t, train))
+        models = FittedModels(fit_outcome(x, t, y, train), fit_propensity(x, t, train))
         curve = apo_interval(models, Uniform(), x, np.linspace(0.0, 1.0, 100), 2.0)
         np.testing.assert_allclose(table[:, 1], curve.lo, rtol=1e-15)
         np.testing.assert_allclose(table[:, 2], curve.hi, rtol=1e-15)
@@ -452,6 +452,51 @@ class TestRunConfig:
         ):
             with pytest.raises(ValueError):
                 load_run_config(doc)
+
+
+def config_with(tmp_path, key, value):
+    """``benchmark_config`` with the dotted ``key`` set to ``value``."""
+    config = benchmark_config(tmp_path)
+    doc = json.loads(config.read_text())
+    *parents, leaf = key.split(".")
+    node = doc
+    for name in parents:
+        node = node[name]
+    node[leaf] = value
+    config.write_text(json.dumps(doc))
+    return config
+
+
+class TestConfigTypes:
+    def test_lr_sets_the_learning_rate(self):
+        assert load_run_config({"train": {"lr": 5.0}}).train.learning_rate == 5.0
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("trial.n_confounders", 4.0, "n_confounders must be an integer, got 4.0"),
+            ("trial.t_grid_size", 10.5, "t_grid_size must be an integer, got 10.5"),
+            ("trial.n_train", 60.0, "n_train must be an integer, got 60.0"),
+            ("trial.n_test", True, "n_test must be an integer, got True"),
+            ("train.epochs", 2.5, "epochs must be an integer, got 2.5"),
+            ("train.batches", True, "batches must be an integer, got True"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("raw", {"path": 5}, "config.raw.path must be a string, got 5"),
+            ("raw", {"path": True}, "config.raw.path must be a string, got True"),
+            ("raw", {"path": ["a"]}, "config.raw.path must be a string, got ['a']"),
+            ("out", 5, "config.out must be a string, got 5"),
+        ],
+    )
+    def test_bad_type_is_a_usage_error(self, tmp_path, capsys, no_fitting, key, value, message):
+        config = config_with(tmp_path, key, value)
+        assert run("benchmark", "--config", config, "--out", tmp_path) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_numpy_integers_are_integers(self):
+        trial = bm.TrialConfig(n_train=np.int64(60), t_grid_size=np.int32(7), seed=np.uint8(3))
+        assert trial.n_train == 60 and trial.seed == 3
+        assert TrainConfig(epochs=np.int64(2), batches=np.int16(3)).epochs == 2
 
 
 class TestCheckCommand:

@@ -20,16 +20,15 @@ from dosebounds.estimator import (
     extremize,
     outcome_draws,
 )
+from dosebounds.models import FittedModels
 from dosebounds.sensitivity import (
     CMSM,
     BetaPropensity,
     BinaryMSM,
     DeltaMSM,
-    DivisorBounds,
     DivisorEngine,
     PartialIdentificationError,
     Uniform,
-    divisor_bounds,
 )
 
 
@@ -284,8 +283,8 @@ class NormalProposal:
 class TestOutcomeDraws:
     def test_discrete_enumeration(self):
         model = BernoulliStub(lambda x, t: 0.7)
-        divisors = DivisorBounds(np.array([0.5, 1.0]), np.array([2.0, 1.0]))
-        f, w_lo, w_hi = outcome_draws(model, 0.3, [[0.0], [1.0]], divisors)
+        d_lo, d_hi = np.array([0.5, 1.0]), np.array([2.0, 1.0])
+        f, w_lo, w_hi = outcome_draws(model, 0.3, [[0.0], [1.0]], d_lo, d_hi)
         # flat (instance, draw) order: instance 0 draws 0, 1, then instance 1
         assert len(f) == len(w_lo) == len(w_hi) == 4
         np.testing.assert_array_equal(f, [0.0, 1.0, 0.0, 1.0])
@@ -303,9 +302,9 @@ class TestOutcomeDraws:
                 return np.arange(float(k)), np.full(k, 1.0 / k)
 
         xs = [[0.0], [1.0], [2.0]]
-        divisors = DivisorBounds(np.array([0.5, 1.0, 2.0]), np.array([2.0, 4.0, 8.0]))
+        d_lo, d_hi = np.array([0.5, 1.0, 2.0]), np.array([2.0, 4.0, 8.0])
         f, w_lo, w_hi = outcome_draws(
-            GrowingSupport(), 0.3, xs, divisors, statistic=lambda y: y * y
+            GrowingSupport(), 0.3, xs, d_lo, d_hi, statistic=lambda y: y * y
         )
         np.testing.assert_array_equal(f, [0, 1, 0, 1, 4, 0, 1, 4, 9])
         probs = np.repeat([1 / 2, 1 / 3, 1 / 4], [2, 3, 4])
@@ -320,7 +319,7 @@ class TestOutcomeDraws:
 
     def test_no_instances_give_an_empty_box(self):
         f, w_lo, w_hi = outcome_draws(
-            BernoulliStub(lambda x, t: 0.7), 0.3, np.zeros((0, 1)), DivisorBounds(1.0, 1.0)
+            BernoulliStub(lambda x, t: 0.7), 0.3, np.zeros((0, 1)), 1.0, 1.0
         )
         assert f.shape == w_lo.shape == w_hi.shape == (0,)
         with pytest.raises(ValueError, match="at least one draw"):
@@ -329,17 +328,17 @@ class TestOutcomeDraws:
     def test_rejects_nonpositive_divisor(self):
         model = BernoulliStub(lambda x, t: 0.7)
         with pytest.raises(PartialIdentificationError):
-            outcome_draws(model, 0.3, [[0.0]], DivisorBounds(-0.1, 2.0))
+            outcome_draws(model, 0.3, [[0.0]], -0.1, 2.0)
 
     def test_continuous_needs_proposal_and_samples(self):
         with pytest.raises(ValueError):
-            outcome_draws(GaussianOutcomeStub(), 0.3, [[0.0]], DivisorBounds(1.0, 1.0))
+            outcome_draws(GaussianOutcomeStub(), 0.3, [[0.0]], 1.0, 1.0)
         with pytest.raises(ValueError):
             outcome_draws(
                 GaussianOutcomeStub(),
                 0.3,
                 [[0.0]],
-                DivisorBounds(1.0, 1.0),
+                1.0, 1.0,
                 proposal=NormalProposal(0.0, 2.0),
             )
 
@@ -354,7 +353,7 @@ class TestOutcomeDraws:
             model,
             t,
             [x],
-            DivisorBounds(1.0, 1.0),
+            1.0, 1.0,
             proposal=NormalProposal(0.5, 2.0),
             n_samples=20000,
             rng=np.random.default_rng(42),
@@ -371,16 +370,16 @@ class TestOutcomeDraws:
             n_samples=4000,
             rng=np.random.default_rng(42),
         )
-        point = outcome_draws(model, 0.6, [[0.4]], DivisorBounds(1.0, 1.0), **common)
+        point = outcome_draws(model, 0.6, [[0.4]], 1.0, 1.0, **common)
         common["rng"] = np.random.default_rng(42)
-        band = outcome_draws(model, 0.6, [[0.4]], DivisorBounds(0.5, 2.0), **common)
+        band = outcome_draws(model, 0.6, [[0.4]], 0.5, 2.0, **common)
         assert extremize(*band, "min") < extremize(*point, "min")
         assert extremize(*band, "max") > extremize(*point, "max")
 
     def test_statistic_transforms_outcomes(self):
         model = BernoulliStub(lambda x, t: 0.7)
         draws = outcome_draws(
-            model, 0.3, [[0.0]], DivisorBounds(1.0, 1.0), statistic=lambda y: 3.0 * y
+            model, 0.3, [[0.0]], 1.0, 1.0, statistic=lambda y: 3.0 * y
         )
         assert extremize(*draws, "max") == pytest.approx(2.1)
 
@@ -392,7 +391,7 @@ class TestCurves:
         return BernoulliStub(lambda x, t: 0.2 + 0.5 * t)
 
     def test_unit_gamma_collapses_to_prediction(self):
-        models = (self.outcome(), PropensityStub([3.0], [3.0]))
+        models = FittedModels(self.outcome(), PropensityStub([3.0], [3.0]))
         curve = capo_interval(models, DeltaMSM("balanced-beta"), [0.0], self.t_grid, 1.0)
         expected = 0.2 + 0.5 * self.t_grid
         np.testing.assert_allclose(curve.lo, expected, atol=1e-9)
@@ -401,7 +400,7 @@ class TestCurves:
         assert curve.target == "capo"
 
     def test_bands_bracket_nominal_and_nest(self):
-        models = (self.outcome(), PropensityStub([4.0], [2.0]))
+        models = FittedModels(self.outcome(), PropensityStub([4.0], [2.0]))
         expected = 0.2 + 0.5 * self.t_grid
         prev = None
         for gamma in (1.2, 1.6, 2.3):
@@ -415,7 +414,7 @@ class TestCurves:
             prev = curve
 
     def test_apo_of_single_instance_equals_capo(self):
-        models = (self.outcome(), PropensityStub([3.0, 5.0], [3.0, 2.0]))
+        models = FittedModels(self.outcome(), PropensityStub([3.0, 5.0], [3.0, 2.0]))
         capo = capo_interval(models, DeltaMSM("balanced-beta"), [1.0], self.t_grid, 1.7)
         apo = apo_interval(models, DeltaMSM("balanced-beta"), [[1.0]], self.t_grid, 1.7)
         np.testing.assert_allclose(apo.lo, capo.lo, rtol=1e-13)
@@ -425,28 +424,28 @@ class TestCurves:
     def test_cmsm_capo_matches_uniform(self):
         # per-instance the CMSM box is the uniform box scaled by the nominal
         # density, and the self-normalized ratio is scale invariant
-        models = (self.outcome(), PropensityStub([4.0], [2.0]))
+        models = FittedModels(self.outcome(), PropensityStub([4.0], [2.0]))
         cmsm = capo_interval(models, CMSM(), [0.0], self.t_grid, 1.8)
         uniform = capo_interval(models, Uniform(), [0.0], self.t_grid, 1.8)
         np.testing.assert_allclose(cmsm.lo, uniform.lo, rtol=1e-12)
         np.testing.assert_allclose(cmsm.hi, uniform.hi, rtol=1e-12)
 
     def test_apo_pools_draws_before_extremizing(self):
-        models = (self.outcome(), PropensityStub([3.0, 6.0], [3.0, 1.5]))
+        models = FittedModels(self.outcome(), PropensityStub([3.0, 6.0], [3.0, 1.5]))
         xs = [[0.0], [1.0]]
         gamma = 1.9
         t = 0.35
         curve = apo_interval(models, DeltaMSM("beta"), xs, [t, 0.5], gamma)
-        params = models[1].predict(np.asarray(xs))
-        bounds = divisor_bounds(DeltaMSM("beta"), params, t, gamma)
-        draws = outcome_draws(self.outcome(), t, xs, bounds)
+        params = models.propensity.predict(np.asarray(xs))
+        d_lo, d_hi = DivisorEngine(DeltaMSM("beta"), params).bounds(t, gamma)
+        draws = outcome_draws(self.outcome(), t, xs, d_lo, d_hi)
         assert curve.lo[0] == pytest.approx(extremize(*draws, "min"), rel=1e-12)
         assert curve.hi[0] == pytest.approx(extremize(*draws, "max"), rel=1e-12)
 
     def test_apo_flags_and_drops_undefined_instances(self):
         # at gamma = 2.5 and t = 0.9 the far-from-dose instance loses its
         # positive divisor floor while the nearby instance keeps it
-        models = (self.outcome(), PropensityStub([9.0, 1.0], [2.0, 9.0]))
+        models = FittedModels(self.outcome(), PropensityStub([9.0, 1.0], [2.0, 9.0]))
         xs = [[0.0], [1.0]]
         grid = [0.5, 0.9]
         mixed = apo_interval(models, DeltaMSM("beta"), xs, grid, 2.5)
@@ -464,7 +463,7 @@ class TestCurves:
         rng = np.random.default_rng(42)
         outcome = self.outcome()
         for _ in range(10):
-            models = (
+            models = FittedModels(
                 outcome,
                 PropensityStub(rng.uniform(0.8, 9.0, 3), rng.uniform(0.8, 9.0, 3)),
             )
@@ -475,7 +474,7 @@ class TestCurves:
             assert np.all(curve.lo[good] <= curve.hi[good] + 1e-12)
 
     def test_apo_requires_instances(self):
-        models = (self.outcome(), PropensityStub([3.0], [3.0]))
+        models = FittedModels(self.outcome(), PropensityStub([3.0], [3.0]))
         with pytest.raises(ValueError):
             apo_interval(models, Uniform(), np.empty((0, 1)), self.t_grid, 1.5)
 
@@ -505,7 +504,7 @@ class TestApoBandMatrix:
         lo, hi, undefined = apo_band_matrix(engine, prob, self.t_grid, self.gamma_grid)
         assert lo.shape == hi.shape == undefined.shape == (7, 6)
         for g, gamma in enumerate(self.gamma_grid):
-            curve = apo_interval((outcome, propensity), model, xs, self.t_grid, float(gamma))
+            curve = apo_interval(FittedModels(outcome, propensity), model, xs, self.t_grid, float(gamma))
             np.testing.assert_array_equal(undefined[:, g], curve.undefined_mask)
             np.testing.assert_allclose(lo[:, g], curve.lo, rtol=1e-13, atol=1e-15)
             np.testing.assert_allclose(hi[:, g], curve.hi, rtol=1e-13, atol=1e-15)
@@ -519,7 +518,7 @@ class TestApoBandMatrix:
         engine = DivisorEngine(model, propensity.predict(np.asarray(xs)))
         lo, hi, _ = apo_band_matrix(engine, prob, self.t_grid, self.gamma_grid)
         for g, gamma in enumerate(self.gamma_grid):
-            curve = apo_interval((outcome, propensity), model, xs, self.t_grid, float(gamma))
+            curve = apo_interval(FittedModels(outcome, propensity), model, xs, self.t_grid, float(gamma))
             np.testing.assert_allclose(lo[:, g], curve.lo, rtol=1e-13)
             np.testing.assert_allclose(hi[:, g], curve.hi, rtol=1e-13)
 
@@ -624,7 +623,7 @@ class TestBandKernelProperties:
         alphas, betas, prob, t_grid, gammas = case
         row = data.draw(st.integers(0, len(alphas) - 1))
         outcome = BernoulliStub(lambda x, t: prob[int(np.argmin(np.abs(t_grid - t))), int(x[0])])
-        models = (outcome, PropensityStub(alphas, betas))
+        models = FittedModels(outcome, PropensityStub(alphas, betas))
         for model in self.collapsing + [CMSM()]:
             engine = DivisorEngine(model, BetaPropensity(alphas[row : row + 1], betas[row : row + 1]))
             lo, hi, undefined = apo_band_matrix(engine, prob[:, row : row + 1], t_grid, gammas)

@@ -1,13 +1,22 @@
-"""Byte-identity of benchmark reports against checked-in references.
+"""Byte-identity of command outputs against checked-in references.
 
 Each directory under ``tests/golden`` holds a run ``config.json`` and the
 ``summary.json`` and ``trials.csv`` that ``dosebounds benchmark`` wrote for
 it.  Every run must reproduce both files byte for byte, with one worker and
-with two.  A change that moves the numbers on purpose regenerates the
+with two.  ``tests/golden_bounds`` holds the ``bounds.csv`` (as
+``<target>_<model>.csv``) and the shared ``models.json`` that
+``dosebounds bounds --gamma 1.5`` wrote on the ``dgp --trial --seed 0``
+bundle.  A change that moves the numbers on purpose regenerates the
 references and says so in CHANGES.md:
 
     PYTHONPATH=src python -m dosebounds.cli benchmark \\
         --config tests/golden/<case>/config.json --out tests/golden/<case>
+
+    PYTHONPATH=src python -m dosebounds.cli dgp --trial --seed 0 --out bundle
+    PYTHONPATH=src python -m dosebounds.cli bounds --data bundle/train.csv \\
+        --gamma 1.5 --model <model> [--target capo --instance 0] --out out
+    cp out/bounds.csv tests/golden_bounds/<target>_<model>.csv
+    cp out/models.json tests/golden_bounds/models.json
 """
 
 from pathlib import Path
@@ -18,6 +27,14 @@ from dosebounds import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(path.name for path in GOLDEN.iterdir() if path.is_dir())
+GOLDEN_BOUNDS = Path(__file__).parent / "golden_bounds"
+BOUNDS_CASES = {
+    "apo_deltamsm": ["--model", "deltamsm"],
+    "apo_cmsm": ["--model", "cmsm"],
+    "apo_uniform": ["--model", "uniform"],
+    "apo_binarymsm": ["--model", "binarymsm"],
+    "capo_deltamsm": ["--model", "deltamsm", "--target", "capo", "--instance", "0"],
+}
 
 
 def test_every_case_is_complete():
@@ -35,3 +52,18 @@ def test_benchmark_reports_match_the_reference(tmp_path, monkeypatch, case, work
     assert cli.main(["benchmark", "--config", str(config), "--out", str(tmp_path)]) == 0
     for name in ("summary.json", "trials.csv"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def seed0_training_table(tmp_path_factory):
+    bundle = tmp_path_factory.mktemp("bundle")
+    assert cli.main(["dgp", "--trial", "--seed", "0", "--out", str(bundle)]) == 0
+    return bundle / "train.csv"
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDS_CASES))
+def test_bounds_outputs_match_the_reference(tmp_path, seed0_training_table, case):
+    argv = ["bounds", "--data", str(seed0_training_table), "--gamma", "1.5"]
+    assert cli.main(argv + BOUNDS_CASES[case] + ["--out", str(tmp_path)]) == 0
+    assert (tmp_path / "bounds.csv").read_bytes() == (GOLDEN_BOUNDS / f"{case}.csv").read_bytes()
+    assert (tmp_path / "models.json").read_bytes() == (GOLDEN_BOUNDS / "models.json").read_bytes()

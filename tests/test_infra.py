@@ -1,10 +1,15 @@
+import ast
 import glob
+import importlib
 import importlib.util
+import json
 import os
+import re
 
 import numpy as np
 import pytest
 
+from dosebounds.cli import load_run_config
 from dosebounds.fileio import (
     atomic_write_text,
     format_float,
@@ -13,6 +18,32 @@ from dosebounds.fileio import (
     write_json,
 )
 from dosebounds.seeds import derive_seed, substream
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_blocks(language):
+    with open(README, encoding="utf-8") as handle:
+        text = handle.read()
+    return re.findall(rf"^```{language}\n(.*?)^```$", text, flags=re.M | re.S)
+
+
+class TestReadme:
+    def test_benchmark_config_block_is_the_default_config(self):
+        (block,) = readme_blocks("json")
+        assert load_run_config(json.loads(block)) == load_run_config({})
+
+    def test_python_blocks_import_existing_names(self):
+        imported = []
+        for block in readme_blocks("python"):
+            for node in ast.walk(ast.parse(block)):
+                if isinstance(node, ast.ImportFrom) and node.module.startswith("dosebounds"):
+                    module = importlib.import_module(node.module)
+                    imported += [(module, alias.name) for alias in node.names]
+        assert imported
+        missing = [name for module, name in imported if not hasattr(module, name)]
+        assert not missing
 
 
 class TestSeeds:

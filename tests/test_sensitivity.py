@@ -17,8 +17,6 @@ from dosebounds.sensitivity import (
     PartialIdentificationError,
     Uniform,
     compound,
-    default_trust_precision,
-    divisor_bounds,
     lambda_expectation_bounds,
     trust_params,
 )
@@ -219,30 +217,30 @@ class TestDivisorBounds:
         prop = BetaPropensity(2.0, 2.0)
         t = 0.4
         density = float(prop.pdf(t))
-        bounds = divisor_bounds(CMSM(), prop, t, 2.0)
-        assert bounds.d_lo == pytest.approx(density / 2.0, rel=1e-12)
-        assert bounds.d_hi == pytest.approx(density * 2.0, rel=1e-12)
+        d_lo, d_hi = DivisorEngine(CMSM(), prop).bounds(t, 2.0)
+        assert d_lo == pytest.approx(density / 2.0, rel=1e-12)
+        assert d_hi == pytest.approx(density * 2.0, rel=1e-12)
 
     def test_uniform(self):
-        bounds = divisor_bounds(Uniform(), BetaPropensity(5.0, 1.0), 0.9, 2.0)
-        assert bounds.d_lo == pytest.approx(0.5)
-        assert bounds.d_hi == pytest.approx(2.0)
+        d_lo, d_hi = DivisorEngine(Uniform(), BetaPropensity(5.0, 1.0)).bounds(0.9, 2.0)
+        assert d_lo == pytest.approx(0.5)
+        assert d_hi == pytest.approx(2.0)
 
     def test_binary_msm_balanced_odds(self):
         # symmetric propensity puts mass 1/2 on each side of the threshold
         prop = BetaPropensity(3.0, 3.0)
-        bounds = divisor_bounds(BinaryMSM(), prop, 0.7, 2.0)
-        assert bounds.d_lo == pytest.approx(2.0 / 3.0, rel=1e-10)
-        assert bounds.d_hi == pytest.approx(4.0 / 3.0, rel=1e-10)
+        d_lo, d_hi = DivisorEngine(BinaryMSM(), prop).bounds(0.7, 2.0)
+        assert d_lo == pytest.approx(2.0 / 3.0, rel=1e-10)
+        assert d_hi == pytest.approx(4.0 / 3.0, rel=1e-10)
 
     def test_binary_msm_uses_correct_arm(self):
         prop = BetaPropensity(2.0, 6.0)
         below = reg_inc_beta(2.0, 6.0, 0.5)
         gamma = 1.8
         for t, e in ((0.2, below), (0.8, 1.0 - below)):
-            bounds = divisor_bounds(BinaryMSM(), prop, t, gamma)
-            assert bounds.d_lo == pytest.approx(1.0 / (e + gamma * (1.0 - e)), rel=1e-12)
-            assert bounds.d_hi == pytest.approx(gamma / (gamma * e + 1.0 - e), rel=1e-12)
+            d_lo, d_hi = DivisorEngine(BinaryMSM(), prop).bounds(t, gamma)
+            assert d_lo == pytest.approx(1.0 / (e + gamma * (1.0 - e)), rel=1e-12)
+            assert d_hi == pytest.approx(gamma / (gamma * e + 1.0 - e), rel=1e-12)
 
     def test_gamma_one_is_exact_for_every_model(self):
         prop = BetaPropensity(2.7, 1.9)
@@ -252,26 +250,25 @@ class TestDivisorBounds:
             Uniform(),
             BinaryMSM(),
         ):
-            bounds = divisor_bounds(model, prop, 0.3, 1.0)
-            assert bounds.d_lo == pytest.approx(1.0, abs=1e-12)
-            assert bounds.d_hi == pytest.approx(1.0, abs=1e-12)
+            d_lo, d_hi = DivisorEngine(model, prop).bounds(0.3, 1.0)
+            assert d_lo == pytest.approx(1.0, abs=1e-12)
+            assert d_hi == pytest.approx(1.0, abs=1e-12)
         for scheme, prop2 in (
             ("gamma", GammaPropensity(3.0, 2.0)),
             ("gaussian", GaussianPropensity(0.1, 0.8)),
         ):
-            bounds = divisor_bounds(DeltaMSM(scheme), prop2, 0.3, 1.0)
-            assert bounds.d_lo == pytest.approx(1.0, abs=1e-12)
-            assert bounds.d_hi == pytest.approx(1.0, abs=1e-12)
+            d_lo, d_hi = DivisorEngine(DeltaMSM(scheme), prop2).bounds(0.3, 1.0)
+            assert d_lo == pytest.approx(1.0, abs=1e-12)
+            assert d_hi == pytest.approx(1.0, abs=1e-12)
 
     def test_beta_scheme_matches_termwise_quadrature(self):
         prop = BetaPropensity(3.0, 3.0)
         t, gamma = 0.5, 1.5
-        r = default_trust_precision(prop)
-        q = compound(prop, trust_params("beta", t, r))
+        q = compound(prop, trust_params("beta", t, prop.nominal_precision))
         oracle = anchored_divisor_oracle(q, t, gamma)
-        bounds = divisor_bounds(DeltaMSM("beta"), prop, t, gamma)
-        assert bounds.d_lo == pytest.approx(oracle[0], abs=1e-7)
-        assert bounds.d_hi == pytest.approx(oracle[1], abs=1e-7)
+        d_lo, d_hi = DivisorEngine(DeltaMSM("beta"), prop).bounds(t, gamma)
+        assert d_lo == pytest.approx(oracle[0], abs=1e-7)
+        assert d_hi == pytest.approx(oracle[1], abs=1e-7)
 
     @pytest.mark.parametrize(
         "scheme,prop,t",
@@ -283,31 +280,30 @@ class TestDivisorBounds:
     )
     def test_anchored_schemes_match_termwise_quadrature(self, scheme, prop, t):
         gamma = 1.8
-        r = default_trust_precision(prop)
-        q = compound(prop, trust_params(scheme, t, r))
+        q = compound(prop, trust_params(scheme, t, prop.nominal_precision))
         oracle = anchored_divisor_oracle(q, t, gamma)
-        bounds = divisor_bounds(DeltaMSM(scheme), prop, t, gamma)
-        assert bounds.d_lo == pytest.approx(oracle[0], abs=1e-7)
-        assert bounds.d_hi == pytest.approx(oracle[1], abs=1e-7)
+        d_lo, d_hi = DivisorEngine(DeltaMSM(scheme), prop).bounds(t, gamma)
+        assert d_lo == pytest.approx(oracle[0], abs=1e-7)
+        assert d_hi == pytest.approx(oracle[1], abs=1e-7)
 
     def test_balanced_beta_mixes_both_anchors(self):
         prop = BetaPropensity(3.5, 2.0)
         t, gamma = 0.3, 1.7
-        r = float(default_trust_precision(prop))
+        r = float(prop.nominal_precision)
         q0 = compound(prop, trust_params("beta", t, r))
         q1 = compound(prop.flipped(), trust_params("beta", 1.0 - t, r))
         lo0, hi0 = anchored_divisor_oracle(q0, t, gamma)
         lo1, hi1 = anchored_divisor_oracle(q1, 1.0 - t, gamma)
-        bounds = divisor_bounds(DeltaMSM("balanced-beta"), prop, t, gamma)
-        assert bounds.d_lo == pytest.approx(t * lo0 + (1.0 - t) * lo1, abs=1e-7)
-        assert bounds.d_hi == pytest.approx(t * hi0 + (1.0 - t) * hi1, abs=1e-7)
+        d_lo, d_hi = DivisorEngine(DeltaMSM("balanced-beta"), prop).bounds(t, gamma)
+        assert d_lo == pytest.approx(t * lo0 + (1.0 - t) * lo1, abs=1e-7)
+        assert d_hi == pytest.approx(t * hi0 + (1.0 - t) * hi1, abs=1e-7)
 
     def test_balanced_beta_grid_matches_flipped_compounds_and_series(self):
         # the engine reuses one 1F1 table for the mirror compound; rebuild both
         # anchors from the flipped propensity and the elementwise series
         rng = np.random.default_rng(9)
         prop = BetaPropensity(rng.uniform(1e-7, 100.0, 6), rng.uniform(1e-7, 100.0, 6))
-        r = default_trust_precision(prop)
+        r = prop.nominal_precision
         gammas = np.linspace(1.0, 10.0, 9)[:, None]
         s = np.log(gammas)
         for t in (0.0, 0.37, 1.0):
@@ -332,12 +328,12 @@ class TestDivisorBounds:
         for _ in range(20):
             a, b = rng.uniform(0.8, 20.0, size=2)
             t = rng.uniform(0.0, 1.0)
-            fwd = divisor_bounds(DeltaMSM("balanced-beta"), BetaPropensity(a, b), t, gamma)
-            rev = divisor_bounds(
-                DeltaMSM("balanced-beta"), BetaPropensity(b, a), 1.0 - t, gamma
+            fwd = DivisorEngine(DeltaMSM("balanced-beta"), BetaPropensity(a, b)).bounds(t, gamma)
+            rev = DivisorEngine(DeltaMSM("balanced-beta"), BetaPropensity(b, a)).bounds(
+                1.0 - t, gamma
             )
-            assert fwd.d_lo == pytest.approx(rev.d_lo, rel=1e-12)
-            assert fwd.d_hi == pytest.approx(rev.d_hi, rel=1e-12)
+            assert fwd[0] == pytest.approx(rev[0], rel=1e-12)
+            assert fwd[1] == pytest.approx(rev[1], rel=1e-12)
 
     def test_admissible_models_bracket_one(self):
         rng = np.random.default_rng(42)
@@ -352,17 +348,17 @@ class TestDivisorBounds:
                 Uniform(),
                 BinaryMSM(),
             ):
-                bounds = divisor_bounds(model, prop, t, gamma)
-                assert bounds.d_lo <= 1.0 + 1e-10
-                assert bounds.d_hi >= 1.0 - 1e-10
+                d_lo, d_hi = DivisorEngine(model, prop).bounds(t, gamma)
+                assert d_lo <= 1.0 + 1e-10
+                assert d_hi >= 1.0 - 1e-10
 
     def test_monotone_in_gamma(self):
         prop = BetaPropensity(4.0, 3.0)
         gammas = np.linspace(1.0, 2.5, 20)
         for model in (DeltaMSM("balanced-beta"), CMSM(), Uniform(), BinaryMSM()):
-            results = [divisor_bounds(model, prop, 0.35, g) for g in gammas]
-            los = [r.d_lo for r in results]
-            his = [r.d_hi for r in results]
+            results = [DivisorEngine(model, prop).bounds(0.35, g) for g in gammas]
+            los = [d_lo for d_lo, _ in results]
+            his = [d_hi for _, d_hi in results]
             assert np.all(np.diff(los) <= 1e-12)
             assert np.all(np.diff(his) >= -1e-12)
 
@@ -382,60 +378,65 @@ class TestDivisorBounds:
             assert lo == pytest.approx(gamma ** (-abs(t)), abs=1e-4)
             assert hi == pytest.approx(gamma ** (+abs(t)), abs=1e-4)
 
-    def test_upper_undefined_flag(self):
-        bounds = divisor_bounds(Uniform(), BetaPropensity(1.0, 1.0), 0.5, 2.0)
-        assert not bounds.upper_undefined
+    def test_divisor_floor_can_cross_zero(self):
+        d_lo, _ = DivisorEngine(Uniform(), BetaPropensity(1.0, 1.0)).bounds(0.5, 2.0)
+        assert d_lo > 0.0
         # a propensity concentrated far from the queried dose loses d_lo > 0
         prop = BetaPropensity(0.9, 60.0)
-        stressed = divisor_bounds(DeltaMSM("beta"), prop, 1.0, 2.5, trust_precision=0.5)
-        assert stressed.d_lo <= 0.0
-        assert stressed.upper_undefined
+        d_lo, _ = DivisorEngine(DeltaMSM("beta"), prop, trust_precision=0.5).bounds(1.0, 2.5)
+        assert d_lo <= 0.0
 
     def test_array_propensity_matches_scalar_loop(self):
         alphas = np.array([1.5, 3.0, 7.0])
         betas = np.array([2.0, 2.5, 1.2])
         t, gamma = 0.4, 1.9
         for model in (DeltaMSM("balanced-beta"), CMSM(), Uniform(), BinaryMSM()):
-            batch = divisor_bounds(model, BetaPropensity(alphas, betas), t, gamma)
+            batch = DivisorEngine(model, BetaPropensity(alphas, betas)).bounds(t, gamma)
+            batch = np.broadcast_arrays(*batch)
             for i in range(3):
-                single = divisor_bounds(
-                    model, BetaPropensity(float(alphas[i]), float(betas[i])), t, gamma
-                )
-                assert batch.d_lo[i] == pytest.approx(single.d_lo, rel=1e-12)
-                assert batch.d_hi[i] == pytest.approx(single.d_hi, rel=1e-12)
+                single = DivisorEngine(
+                    model, BetaPropensity(float(alphas[i]), float(betas[i]))
+                ).bounds(t, gamma)
+                assert batch[0][i] == pytest.approx(single[0], rel=1e-12)
+                assert batch[1][i] == pytest.approx(single[1], rel=1e-12)
 
     def test_engine_cache_consistency(self):
         prop = BetaPropensity(3.0, 4.0)
         engine = DivisorEngine(DeltaMSM("balanced-beta"), prop)
         first = engine.bounds(0.3, 1.5)
         again = engine.bounds(0.3, 2.0)
-        fresh = divisor_bounds(DeltaMSM("balanced-beta"), prop, 0.3, 2.0)
-        assert again[0] == pytest.approx(fresh.d_lo, rel=1e-14)
-        assert again[1] == pytest.approx(fresh.d_hi, rel=1e-14)
+        fresh = DivisorEngine(DeltaMSM("balanced-beta"), prop).bounds(0.3, 2.0)
+        assert again[0] == pytest.approx(fresh[0], rel=1e-14)
+        assert again[1] == pytest.approx(fresh[1], rel=1e-14)
         assert first[0] >= again[0]
 
     def test_validation(self):
         prop = BetaPropensity(2.0, 2.0)
         with pytest.raises(ValueError):
-            divisor_bounds(DeltaMSM("beta"), prop, 0.5, 0.99)
+            DivisorEngine(DeltaMSM("beta"), prop).bounds(0.5, 0.99)
         with pytest.raises(ValueError):
-            divisor_bounds(DeltaMSM("gamma"), prop, 0.5, 1.5)
+            DivisorEngine(DeltaMSM("gamma"), prop)
         with pytest.raises(ValueError):
-            divisor_bounds(BinaryMSM(), GaussianPropensity(0.0, 1.0), 0.5, 1.5)
+            DivisorEngine(BinaryMSM(), GaussianPropensity(0.0, 1.0))
         with pytest.raises(ValueError):
             DeltaMSM("cauchy")
         with pytest.raises(ValueError):
             BinaryMSM(threshold=1.5)
         with pytest.raises(ValueError):
-            divisor_bounds(DeltaMSM("beta"), prop, 0.5, 1.5, trust_precision=-1.0)
+            DivisorEngine(DeltaMSM("beta"), prop, trust_precision=-1.0)
 
 
 class TestDefaultTrustPrecision:
     def test_matches_nominal_precision(self):
-        assert default_trust_precision(BetaPropensity(3.0, 5.0)) == pytest.approx(6.0)
-        assert default_trust_precision(GammaPropensity(8.0, 2.0)) == pytest.approx(2.0)
-        assert default_trust_precision(GaussianPropensity(0.0, 0.25)) == pytest.approx(4.0)
+        for scheme, prop, want in (
+            ("beta", BetaPropensity(3.0, 5.0), 6.0),
+            ("balanced-beta", BetaPropensity(3.0, 5.0), 6.0),
+            ("gamma", GammaPropensity(8.0, 2.0), 2.0),
+            ("gaussian", GaussianPropensity(0.0, 0.25), 4.0),
+        ):
+            assert prop.nominal_precision == pytest.approx(want)
+            assert DivisorEngine(DeltaMSM(scheme), prop).trust_precision == pytest.approx(want)
 
     def test_beta_floor(self):
         # diffuse propensities would give a non-positive heuristic precision
-        assert default_trust_precision(BetaPropensity(0.5, 0.5)) > 0.0
+        assert BetaPropensity(0.5, 0.5).nominal_precision > 0.0
