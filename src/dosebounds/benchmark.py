@@ -30,7 +30,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimator import IntervalCurve, apo_band_matrix
-from .models import FittedModels, TrainConfig, fit_outcome, fit_propensity, require_integer_fields
+from .models import (
+    FittedModels,
+    TrainConfig,
+    fit_outcome,
+    fit_propensity,
+    require_integer_fields,
+    require_real_fields,
+)
 from .seeds import derive_seed, substream
 from .sensitivity import CMSM, BinaryMSM, DeltaMSM, DivisorEngine, Uniform
 from .specfun import erf
@@ -115,6 +122,7 @@ class TrialConfig:
         require_integer_fields(
             self, "n_confounders", "n_train", "n_test", "t_grid_size", "gamma_grid_size", "seed"
         )
+        require_real_fields(self, "gamma_max", "target_coverage")
         if self.n_confounders < 2 or self.n_confounders % 2 != 0:
             raise ValueError("n_confounders must be even and >= 2 (half stay hidden)")
         if self.form not in ("linear", "quadratic"):

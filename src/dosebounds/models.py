@@ -58,6 +58,15 @@ def require_integer_fields(config, *names: str) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_real_fields(config, *names: str) -> None:
+    """Reject a named field that is not an int or a float (numpy ones too);
+    bools count as non-numbers."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 10.0
@@ -70,6 +79,7 @@ class TrainConfig:
 
     def __post_init__(self):
         require_integer_fields(self, "batches", "epochs", "seed")
+        require_real_fields(self, "learning_rate", "beta1", "beta2", "epsilon")
         if self.learning_rate <= 0.0 or self.batches < 1 or self.epochs < 0:
             raise ValueError("learning_rate > 0, batches >= 1, epochs >= 0 required")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.epsilon > 0.0):

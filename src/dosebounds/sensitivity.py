@@ -97,7 +97,12 @@ def _pow_log(base, exponent):
 
 @dataclass(frozen=True)
 class BetaPropensity:
-    """Beta(alpha_bar, beta_bar) treatment density on (0, 1)."""
+    """Beta(alpha_bar, beta_bar) treatment density on (0, 1).
+
+    ``pdf(tau)`` is ``exp(log_kernel(tau) - log_normaliser)``: the kernel
+    (a-1) log tau + (b-1) log(1 - tau) carries the dose, and the normaliser
+    log B(a, b) does not.
+    """
 
     alpha_bar: float | np.ndarray
     beta_bar: float | np.ndarray
@@ -111,11 +116,17 @@ class BetaPropensity:
         ):
             raise ValueError("Beta propensity requires finite alpha_bar > 0 and beta_bar > 0")
 
-    def pdf(self, tau):
+    @property
+    def log_normaliser(self):
         a, b = self.alpha_bar, self.beta_bar
+        return specfun.log_gamma(a) + specfun.log_gamma(b) - specfun.log_gamma(a + b)
+
+    def log_kernel(self, tau):
         tau = np.asarray(tau, dtype=float)
-        ln_norm = specfun.log_gamma(a) + specfun.log_gamma(b) - specfun.log_gamma(a + b)
-        return np.exp(_pow_log(tau, a - 1.0) + _pow_log(1.0 - tau, b - 1.0) - ln_norm)
+        return _pow_log(tau, self.alpha_bar - 1.0) + _pow_log(1.0 - tau, self.beta_bar - 1.0)
+
+    def pdf(self, tau):
+        return np.exp(self.log_kernel(tau) - self.log_normaliser)
 
     @property
     def nominal_precision(self):
@@ -129,7 +140,12 @@ class BetaPropensity:
 
 @dataclass(frozen=True)
 class GammaPropensity:
-    """Gamma(alpha_bar, rate beta_bar) treatment density on (0, inf)."""
+    """Gamma(alpha_bar, rate beta_bar) treatment density on (0, inf).
+
+    ``pdf(tau)`` is ``exp(log_kernel(tau) - log_normaliser)``: the kernel
+    (a-1) log tau - b tau carries the dose, and the normaliser
+    log Gamma(a) - a log b does not.
+    """
 
     alpha_bar: float | np.ndarray
     beta_bar: float | np.ndarray
@@ -143,10 +159,16 @@ class GammaPropensity:
         ):
             raise ValueError("Gamma propensity requires finite alpha_bar > 0 and beta_bar > 0")
 
-    def pdf(self, tau):
-        a, b = self.alpha_bar, self.beta_bar
+    @property
+    def log_normaliser(self):
+        return specfun.log_gamma(self.alpha_bar) - self.alpha_bar * np.log(self.beta_bar)
+
+    def log_kernel(self, tau):
         tau = np.asarray(tau, dtype=float)
-        return np.exp(a * np.log(b) + _pow_log(tau, a - 1.0) - b * tau - specfun.log_gamma(a))
+        return _pow_log(tau, self.alpha_bar - 1.0) - self.beta_bar * tau
+
+    def pdf(self, tau):
+        return np.exp(self.log_kernel(tau) - self.log_normaliser)
 
     @property
     def nominal_precision(self):
@@ -156,7 +178,12 @@ class GammaPropensity:
 
 @dataclass(frozen=True)
 class GaussianPropensity:
-    """Normal(mu_bar, sigma_bar^2) treatment density on the real line."""
+    """Normal(mu_bar, sigma_bar^2) treatment density on the real line.
+
+    ``pdf(tau)`` is ``exp(log_kernel(tau) - log_normaliser)``: the kernel
+    -z^2 / 2 with z = (tau - mu) / sigma carries the dose, and the
+    normaliser log(sigma sqrt(2 pi)) does not.
+    """
 
     mu_bar: float | np.ndarray
     sigma_bar: float | np.ndarray
@@ -168,9 +195,16 @@ class GaussianPropensity:
         if not _all_finite(self.mu_bar, self.sigma_bar) or not _all_positive(self.sigma_bar):
             raise ValueError("Gaussian propensity requires finite mu_bar and sigma_bar > 0")
 
-    def pdf(self, tau):
+    @property
+    def log_normaliser(self):
+        return np.log(self.sigma_bar) + 0.5 * math.log(2.0 * math.pi)
+
+    def log_kernel(self, tau):
         z = (np.asarray(tau, dtype=float) - self.mu_bar) / self.sigma_bar
-        return np.exp(-0.5 * z * z) / (self.sigma_bar * math.sqrt(2.0 * math.pi))
+        return -0.5 * z * z
+
+    def pdf(self, tau):
+        return np.exp(self.log_kernel(tau) - self.log_normaliser)
 
     @property
     def nominal_precision(self):
@@ -488,12 +522,14 @@ def _check_gamma(gamma_factor):
 class DivisorEngine:
     """Divisor-bound evaluator for one sensitivity model.
 
-    Precomputes only what does not depend on (t, gamma_factor), such as the
-    dichotomized propensities of ``BinaryMSM``; every ``bounds`` call is
-    otherwise a pure function of its arguments.  Propensity parameters may be
-    arrays covering many instances at once, and gamma_factor may be a column
-    of budgets; bounds then broadcast to (gammas, instances).  Only
-    ``DeltaMSM`` reads ``trust_precision`` (default ``nominal_precision``).
+    Precomputes only what does not depend on (t, gamma_factor): the
+    propensity's log-normaliser for ``CMSM``, so a dose sweep evaluates only
+    the density kernel per dose, and the dichotomized propensities of
+    ``BinaryMSM``; every ``bounds`` call is otherwise a pure function of its
+    arguments.  Propensity parameters may be arrays covering many instances
+    at once, and gamma_factor may be a column of budgets; bounds then
+    broadcast to (gammas, instances).  Only ``DeltaMSM`` reads
+    ``trust_precision`` (default ``nominal_precision``).
     """
 
     def __init__(
@@ -522,7 +558,9 @@ class DivisorEngine:
             self._below = specfun.reg_inc_beta(
                 propensity.alpha_bar, propensity.beta_bar, model.threshold
             )
-        elif not isinstance(model, (CMSM, Uniform)):
+        elif isinstance(model, CMSM):
+            self._log_normaliser = propensity.log_normaliser
+        elif not isinstance(model, Uniform):
             raise ValueError(f"unknown sensitivity model {type(model).__name__}")
 
     def bounds(self, t, gamma_factor):
@@ -536,9 +574,9 @@ class DivisorEngine:
         if isinstance(model, CMSM):
             # +-inf edges stay infinite under the clearance
             lo_edge, hi_edge = self.propensity.support
-            density = self.propensity.pdf(
-                np.clip(t, lo_edge + _EDGE_CLEARANCE, hi_edge - _EDGE_CLEARANCE)
-            )
+            tau = np.clip(t, lo_edge + _EDGE_CLEARANCE, hi_edge - _EDGE_CLEARANCE)
+            # the propensity's pdf, with its normaliser read once per engine
+            density = np.exp(self.propensity.log_kernel(tau) - self._log_normaliser)
             return density / gamma, density * gamma
         if isinstance(model, Uniform):
             prop = self.propensity

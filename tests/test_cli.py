@@ -480,6 +480,9 @@ class TestConfigTypes:
             ("trial.n_test", True, "n_test must be an integer, got True"),
             ("train.epochs", 2.5, "epochs must be an integer, got 2.5"),
             ("train.batches", True, "batches must be an integer, got True"),
+            ("train.lr", True, "learning_rate must be a number, got True"),
+            ("trial.gamma_max", True, "gamma_max must be a number, got True"),
+            ("trial.target_coverage", False, "target_coverage must be a number, got False"),
             ("seed", 1.5, "seed must be an integer, got 1.5"),
             ("raw", {"path": 5}, "config.raw.path must be a string, got 5"),
             ("raw", {"path": True}, "config.raw.path must be a string, got True"),
@@ -492,6 +495,15 @@ class TestConfigTypes:
         assert run("benchmark", "--config", config, "--out", tmp_path) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("learning_rate", True), ("beta1", False), ("beta2", False), ("epsilon", True)],
+    )
+    def test_boolean_train_numbers_are_rejected(self, field, value):
+        # beta1, beta2 and epsilon have no config key, so they are checked directly
+        with pytest.raises(ValueError, match=f"{field} must be a number, got {value}"):
+            TrainConfig(**{field: value})
 
     def test_numpy_integers_are_integers(self):
         trial = bm.TrialConfig(n_train=np.int64(60), t_grid_size=np.int32(7), seed=np.uint8(3))

@@ -633,6 +633,35 @@ class TestBandKernelProperties:
                 np.testing.assert_allclose(curve.lo, lo[:, g], rtol=0, atol=1e-15)
                 np.testing.assert_allclose(curve.hi, hi[:, g], rtol=0, atol=1e-15)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="a gamma column's 1F1 sum depends on the sweep's row count; "
+        "ROADMAP item 2's batch-independent kernel is the fix",
+    )
+    @pytest.mark.parametrize(
+        "alpha, beta, prob, gammas",
+        [
+            # off by 1.1379786002407855e-15 on the low bound
+            (48.5625, 1.25, [0.9375, 0.0, 0.0, 0.0], [1.0, 1.5, 1.80859375, 1.99609375]),
+            # off by 1.6375789613221059e-15 on the low bound
+            (22.0, 2.0, [0.0, 0.984375, 0.0, 0.0, 0.0, 0.0], [1.0, 1.5, 1.75, 2.125, 2.5]),
+        ],
+    )
+    def test_lone_gamma_column_matches_the_sweep(self, alpha, beta, prob, gammas):
+        # Hypothesis examples of test_capo_is_the_one_gamma_column that miss
+        # its atol of 1e-15 at the largest gamma
+        propensity = BetaPropensity(np.array([alpha]), np.array([beta]))
+        engine = DivisorEngine(DeltaMSM("balanced-beta"), propensity)
+        prob = np.array(prob)[:, None]
+        t_grid = np.linspace(0.0, 1.0, len(prob))
+        gammas = np.array(gammas)
+        lo, hi, undefined = apo_band_matrix(engine, prob, t_grid, gammas)
+        lone_lo, lone_hi, lone_undefined = apo_band_matrix(engine, prob, t_grid, gammas[-1:])
+        np.testing.assert_array_equal(lone_undefined[:, 0], undefined[:, -1])
+        np.testing.assert_allclose(lone_hi[:, 0], hi[:, -1], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(lone_lo[:, 0], lo[:, -1], rtol=0, atol=1e-15)
+
 
 def flat_curve(grid, fn, half_width=0.0):
     values = np.array([fn(t) for t in grid])

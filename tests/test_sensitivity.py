@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from dosebounds import specfun
+from dosebounds.estimator import apo_band_matrix
 from dosebounds.sensitivity import (
+    _EDGE_CLEARANCE,
     CMSM,
     BetaCompound,
     BetaPropensity,
@@ -16,6 +19,7 @@ from dosebounds.sensitivity import (
     GaussianPropensity,
     PartialIdentificationError,
     Uniform,
+    _pow_log,
     compound,
     lambda_expectation_bounds,
     trust_params,
@@ -144,6 +148,104 @@ class TestCompound:
         second = integrate(lambda tau: tau * tau * q.pdf(tau), lo, hi)
         assert q.mean == pytest.approx(mean, rel=1e-8)
         assert q.variance == pytest.approx(second - mean * mean, rel=1e-7)
+
+
+def random_propensities(rng, n):
+    """One Beta, Gamma and Gaussian propensity, each over n random instances."""
+    return [
+        BetaPropensity(rng.uniform(0.3, 80.0, n), rng.uniform(0.3, 80.0, n)),
+        GammaPropensity(rng.uniform(0.3, 40.0, n), rng.uniform(0.3, 40.0, n)),
+        GaussianPropensity(rng.uniform(-1.0, 2.0, n), rng.uniform(0.05, 3.0, n)),
+    ]
+
+
+class TestDensitySplit:
+    """``pdf`` = exp(log_kernel - log_normaliser), with the normaliser dose-free."""
+
+    @pytest.mark.parametrize(
+        "propensity",
+        [
+            BetaPropensity(1.0, 1.0),
+            BetaPropensity(2.5, 4.0),
+            BetaPropensity(40.0, 1.3),
+            GammaPropensity(3.0, 1.5),
+            GammaPropensity(12.0, 7.0),
+            GaussianPropensity(0.3, 0.8),
+            GaussianPropensity(-2.0, 0.05),
+        ],
+    )
+    def test_pdf_integrates_to_one(self, propensity):
+        lo, hi = propensity.support
+        assert integrate(propensity.pdf, lo, hi) == pytest.approx(1.0, abs=1e-9)
+
+    def test_pdf_matches_the_unsplit_formula(self):
+        rng = np.random.default_rng(5)
+        n = 400
+        beta, gamma, gaussian = random_propensities(rng, n)
+        a, b = beta.alpha_bar, beta.beta_bar
+        tau = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, n - 2)])
+        ln_beta = specfun.log_gamma(a) + specfun.log_gamma(b) - specfun.log_gamma(a + b)
+        old = np.exp(_pow_log(tau, a - 1.0) + _pow_log(1.0 - tau, b - 1.0) - ln_beta)
+        assert beta.pdf(tau).tobytes() == old.tobytes()
+
+        # the exponent's terms are summed in a new order, so a density that
+        # has not underflowed moves by rounding of order eps times their size
+        def close(new, old, terms):
+            size = sum(np.abs(term) for term in terms)
+            normal = old > np.finfo(float).tiny
+            assert normal.sum() > n // 2
+            error = np.abs(new[normal] / old[normal] - 1.0)
+            assert np.all(error <= 4.0 * np.finfo(float).eps * (1.0 + size[normal]))
+
+        a, b = gamma.alpha_bar, gamma.beta_bar
+        tau = rng.uniform(1e-3, 5.0, n)
+        terms = [a * np.log(b), _pow_log(tau, a - 1.0), b * tau, specfun.log_gamma(a)]
+        old = np.exp(terms[0] + terms[1] - terms[2] - terms[3])
+        close(gamma.pdf(tau), old, terms)
+        mu, sigma = gaussian.mu_bar, gaussian.sigma_bar
+        tau = rng.uniform(-3.0, 4.0, n)
+        z = (tau - mu) / sigma
+        old = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
+        close(gaussian.pdf(tau), old, [0.5 * z * z, np.log(sigma * math.sqrt(2.0 * math.pi))])
+
+    def test_cmsm_divisors_are_the_scaled_pdf(self):
+        rng = np.random.default_rng(9)
+        gammas = np.concatenate([[1.0], rng.uniform(1.0, 3.0, 6)])[:, None]
+        edges = [0.0, 1.0, _EDGE_CLEARANCE, 1.0 - _EDGE_CLEARANCE, 2e-6, 1.0 - 2e-6]
+        doses = edges + list(rng.uniform(0.0, 1.0, 8)) + [-0.5, 1.5, 4.0]
+        for propensity in random_propensities(rng, 50):
+            engine = DivisorEngine(CMSM(), propensity)
+            lo_edge, hi_edge = propensity.support
+            for t in doses:
+                if propensity.kind == "beta" and not 0.0 <= t <= 1.0:
+                    continue
+                d_lo, d_hi = engine.bounds(t, gammas)
+                tau = np.clip(t, lo_edge + _EDGE_CLEARANCE, hi_edge - _EDGE_CLEARANCE)
+                density = propensity.pdf(tau)
+                if propensity.kind == "beta":
+                    assert d_lo.tobytes() == (density / gammas).tobytes()
+                    assert d_hi.tobytes() == (density * gammas).tobytes()
+                else:
+                    np.testing.assert_allclose(d_lo, density / gammas, rtol=1e-14, atol=0)
+                    np.testing.assert_allclose(d_hi, density * gammas, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n_doses", [5, 40])
+    def test_cmsm_sweep_reads_the_normaliser_once(self, monkeypatch, n_doses):
+        calls = []
+        log_gamma = specfun.log_gamma
+
+        def counted(x):
+            calls.append(1)
+            return log_gamma(x)
+
+        monkeypatch.setattr(specfun, "log_gamma", counted)
+        rng = np.random.default_rng(n_doses)
+        propensity = BetaPropensity(rng.uniform(0.5, 50.0, 30), rng.uniform(0.5, 50.0, 30))
+        prob = rng.uniform(size=(n_doses, 30))
+        engine = DivisorEngine(CMSM(), propensity)
+        apo_band_matrix(engine, prob, np.linspace(0.0, 1.0, n_doses), np.linspace(1.0, 2.5, 10))
+        # log B(a, b) is three log-gamma calls, whatever the number of doses
+        assert len(calls) == 3
 
 
 class TestLambdaExpectationBounds:
