@@ -480,14 +480,14 @@ class TestConfigTypes:
             ("trial.n_test", True, "n_test must be an integer, got True"),
             ("train.epochs", 2.5, "epochs must be an integer, got 2.5"),
             ("train.batches", True, "batches must be an integer, got True"),
-            ("train.lr", True, "learning_rate must be a number, got True"),
-            ("trial.gamma_max", True, "gamma_max must be a number, got True"),
-            ("trial.target_coverage", False, "target_coverage must be a number, got False"),
             ("seed", 1.5, "seed must be an integer, got 1.5"),
             ("raw", {"path": 5}, "config.raw.path must be a string, got 5"),
             ("raw", {"path": True}, "config.raw.path must be a string, got True"),
             ("raw", {"path": ["a"]}, "config.raw.path must be a string, got ['a']"),
             ("out", 5, "config.out must be a string, got 5"),
+            ("train.lr", True, "learning_rate must be a number, got True"),
+            ("trial.gamma_max", True, "gamma_max must be a number, got True"),
+            ("trial.target_coverage", False, "target_coverage must be a number, got False"),
         ],
     )
     def test_bad_type_is_a_usage_error(self, tmp_path, capsys, no_fitting, key, value, message):
