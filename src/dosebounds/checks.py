@@ -30,6 +30,7 @@ from .specfun import integrate
 
 __all__ = [
     "CheckResult",
+    "MAX_EXTREMIZER_N",
     "SUITE_NAMES",
     "check_closed_forms",
     "check_extremizer",
@@ -41,6 +42,10 @@ __all__ = [
 SUITE_NAMES = ("closed-forms", "extremizer", "gradients")
 
 _MAX_REPORTED_FAILURES = 5
+
+# Brute force enumerates all 2^n corners of the weight box in 2^n x n arrays:
+# about 8 MB each at n = 16, 170 MB at 20 and past 3 GB at 24.
+MAX_EXTREMIZER_N = 16
 
 
 @dataclass(frozen=True)
@@ -202,6 +207,8 @@ def check_extremizer(
     """
     if instances < 1 or max_n < 1:
         raise ValueError("instances and max_n must be positive")
+    if max_n > MAX_EXTREMIZER_N:
+        raise ValueError(f"max_n must be at most {MAX_EXTREMIZER_N}, got {max_n}")
     rng = substream(seed, "extremizer")
     binary_rng = substream(seed, "extremizer", "bernoulli")
     worst = 0.0

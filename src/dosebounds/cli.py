@@ -10,8 +10,6 @@ Subcommands:
 Data goes to files (written atomically) or stdout; diagnostics go to stderr.
 Exit status is 0 on success, 1 on computation or check failure, 2 on usage
 errors.  Every command takes ``--seed`` and is fully deterministic given it.
-The ``DOSEBOUNDS_THREADS`` environment variable sets the default worker
-count for benchmark trials.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -46,17 +44,7 @@ class UsageError(ValueError):
 # benchmark run configuration (JSON document)
 
 _TOP_KEYS = {"trial", "train", "methods", "n_trials", "trust_precision", "raw", "seed", "out"}
-_TRIAL_KEYS = {
-    "n_confounders",
-    "form",
-    "n_train",
-    "n_test",
-    "t_grid_size",
-    "gamma_grid_size",
-    "gamma_max",
-    "target_coverage",
-    "seed",
-}
+_TRIAL_KEYS = {field.name for field in fields(bench.TrialConfig)}
 _TRAIN_KEYS = {"lr", "batches", "epochs"}
 _RAW_KEYS = {"rows", "cols", "path"}
 
@@ -279,6 +267,8 @@ def cmd_bounds(args) -> int:
         raise UsageError("--target capo requires --instance")
     if args.precision is not None and not 0.0 < args.precision < math.inf:
         raise UsageError(f"--precision must be positive and finite, got {args.precision}")
+    if args.precision is not None and args.model != "deltamsm":
+        raise UsageError("--precision only applies to --model deltamsm")
     sens = _sensitivity_from_flags(args.model, args.scheme)
     x, t, y = _load_training_table(args.data)
     if args.target == "capo" and not 0 <= args.instance < len(x):
@@ -318,10 +308,6 @@ def cmd_bounds(args) -> int:
 def cmd_benchmark(args) -> int:
     _require_positive(args, "trials")
     try:
-        workers = bench.thread_count()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    try:
         with open(args.config, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
@@ -349,7 +335,6 @@ def cmd_benchmark(args) -> int:
         methods=methods,
         n_trials=n_trials,
         train_config=config.train,
-        n_workers=workers,
         trust_precision=config.trust_precision,
     )
     bench.write_trials_csv(_out_path(out_dir, "trials.csv"), report)
@@ -374,6 +359,8 @@ def cmd_benchmark(args) -> int:
 
 def cmd_check(args) -> int:
     _require_positive(args, "samples", "instances", "n", "points")
+    if args.n > checks.MAX_EXTREMIZER_N:
+        raise UsageError(f"--n must be at most {checks.MAX_EXTREMIZER_N}, got {args.n}")
     if args.suite is not None:
         try:
             checks.resolve_suite(args.suite)
@@ -444,7 +431,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--samples", type=int, default=200, help="draws per closed-form family")
     check.add_argument("--instances", type=int, default=1000, help="extremizer instances")
-    check.add_argument("--n", type=int, default=12, help="max draws per extremizer instance")
+    check.add_argument(
+        "--n", type=int, default=12,
+        help=f"max draws per extremizer instance, at most {checks.MAX_EXTREMIZER_N}: "
+        "brute force builds 2^n x n arrays (8 MB at 16, 170 MB at 20)",
+    )
     check.add_argument("--points", type=int, default=100, help="gradient check points")
     check.add_argument("--seed", type=int, default=0)
     check.set_defaults(func=cmd_check)

@@ -342,24 +342,6 @@ class TestMethodRegistry:
             bm.sensitivity_model_for("msm")
 
 
-class TestThreadCount:
-    def test_defaults_to_one(self, monkeypatch):
-        monkeypatch.delenv("DOSEBOUNDS_THREADS", raising=False)
-        assert bm.thread_count() == 1
-
-    def test_reads_the_environment(self, monkeypatch):
-        monkeypatch.setenv("DOSEBOUNDS_THREADS", "4")
-        assert bm.thread_count() == 4
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("DOSEBOUNDS_THREADS", "many")
-        with pytest.raises(ValueError):
-            bm.thread_count()
-        monkeypatch.setenv("DOSEBOUNDS_THREADS", "0")
-        with pytest.raises(ValueError):
-            bm.thread_count()
-
-
 def fitted_for(trial, seed=0):
     config = dataclasses.replace(FAST_TRAIN, seed=seed)
     x = trial.visible(trial.train_idx)
@@ -633,18 +615,11 @@ class TestRunBenchmark:
         b = self.run_small().summary
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_worker_count_does_not_change_results(self):
-        config = small_config()
-        raw = bm.synthetic_raw(150, 5, seed=1)
-        serial = bm.run_benchmark(
-            config, raw, methods=("uniform",), n_trials=3, train_config=FAST_TRAIN, n_workers=1
-        )
-        threaded = bm.run_benchmark(
-            config, raw, methods=("uniform",), n_trials=3, train_config=FAST_TRAIN, n_workers=3
-        )
-        assert json.dumps(serial.summary, sort_keys=True) == json.dumps(
-            threaded.summary, sort_keys=True
-        )
+    def test_more_than_one_worker_is_rejected(self, monkeypatch):
+        # trials run serially; n_workers stays only as a keyword that must be 1
+        monkeypatch.setattr(bm, "generate_trial", lambda *args: pytest.fail("a trial ran"))
+        with pytest.raises(ValueError, match="n_workers must be 1"):
+            bm.run_benchmark(small_config(), bm.synthetic_raw(150, 5, seed=1), n_workers=2)
 
     def test_trial_failures_are_recorded_not_fatal(self, monkeypatch):
         real = bm.generate_trial

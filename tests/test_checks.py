@@ -121,6 +121,8 @@ class TestSuiteSelection:
             checks.check_closed_forms(samples=0)
         with pytest.raises(ValueError):
             checks.check_extremizer(instances=0)
+        with pytest.raises(ValueError, match="max_n must be at most 16"):
+            checks.check_extremizer(instances=1, max_n=17)
         with pytest.raises(ValueError):
             checks.check_gradients(points=0)
 

@@ -247,6 +247,16 @@ class TestBounds:
                    "--precision", "inf") == 2
         assert "--precision must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["cmsm", "uniform", "binarymsm"])
+    def test_precision_without_deltamsm_is_a_usage_error(self, tmp_path, capsys, no_fitting, model):
+        # only DeltaMSM has a trust precision
+        data = tmp_path / "train.csv"
+        write_training_csv(data)
+        assert run("bounds", "--data", data, "--model", model, "--gamma", "1.5",
+                   "--precision", 3, "--out", tmp_path) == 2
+        assert "--precision only applies to --model deltamsm" in capsys.readouterr().err
+        assert not (tmp_path / "bounds.csv").exists()
+
     def test_non_binary_outcomes_are_a_usage_error(self, tmp_path, capsys, no_fitting):
         data = tmp_path / "train.csv"
         fileio.write_csv(str(data), ["x0", "t", "y"], [[0.1, 0.5, 1.0], [0.2, 0.4, 0.5]])
@@ -402,13 +412,6 @@ class TestBenchmarkCommand:
         assert run("benchmark", "--config", config, "--trials", trials, "--out", tmp_path) == 2
         assert f"--trials must be a positive integer, got {trials}" in capsys.readouterr().err
 
-    def test_bad_thread_count_is_a_usage_error(self, tmp_path, capsys, monkeypatch, no_fitting):
-        monkeypatch.setenv("DOSEBOUNDS_THREADS", "abc")
-        config = benchmark_config(tmp_path)
-        assert run("benchmark", "--config", config, "--out", tmp_path) == 2
-        assert "DOSEBOUNDS_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
-        assert not (tmp_path / "summary.json").exists()
-
     def test_unknown_method_is_a_usage_error(self, tmp_path, capsys):
         config = benchmark_config(tmp_path, methods=["msm"])
         assert run("benchmark", "--config", config, "--out", tmp_path) == 2
@@ -537,6 +540,11 @@ class TestCheckCommand:
     def test_non_positive_size_is_a_usage_error(self, capsys, no_fitting, flag):
         assert run("check", flag, 0) == 2
         assert f"{flag} must be a positive integer, got 0" in capsys.readouterr().err
+
+    def test_n_over_the_cap_is_a_usage_error(self, capsys, no_fitting):
+        # brute force is exponential in --n, so the cap stops it before any suite
+        assert run("check", "--n", checks.MAX_EXTREMIZER_N + 1) == 2
+        assert f"--n must be at most {checks.MAX_EXTREMIZER_N}" in capsys.readouterr().err
 
     def test_failing_suite_sets_exit_one(self, monkeypatch, capsys):
         def broken(**kwargs):

@@ -44,10 +44,8 @@ def test_every_case_is_complete():
             assert (GOLDEN / case / name).is_file()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", CASES)
-def test_benchmark_reports_match_the_reference(tmp_path, monkeypatch, case, workers):
-    monkeypatch.setenv("DOSEBOUNDS_THREADS", str(workers))
+def test_benchmark_reports_match_the_reference(tmp_path, case):
     config = GOLDEN / case / "config.json"
     assert cli.main(["benchmark", "--config", str(config), "--out", str(tmp_path)]) == 0
     for name in ("summary.json", "trials.csv"):

@@ -142,3 +142,26 @@ class TestBenchmarkTracer:
             if attr not in vars(owner)
         ]
         assert not missing, f"perfbench tracer patches names that do not exist: {missing}"
+
+
+class TestPerfbenchWorkloads:
+    # one round of each perfbench workload, so an API break such as a dropped
+    # keyword shows here and not first as failed benchmark operations
+    KNOWN_FAULTS = {"trial": set(), "bounds": {("cmsm", "1.0")}, "capo": set()}
+
+    @pytest.mark.parametrize("name", sorted(KNOWN_FAULTS))
+    def test_one_round_runs_and_checks(self, tmp_path, monkeypatch, name):
+        pytest.importorskip("mpmath")
+        perfbench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+        monkeypatch.syspath_prepend(perfbench)
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", os.path.join(perfbench, "workloads.py")
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        workload = workloads.WORKLOADS[name]()
+        workload.prepare(str(tmp_path))
+        results = [(op, workload.run(op)) for op in workload.round_ops(0)]
+        problems, faults = workload.check(results)
+        assert not problems
+        assert faults <= self.KNOWN_FAULTS[name]
