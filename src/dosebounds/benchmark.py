@@ -547,7 +547,10 @@ def run_benchmark(
 def _summarize(config, methods, results) -> dict:
     completed = [r for r in results if r.error is None]
     stats = {
-        name: {"costs": [], "gammas": [], "coverages": [], "ratios": [], "credit": 0.0, "uncalibrated": 0}
+        name: {
+            "costs": [], "gammas": [], "coverages": [], "ratios": [],
+            "credit": 0.0, "uncalibrated": 0,
+        }
         for name in methods
     }
     for result in completed:

@@ -339,7 +339,10 @@ def cmd_benchmark(args) -> int:
     )
     bench.write_trials_csv(_out_path(out_dir, "trials.csv"), report)
     bench.write_summary_json(_out_path(out_dir, "summary.json"), report)
-    print(f"{'method':>10}  {'cost x1000':>11}  {'% best':>7}  {'ratio':>7}  {'gamma*':>7}  {'coverage':>8}")
+    print(
+        f"{'method':>10}  {'cost x1000':>11}  {'% best':>7}  {'ratio':>7}  "
+        f"{'gamma*':>7}  {'coverage':>8}"
+    )
     for name in dict.fromkeys(methods):
         stats = report.summary["per_method"][name]
         if stats["mean_cost_x1000"] is None:

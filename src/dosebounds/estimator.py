@@ -132,11 +132,12 @@ def _bernoulli_extremes(p_one, d_lo, d_hi, valid=None):
 
     The last axis indexes instances; leading axes are batch dimensions (for
     example a whole gamma grid at once), and the inputs broadcast against
-    each other, so a gamma column of divisors meets one row of probabilities.  The two outcome values per instance
-    enumerate the support, so weights are p(y)/d under a counting-measure
-    proposal.  With f in {0, 1} the sweep of ``_max_ratio_sorted`` always
-    stops at the 0/1 boundary: the maximum takes every one-draw at its upper
-    weight and every zero-draw at its lower weight, the minimum the reverse.
+    each other, so a gamma column of divisors meets one row of
+    probabilities.  The two outcome values per instance enumerate the
+    support, so weights are p(y)/d under a counting-measure proposal.  With
+    f in {0, 1} the sweep of ``_max_ratio_sorted`` always stops at the 0/1
+    boundary: the maximum takes every one-draw at its upper weight and every
+    zero-draw at its lower weight, the minimum the reverse.
     Hence
 
         hi = S_hi(1) / (S_hi(1) + S_lo(0)),  lo = S_lo(1) / (S_lo(1) + S_hi(0)),

@@ -6,7 +6,9 @@ module deliberately sticks to stdlib ``math`` plus numpy and implements the
 remaining special functions directly:
 
 * ``log_gamma`` and ``erf`` wrap ``math.lgamma`` / ``math.erf`` (vectorised),
-* ``digamma`` uses the ascending recurrence plus an asymptotic tail,
+* ``digamma`` shifts every argument by the same 10 recurrence steps, with
+  no data test, then applies the asymptotic series; measured against
+  mpmath, its error is at most 1e-15 * max(1, |psi(x)| + 1/x) on (0, 200],
 * ``hyp1f1`` (confluent hypergeometric) uses the Taylor series with the
   Kummer reflection for negative arguments, summed until it converges; it
   is the elementwise oracle for ``hyp1f1_grid``,
@@ -105,30 +107,29 @@ _DIGAMMA_TAIL = (
     1.0 / 132.0,
     -691.0 / 32760.0,
 )
-_DIGAMMA_SHIFT = 10.0
+_DIGAMMA_SHIFT = 10
 
 
 def digamma(x):
     """Logarithmic derivative of the gamma function for x > 0 (elementwise).
 
-    Arguments below 10 are raised by the recurrence psi(x+1) = psi(x) + 1/x
-    until the asymptotic series applies; combined error is below 1e-12.
-    Each element sees the same operations whatever else is in the array, so
-    one call on a concatenation equals the concatenated per-part calls bit
-    for bit; batching several arguments into one call is exact.
+    Every argument takes the same fixed shift, with no data test:
+    psi(x) = psi(x + 10) - sum_{j<10} 1/(x + j), then the asymptotic series
+    at x + 10.  Measured against mpmath over (0, 200], the error is at most
+    1e-15 * max(1, |psi(x)| + 1/x); the tests hold it to twice that.  The
+    ten reciprocals are subtracted one at a time, not summed along a stacked
+    axis, which numpy would sum pairwise and so round a one-element call
+    differently from a batched one.  Each element thus sees the same
+    operations whatever else is in the array: one call on a concatenation
+    equals the concatenated per-part calls bit for bit, so batching is exact.
     """
     arr, scalar = _as_floats(x, "x")
     if np.any(arr <= 0.0):
         raise DomainError("digamma requires x > 0")
-    work = arr
-    acc = np.zeros_like(work)
-    # x > 0 passes the shift after at most _DIGAMMA_SHIFT unit steps
-    for _ in range(int(_DIGAMMA_SHIFT)):
-        low = work < _DIGAMMA_SHIFT
-        if not low.any():
-            break
-        acc = np.where(low, acc - 1.0 / work, acc)
-        work = np.where(low, work + 1.0, work)
+    acc = -1.0 / arr
+    for j in range(1, _DIGAMMA_SHIFT):
+        acc -= 1.0 / (arr + j)
+    work = arr + _DIGAMMA_SHIFT
     inv2 = 1.0 / (work * work)
     tail = np.zeros_like(work)
     for coeff in reversed(_DIGAMMA_TAIL):

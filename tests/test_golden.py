@@ -2,21 +2,13 @@
 
 Each directory under ``tests/golden`` holds a run ``config.json`` and the
 ``summary.json`` and ``trials.csv`` that ``dosebounds benchmark`` wrote for
-it.  Every run must reproduce both files byte for byte, with one worker and
-with two.  ``tests/golden_bounds`` holds the ``bounds.csv`` (as
+it, and every run must reproduce both files byte for byte.
+``tests/golden_bounds`` holds the ``bounds.csv`` (as
 ``<target>_<model>.csv``) and the shared ``models.json`` that
 ``dosebounds bounds --gamma 1.5`` wrote on the ``dgp --trial --seed 0``
-bundle.  A change that moves the numbers on purpose regenerates the
-references and says so in CHANGES.md:
-
-    PYTHONPATH=src python -m dosebounds.cli benchmark \\
-        --config tests/golden/<case>/config.json --out tests/golden/<case>
-
-    PYTHONPATH=src python -m dosebounds.cli dgp --trial --seed 0 --out bundle
-    PYTHONPATH=src python -m dosebounds.cli bounds --data bundle/train.csv \\
-        --gamma 1.5 --model <model> [--target capo --instance 0] --out out
-    cp out/bounds.csv tests/golden_bounds/<target>_<model>.csv
-    cp out/models.json tests/golden_bounds/models.json
+bundle.  A change that moves the numbers on purpose rewrites all of these
+references with ``sh tests/golden/regenerate.sh`` (from the repository
+root) and says so in CHANGES.md.
 """
 
 from pathlib import Path

@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -100,6 +102,20 @@ class TestLogGamma:
 
 
 class TestDigamma:
+    # exact decimal expansions, so each oracle value is correctly rounded
+    EULER_GAMMA = Fraction("0.57721566490153286060651209008240243104215933593992")
+    LN2 = Fraction("0.69314718055994530941723212145817656807550013436025")
+    # digamma's stated bound, relative to max(1, |psi(x)| + 1/x) on
+    # (0, 2 * PROPENSITY_CAP]; mpmath measures at most 1.0e-15 there
+    BOUND = 2e-15
+
+    def assert_within_bound(self, x, oracle, bound):
+        x = np.asarray(x, dtype=float)
+        oracle = np.asarray(oracle, dtype=float)
+        scale = np.maximum(1.0, np.abs(oracle) + 1.0 / x)
+        err = np.abs(digamma(x) - oracle) / scale
+        assert err.max() <= bound, (x[err.argmax()], err.max())
+
     def test_euler_mascheroni(self):
         assert digamma(1.0) == pytest.approx(-0.5772156649015329, abs=1e-12)
 
@@ -107,34 +123,35 @@ class TestDigamma:
         x = 3.7
         assert digamma(x + 1.0) - digamma(x) == pytest.approx(1.0 / x, abs=1e-12)
 
+    def test_within_the_bound_at_integers(self):
+        # psi(n) = -gamma + H_(n-1) for n = 1..200
+        top = int(2 * PROPENSITY_CAP)
+        psi = accumulate((Fraction(1, k) for k in range(1, top)), initial=-self.EULER_GAMMA)
+        self.assert_within_bound(np.arange(1, top + 1), [float(v) for v in psi], self.BOUND)
+
+    def test_within_the_bound_at_half_integers(self):
+        # psi(n + 1/2) = -gamma - 2 ln 2 + sum_(k<=n) 2 / (2k - 1) for n = 0..199
+        top = int(2 * PROPENSITY_CAP)
+        start = -self.EULER_GAMMA - 2 * self.LN2
+        psi = accumulate((Fraction(2, 2 * k - 1) for k in range(1, top)), initial=start)
+        self.assert_within_bound(np.arange(top) + 0.5, [float(v) for v in psi], self.BOUND)
+
+    def test_within_the_bound_near_zero(self):
+        # psi(x) = -1/x - gamma + zeta(2) x - zeta(3) x^2 + O(x^3); the
+        # dropped terms are below 1e-24 here
+        x = np.geomspace(1e-300, 1e-8, 60)
+        zeta2, zeta3 = math.pi**2 / 6.0, 1.2020569031595942
+        oracle = -1.0 / x - float(self.EULER_GAMMA) + zeta2 * x - zeta3 * x * x
+        self.assert_within_bound(x, oracle, self.BOUND)
+
     def test_matches_log_gamma_slope(self):
-        # central finite difference of log_gamma is the independent oracle
-        step = 1e-5
-        for x in np.geomspace(0.1, 100.0, 37):
-            slope = (log_gamma(x + step) - log_gamma(x - step)) / (2.0 * step)
-            assert digamma(x) == pytest.approx(slope, abs=1e-6)
-
-    def test_matches_the_masked_loop_bitwise(self):
-        # a boolean gather/scatter shift loop does the same operations per
-        # element as digamma's np.where steps, so it is the bitwise reference
-        def masked_loop(x):
-            work = x.copy()
-            acc = np.zeros_like(work)
-            while (low := work < specfun._DIGAMMA_SHIFT).any():
-                acc[low] -= 1.0 / work[low]
-                work[low] += 1.0
-            inv2 = 1.0 / (work * work)
-            tail = np.zeros_like(work)
-            for coeff in reversed(specfun._DIGAMMA_TAIL):
-                tail = inv2 * (coeff + tail)
-            return acc + np.log(work) - 0.5 / work - tail
-
-        rng = np.random.default_rng(22)
-        x = np.concatenate(
-            [rng.uniform(0.0, 2.0 * PROPENSITY_CAP, 20000), np.geomspace(1e-300, 20.0, 2000)]
-        )
-        x = x[x > 0.0]
-        assert digamma(x).tobytes() == masked_loop(x).tobytes()
+        # central differences of math.lgamma with a step of 1e-5 * x are the
+        # independent oracle off the exact points; their own truncation and
+        # rounding error is below 2e-10 on this range
+        x = np.geomspace(1e-12, 2.0 * PROPENSITY_CAP, 1001)
+        step = 1e-5 * x
+        oracle = [(math.lgamma(v + h) - math.lgamma(v - h)) / (2.0 * h) for v, h in zip(x, step)]
+        self.assert_within_bound(x, oracle, 1e-9)
 
     def test_batching_is_exact(self):
         # the propensity fit evaluates alpha, beta and alpha + beta in one call
