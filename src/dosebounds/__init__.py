@@ -55,10 +55,6 @@ from .sensitivity import (
     BinaryMSM,
     DeltaMSM,
     DivisorEngine,
-    GammaCompound,
-    GammaPropensity,
-    GaussianCompound,
-    GaussianPropensity,
     PartialIdentificationError,
     Uniform,
     compound,
@@ -113,10 +109,6 @@ __all__ = [
     "BinaryMSM",
     "DeltaMSM",
     "DivisorEngine",
-    "GammaCompound",
-    "GammaPropensity",
-    "GaussianCompound",
-    "GaussianPropensity",
     "PartialIdentificationError",
     "Uniform",
     "compound",

@@ -27,13 +27,9 @@ from . import benchmark as bench
 from . import checks, fileio
 from .estimator import apo_interval, capo_interval
 from .models import FittedModels, TrainConfig, fit_outcome, fit_propensity, model_payload
-from .sensitivity import DeltaMSM
+from .sensitivity import _DELTA_SCHEMES, DeltaMSM
 
 __all__ = ["RunConfig", "load_run_config", "main"]
-
-# The fitted propensity head is Beta, so only the Beta trust schemes apply
-# here; the library's DeltaMSM keeps the gamma and gaussian schemes.
-_SCHEMES = ("beta", "balanced-beta")
 
 
 class UsageError(ValueError):
@@ -409,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--data", required=True, help="training CSV (x..., t, y)")
     bounds.add_argument("--model", required=True, choices=bench.DEFAULT_METHODS)
     bounds.add_argument(
-        "--scheme", choices=_SCHEMES, default=None,
+        "--scheme", choices=_DELTA_SCHEMES, default=None,
         help="DeltaMSM trust scheme (default balanced-beta); the fitted propensity is Beta",
     )
     bounds.add_argument("--gamma", type=float, required=True, help="violation budget, >= 1")

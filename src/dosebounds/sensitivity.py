@@ -7,6 +7,11 @@ Gamma below, with Gamma = 1 meaning no hidden confounding) into an interval
 ``(d_lo, d_hi)`` around the ideal value 1, which ``DivisorEngine(model,
 propensity, trust_precision).bounds(t, gamma_factor)`` returns as two arrays.
 
+Doses live on [0, 1] and the nominal propensity is Beta(alpha_bar,
+beta_bar), the family the fitted propensity head produces.  A dose on any
+other scale is quantile-normalised into (0, 1) first, as the benchmark does
+with ``benchmark.quantile_normalize``.
+
 For the smoothness-bounded model (``DeltaMSM``) the odds of treatment given
 a counterfactual outcome may drift away from the nominal propensity at a
 log-rate of at most log(Gamma) per unit of treatment, anchored at the origin
@@ -17,9 +22,12 @@ of the treatment support.  The resulting interval is
            + (log(Gamma)^2 / 2) Gamma^|t| E_q[(tau - t)^2]
 
 where q is the nominal propensity reweighed by a unimodal trust weight
-peaking at the queried dose t.  All expectations have closed forms for the
-Beta, Gamma, and Gaussian families; the quadrature oracle in ``specfun``
-reproduces every term, which the test-suite exploits heavily.
+peaking at the queried dose t.  With a Beta propensity and a Beta trust
+weight, q is Beta again and every expectation has a closed form (1F1
+series); the quadrature oracle in ``specfun`` reproduces every term, which
+the test-suite exploits heavily.  The same construction with Gamma doses on
+(0, inf) and Gaussian doses on the real line, closed forms included, is
+kept in the history at commit 853bc33.
 
 The alternatives ``CMSM`` (density-ratio budget), ``Uniform`` (a flat
 divisor interval), and ``BinaryMSM`` (a dichotomized odds-ratio budget) are
@@ -28,7 +36,6 @@ the baselines the benchmark compares against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -39,18 +46,9 @@ from . import specfun
 __all__ = [
     "PartialIdentificationError",
     "BetaPropensity",
-    "GammaPropensity",
-    "GaussianPropensity",
-    "PropensityParams",
     "BetaTrust",
-    "GammaTrust",
-    "GaussianTrust",
-    "TrustScheme",
     "trust_params",
     "BetaCompound",
-    "GammaCompound",
-    "GaussianCompound",
-    "CompoundDensity",
     "compound",
     "lambda_expectation_bounds",
     "DeltaMSM",
@@ -65,8 +63,8 @@ __all__ = [
 # flat weight; the Beta heuristic can hit it when alpha_bar + beta_bar <= 2.
 MIN_TRUST_PRECISION = 1e-6
 
-# Dose used when evaluating densities at the very edge of a closed support,
-# where a Beta or Gamma nominal density is exactly zero or unbounded.
+# CMSM evaluates the nominal density no closer than this to 0 or 1, where a
+# Beta density is exactly zero or unbounded.
 _EDGE_CLEARANCE = 1e-6
 
 
@@ -92,7 +90,7 @@ def _pow_log(base, exponent):
 
 
 # ---------------------------------------------------------------------------
-# nominal propensity families
+# nominal propensity
 
 
 @dataclass(frozen=True)
@@ -106,9 +104,6 @@ class BetaPropensity:
 
     alpha_bar: float | np.ndarray
     beta_bar: float | np.ndarray
-
-    kind = "beta"
-    support = (0.0, 1.0)
 
     def __post_init__(self):
         if not _all_finite(self.alpha_bar, self.beta_bar) or not _all_positive(
@@ -138,83 +133,6 @@ class BetaPropensity:
         return BetaPropensity(self.beta_bar, self.alpha_bar)
 
 
-@dataclass(frozen=True)
-class GammaPropensity:
-    """Gamma(alpha_bar, rate beta_bar) treatment density on (0, inf).
-
-    ``pdf(tau)`` is ``exp(log_kernel(tau) - log_normaliser)``: the kernel
-    (a-1) log tau - b tau carries the dose, and the normaliser
-    log Gamma(a) - a log b does not.
-    """
-
-    alpha_bar: float | np.ndarray
-    beta_bar: float | np.ndarray
-
-    kind = "gamma"
-    support = (0.0, math.inf)
-
-    def __post_init__(self):
-        if not _all_finite(self.alpha_bar, self.beta_bar) or not _all_positive(
-            self.alpha_bar, self.beta_bar
-        ):
-            raise ValueError("Gamma propensity requires finite alpha_bar > 0 and beta_bar > 0")
-
-    @property
-    def log_normaliser(self):
-        return specfun.log_gamma(self.alpha_bar) - self.alpha_bar * np.log(self.beta_bar)
-
-    def log_kernel(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        return _pow_log(tau, self.alpha_bar - 1.0) - self.beta_bar * tau
-
-    def pdf(self, tau):
-        return np.exp(self.log_kernel(tau) - self.log_normaliser)
-
-    @property
-    def nominal_precision(self):
-        """Heuristic ``DeltaMSM`` trust precision matched to this density's own scale."""
-        return self.alpha_bar / (self.beta_bar * self.beta_bar)
-
-
-@dataclass(frozen=True)
-class GaussianPropensity:
-    """Normal(mu_bar, sigma_bar^2) treatment density on the real line.
-
-    ``pdf(tau)`` is ``exp(log_kernel(tau) - log_normaliser)``: the kernel
-    -z^2 / 2 with z = (tau - mu) / sigma carries the dose, and the
-    normaliser log(sigma sqrt(2 pi)) does not.
-    """
-
-    mu_bar: float | np.ndarray
-    sigma_bar: float | np.ndarray
-
-    kind = "gaussian"
-    support = (-math.inf, math.inf)
-
-    def __post_init__(self):
-        if not _all_finite(self.mu_bar, self.sigma_bar) or not _all_positive(self.sigma_bar):
-            raise ValueError("Gaussian propensity requires finite mu_bar and sigma_bar > 0")
-
-    @property
-    def log_normaliser(self):
-        return np.log(self.sigma_bar) + 0.5 * math.log(2.0 * math.pi)
-
-    def log_kernel(self, tau):
-        z = (np.asarray(tau, dtype=float) - self.mu_bar) / self.sigma_bar
-        return -0.5 * z * z
-
-    def pdf(self, tau):
-        return np.exp(self.log_kernel(tau) - self.log_normaliser)
-
-    @property
-    def nominal_precision(self):
-        """Heuristic ``DeltaMSM`` trust precision matched to this density's own scale."""
-        return 1.0 / self.sigma_bar
-
-
-PropensityParams = Union[BetaPropensity, GammaPropensity, GaussianPropensity]
-
-
 # ---------------------------------------------------------------------------
 # trust weights w_t(tau), normalized so that w_t(t) = 1
 
@@ -228,8 +146,6 @@ class BetaTrust:
     a: float | np.ndarray
     b: float | np.ndarray
 
-    kind = "beta"
-
     def weight(self, tau):
         # evaluated anchored at t in log space: the exponent is <= 0 for any
         # tau, so large precisions r cannot overflow the kernel
@@ -241,59 +157,15 @@ class BetaTrust:
         return np.exp(log_w)
 
 
-@dataclass(frozen=True)
-class GammaTrust:
-    """w(tau) proportional to tau^(a-1) exp(-b tau), with mode t and precision
-    r = a/b^2, scaled so that w(t) = 1 (``weight`` divides by the kernel at t)."""
-
-    t: float | np.ndarray
-    a: float | np.ndarray
-    b: float | np.ndarray
-
-    kind = "gamma"
-
-    def weight(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        e = self.a - 1.0
-        log_w = _pow_log(tau, e) - _pow_log(self.t, e) - self.b * (tau - self.t)
-        return np.exp(log_w)
-
-
-@dataclass(frozen=True)
-class GaussianTrust:
-    """w(tau) = exp(-(tau - mu)^2 / (2 sigma^2)) with mu = t, sigma = 1/r."""
-
-    mu: float | np.ndarray
-    sigma: float | np.ndarray
-
-    kind = "gaussian"
-
-    def weight(self, tau):
-        z = (np.asarray(tau, dtype=float) - self.mu) / self.sigma
-        return np.exp(-0.5 * z * z)
-
-
-TrustScheme = Union[BetaTrust, GammaTrust, GaussianTrust]
-
-
-def trust_params(kind: str, t, r) -> TrustScheme:
-    """Per-dose trust weight parameters for the given propensity family."""
+def trust_params(t, r) -> BetaTrust:
+    """Per-dose Beta trust weight with mode t in [0, 1] and precision r > 0."""
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     if not _all_finite(t, r) or not _all_positive(r):
         raise ValueError("trust_params requires finite t and r > 0")
-    if kind == "beta":
-        if np.any(t < 0.0) or np.any(t > 1.0):
-            raise ValueError("Beta trust requires 0 <= t <= 1")
-        return BetaTrust(t=t, a=r * t + 1.0, b=r * (1.0 - t) + 1.0)
-    if kind == "gamma":
-        if np.any(t < 0.0):
-            raise ValueError("Gamma trust requires t >= 0")
-        b = (t + np.sqrt(t * t + 4.0 * r)) / (2.0 * r)
-        return GammaTrust(t=t, a=1.0 + t * b, b=b)
-    if kind == "gaussian":
-        return GaussianTrust(mu=t, sigma=1.0 / r)
-    raise ValueError(f"unknown trust kind {kind!r}")
+    if np.any(t < 0.0) or np.any(t > 1.0):
+        raise ValueError("Beta trust requires 0 <= t <= 1")
+    return BetaTrust(t=t, a=r * t + 1.0, b=r * (1.0 - t) + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +178,6 @@ class BetaCompound:
 
     alpha: float | np.ndarray
     beta: float | np.ndarray
-
-    kind = "beta"
-    support = (0.0, 1.0)
 
     @property
     def shape_a(self):
@@ -331,83 +200,19 @@ class BetaCompound:
         return BetaPropensity(self.shape_a, self.shape_b).pdf(tau)
 
 
-@dataclass(frozen=True)
-class GammaCompound:
-    """q = Gamma(alpha, rate beta)."""
-
-    alpha: float | np.ndarray
-    beta: float | np.ndarray
-
-    kind = "gamma"
-    support = (0.0, math.inf)
-
-    @property
-    def mean(self):
-        return self.alpha / self.beta
-
-    @property
-    def variance(self):
-        return self.alpha / (self.beta * self.beta)
-
-    def pdf(self, tau):
-        return GammaPropensity(self.alpha, self.beta).pdf(tau)
-
-
-@dataclass(frozen=True)
-class GaussianCompound:
-    """q = Normal(mu, sigma^2)."""
-
-    mu: float | np.ndarray
-    sigma: float | np.ndarray
-
-    kind = "gaussian"
-    support = (-math.inf, math.inf)
-
-    @property
-    def mean(self):
-        return self.mu
-
-    @property
-    def variance(self):
-        return self.sigma * self.sigma
-
-    def pdf(self, tau):
-        return GaussianPropensity(self.mu, self.sigma).pdf(tau)
-
-
-CompoundDensity = Union[BetaCompound, GammaCompound, GaussianCompound]
-
-
-def compound(propensity: PropensityParams, trust: TrustScheme) -> CompoundDensity:
+def compound(propensity: BetaPropensity, trust: BetaTrust) -> BetaCompound:
     """Normalized product of the nominal propensity and a trust weight.
 
-    Both factors must come from the same family; the product then stays in
-    that family and only the parameters move.
+    Both are Beta kernels, so the product is Beta again and only the
+    parameters move.
     """
-    if propensity.kind != trust.kind:
-        raise ValueError(
-            f"cannot compound a {propensity.kind} propensity with a {trust.kind} trust weight"
-        )
-    if isinstance(propensity, BetaPropensity):
-        return BetaCompound(
-            alpha=propensity.alpha_bar + trust.a - 2.0,
-            beta=propensity.beta_bar + trust.b - 2.0,
-        )
-    if isinstance(propensity, GammaPropensity):
-        return GammaCompound(
-            alpha=propensity.alpha_bar + trust.a - 1.0,
-            beta=propensity.beta_bar + trust.b,
-        )
-    var_bar = propensity.sigma_bar**2
-    var_w = trust.sigma**2
-    total = var_bar + var_w
-    return GaussianCompound(
-        mu=(trust.mu * var_bar + propensity.mu_bar * var_w) / total,
-        sigma=np.sqrt(var_bar * var_w / total),
+    return BetaCompound(
+        alpha=propensity.alpha_bar + trust.a - 2.0,
+        beta=propensity.beta_bar + trust.b - 2.0,
     )
 
 
-def lambda_expectation_bounds(q: CompoundDensity, gamma_factor):
+def lambda_expectation_bounds(q: BetaCompound, gamma_factor):
     """(E_q[Gamma^-|tau|], E_q[Gamma^+|tau|]) in closed form.
 
     These bracket the expected likelihood distortion when the log-odds of
@@ -415,21 +220,8 @@ def lambda_expectation_bounds(q: CompoundDensity, gamma_factor):
     """
     gamma = _check_gamma(gamma_factor)
     s = np.log(gamma)
-    if isinstance(q, BetaCompound):
-        up, mirror = _beta_mgf_pair(q, s)
-        return np.exp(-s) * mirror, up
-    if isinstance(q, GammaCompound):
-        lo = np.exp(-q.alpha * np.log1p(s / q.beta))
-        if np.any(s >= np.asarray(q.beta, dtype=float)):
-            raise PartialIdentificationError(
-                "E[Gamma^tau] diverges: log(gamma_factor) must stay below the "
-                "compound Gamma rate"
-            )
-        hi = np.exp(-q.alpha * np.log1p(-s / q.beta))
-        return lo, hi
-    if isinstance(q, GaussianCompound):
-        return (_gaussian_folded_mgf(q.mu, q.sigma, -s), _gaussian_folded_mgf(q.mu, q.sigma, s))
-    raise ValueError(f"unknown compound density {type(q).__name__}")
+    up, mirror = _beta_mgf_pair(q, s)
+    return np.exp(-s) * mirror, up
 
 
 def _beta_mgf_pair(q: BetaCompound, s):
@@ -453,27 +245,11 @@ def _beta_mgf_pair(q: BetaCompound, s):
     return table[rows, cols], table[rows, cols + a.size]
 
 
-def _gaussian_folded_mgf(mu, sigma, s):
-    # E[exp(s |X|)] for X ~ Normal(mu, sigma^2), via the split at zero:
-    #   exp(sigma^2 s^2 / 2) / 2 * ( e^{ s mu} (1 + erf((mu + sigma^2 s) / (sqrt(2) sigma)))
-    #                              + e^{-s mu} (1 - erf((mu - sigma^2 s) / (sqrt(2) sigma))) )
-    # The leading 1/2 makes E[1] = 1 at s = 0; dropping it doubles every value.
-    var = sigma * sigma
-    root2sig = np.sqrt(2.0) * sigma
-    plus = specfun.erf((mu + var * s) / root2sig)
-    minus = specfun.erf((mu - var * s) / root2sig)
-    return (
-        0.5
-        * np.exp(0.5 * var * s * s)
-        * (np.exp(s * mu) * (1.0 + plus) + np.exp(-s * mu) * (1.0 - minus))
-    )
-
-
 # ---------------------------------------------------------------------------
 # sensitivity models and their divisor intervals
 
 
-_DELTA_SCHEMES = ("beta", "balanced-beta", "gamma", "gaussian")
+_DELTA_SCHEMES = ("beta", "balanced-beta")
 
 
 @dataclass(frozen=True)
@@ -522,39 +298,33 @@ def _check_gamma(gamma_factor):
 class DivisorEngine:
     """Divisor-bound evaluator for one sensitivity model.
 
-    Precomputes only what does not depend on (t, gamma_factor): the
-    propensity's log-normaliser for ``CMSM``, so a dose sweep evaluates only
-    the density kernel per dose, and the dichotomized propensities of
-    ``BinaryMSM``; every ``bounds`` call is otherwise a pure function of its
-    arguments.  Propensity parameters may be arrays covering many instances
-    at once, and gamma_factor may be a column of budgets; bounds then
-    broadcast to (gammas, instances).  Only ``DeltaMSM`` reads
-    ``trust_precision`` (default ``nominal_precision``).
+    Doses t lie in [0, 1] and the propensity is a ``BetaPropensity``; doses
+    on another scale are quantile-normalised first.  Precomputes only what
+    does not depend on (t, gamma_factor): the propensity's log-normaliser
+    for ``CMSM``, so a dose sweep evaluates only the density kernel per
+    dose, and the dichotomized propensities of ``BinaryMSM``; every
+    ``bounds`` call is otherwise a pure function of its arguments.
+    Propensity parameters may be arrays covering many instances at once, and
+    gamma_factor may be a column of budgets; bounds then broadcast to
+    (gammas, instances).  Only ``DeltaMSM`` reads ``trust_precision``
+    (default ``nominal_precision``).
     """
 
     def __init__(
         self,
         model: SensitivityModel,
-        propensity: PropensityParams,
+        propensity: BetaPropensity,
         trust_precision=None,
     ):
         self.model = model
         self.propensity = propensity
         if isinstance(model, DeltaMSM):
-            expected = "beta" if model.scheme == "balanced-beta" else model.scheme
-            if propensity.kind != expected:
-                raise ValueError(
-                    f"DeltaMSM scheme {model.scheme!r} needs a {expected} propensity, "
-                    f"got {propensity.kind}"
-                )
             if trust_precision is None:
                 trust_precision = propensity.nominal_precision
             elif not _all_positive(trust_precision):
                 raise ValueError("trust_precision must be positive")
             self.trust_precision = trust_precision
         elif isinstance(model, BinaryMSM):
-            if propensity.kind != "beta":
-                raise ValueError("BinaryMSM requires a Beta nominal propensity")
             self._below = specfun.reg_inc_beta(
                 propensity.alpha_bar, propensity.beta_bar, model.threshold
             )
@@ -572,15 +342,12 @@ class DivisorEngine:
         if isinstance(model, DeltaMSM):
             return self._delta_bounds(t, gamma)
         if isinstance(model, CMSM):
-            # +-inf edges stay infinite under the clearance
-            lo_edge, hi_edge = self.propensity.support
-            tau = np.clip(t, lo_edge + _EDGE_CLEARANCE, hi_edge - _EDGE_CLEARANCE)
+            tau = np.clip(t, _EDGE_CLEARANCE, 1.0 - _EDGE_CLEARANCE)
             # the propensity's pdf, with its normaliser read once per engine
             density = np.exp(self.propensity.log_kernel(tau) - self._log_normaliser)
             return density / gamma, density * gamma
         if isinstance(model, Uniform):
-            prop = self.propensity
-            ones = np.ones(np.shape(getattr(prop, "alpha_bar", getattr(prop, "mu_bar", 0.0))))
+            ones = np.ones(np.shape(self.propensity.alpha_bar))
             return ones / gamma, ones * gamma
         e = np.where(t > model.threshold, 1.0 - self._below, self._below)
         return 1.0 / (e + gamma * (1.0 - e)), gamma / (gamma * e + (1.0 - e))
@@ -589,8 +356,8 @@ class DivisorEngine:
 
     def _delta_bounds(self, t, gamma):
         prop = self.propensity
-        q0 = compound(prop, trust_params(prop.kind, t, self.trust_precision))
-        if self.model.scheme != "balanced-beta":
+        q0 = compound(prop, trust_params(t, self.trust_precision))
+        if self.model.scheme == "beta":
             return _anchored_divisor(q0, t, gamma, lambda_expectation_bounds(q0, gamma))
         # The flipped propensity Beta(beta_bar, alpha_bar) compounded at dose
         # 1 - t is the mirror Beta(B, A) of q0 = Beta(A, B), so one pair of
@@ -604,7 +371,7 @@ class DivisorEngine:
         return t * lo0 + (1.0 - t) * lo1, t * hi0 + (1.0 - t) * hi1
 
 
-def _anchored_divisor(q: CompoundDensity, t, gamma, power_bounds):
+def _anchored_divisor(q: BetaCompound, t, gamma, power_bounds):
     """Divisor interval from q's moments and (E_q[Gamma^-|tau|], E_q[Gamma^|tau|])."""
     lo_e, hi_e = power_bounds
     s = np.log(gamma)

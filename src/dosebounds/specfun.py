@@ -20,8 +20,8 @@ remaining special functions directly:
   is at most 2^-53, with no convergence test,
 * ``reg_inc_beta`` uses the continued-fraction expansion,
 * ``integrate`` is a globally adaptive 15-point Kronrod / 7-point Gauss rule
-  with interval bisection; semi-infinite and infinite ranges are folded onto
-  finite ones by rational changes of variable.
+  with interval bisection; the closed forms it checks are expectations over
+  doses in [0, 1], so both bounds must be finite.
 """
 
 from __future__ import annotations
@@ -433,40 +433,14 @@ def integrate(f, lo: float, hi: float, spec: QuadratureSpec | None = None) -> fl
 
     ``f`` should accept a numpy array of abscissae and return the matching
     array of values; plain scalar callables are looped over as a fallback.
-    Either bound may be infinite: semi-infinite ranges are mapped through
-    tau = u / (1 - u) and the doubly infinite range through tau = u/(1-u^2),
-    after which the open Kronrod rule never touches the singular endpoints.
+    Both bounds must be finite.  The open Kronrod rule never evaluates ``f``
+    at the endpoints, so an integrable endpoint singularity is fine.
     """
     spec = spec or DEFAULT_QUADRATURE
     lo = float(lo)
     hi = float(hi)
-    if math.isnan(lo) or math.isnan(hi):
-        raise DomainError("integration bounds must not be NaN")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"integration bounds must be finite, got [{lo!r}, {hi!r}]")
     if not lo < hi:
         raise DomainError(f"integration requires lo < hi, got [{lo!r}, {hi!r}]")
-
-    if math.isinf(lo) and math.isinf(hi):
-
-        def folded(u):
-            u = np.asarray(u, dtype=float)
-            denom = 1.0 - u * u
-            return _eval_vectorized(f, u / denom) * (1.0 + u * u) / (denom * denom)
-
-        return _adaptive(folded, -1.0, 1.0, spec)
-    if math.isinf(hi):
-
-        def folded(u):
-            u = np.asarray(u, dtype=float)
-            denom = 1.0 - u
-            return _eval_vectorized(f, lo + u / denom) / (denom * denom)
-
-        return _adaptive(folded, 0.0, 1.0, spec)
-    if math.isinf(lo):
-
-        def folded(u):
-            u = np.asarray(u, dtype=float)
-            denom = 1.0 - u
-            return _eval_vectorized(f, hi - u / denom) / (denom * denom)
-
-        return _adaptive(folded, 0.0, 1.0, spec)
     return _adaptive(f, lo, hi, spec)

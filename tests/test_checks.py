@@ -12,7 +12,7 @@ class TestSuitesPass:
         result = checks.check_closed_forms(samples=15, seed=0)
         assert result.passed
         assert result.suite == "closed-forms"
-        assert result.n_checked == 15 * 3 * 3 * 2
+        assert result.n_checked == 15 * 3 * 2
         assert result.max_error < result.tolerance
         assert result.failures == ()
 

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import re
 
 import numpy as np
@@ -124,6 +125,24 @@ class TestFileio:
         path = tmp_path / "mixed.csv"
         write_csv(str(path), ["trial", "value"], [[3, 0.5]])
         assert path.read_text().splitlines()[1] == "3,0.5"
+
+
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        # a deleted class or function can linger in an __all__ list
+        import dosebounds
+
+        modules = [dosebounds] + [
+            importlib.import_module(f"dosebounds.{info.name}")
+            for info in pkgutil.iter_modules(dosebounds.__path__)
+        ]
+        missing = [
+            f"{module.__name__}.{name}"
+            for module in modules
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+        assert not missing, f"__all__ names that do not resolve: {missing}"
 
 
 class TestBenchmarkTracer:

@@ -30,27 +30,11 @@ def beta_pdf(tau, a, b):
 
 
 class TestIntegrate:
-    """Adaptive Gauss-Kronrod integration on finite and infinite ranges."""
+    """Adaptive Gauss-Kronrod integration on finite ranges."""
 
     def test_cubic_is_exact(self):
         value = integrate(lambda tau: tau**3, 0.0, 1.0)
         assert value == pytest.approx(0.25, abs=1e-14)
-
-    def test_exponential_tail(self):
-        value = integrate(lambda tau: np.exp(-tau), 0.0, np.inf)
-        assert value == pytest.approx(1.0, abs=1e-9)
-
-    def test_standard_normal_mass(self):
-        value = integrate(
-            lambda tau: np.exp(-0.5 * tau * tau) / math.sqrt(2.0 * math.pi),
-            -np.inf,
-            np.inf,
-        )
-        assert value == pytest.approx(1.0, abs=1e-9)
-
-    def test_left_tail(self):
-        value = integrate(lambda tau: np.exp(tau), -np.inf, 0.0)
-        assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_scalar_integrand_fallback(self):
         value = integrate(lambda tau: math.sin(tau), 0.0, math.pi)
@@ -76,6 +60,10 @@ class TestIntegrate:
             integrate(lambda tau: tau, 1.0, 0.0)
         with pytest.raises(DomainError):
             integrate(lambda tau: tau, math.nan, 1.0)
+        with pytest.raises(DomainError):
+            integrate(lambda tau: tau, -math.inf, 0.0)
+        with pytest.raises(DomainError):
+            integrate(lambda tau: tau, 0.0, math.inf)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
