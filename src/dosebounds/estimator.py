@@ -154,14 +154,12 @@ def _bernoulli_extremes(p_one, d_lo, d_hi, valid=None):
     keep = True if valid is None else valid
 
     def total(p, d):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            weights = np.minimum(p / d, _WEIGHT_CAP)
-        return weights.sum(axis=-1, where=keep)
+        return np.minimum(p / d, _WEIGHT_CAP).sum(axis=-1, where=keep)
 
     p_zero = 1.0 - p_one
-    hi_one, lo_one = total(p_one, d_lo), total(p_one, d_hi)
-    hi_zero, lo_zero = total(p_zero, d_lo), total(p_zero, d_hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        hi_one, lo_one = total(p_one, d_lo), total(p_one, d_hi)
+        hi_zero, lo_zero = total(p_zero, d_lo), total(p_zero, d_hi)
         hi = np.where(
             hi_one > 0.0, hi_one / (hi_one + lo_zero), np.where(hi_zero > 0.0, 0.0, np.nan)
         )

@@ -88,7 +88,8 @@ class TrainConfig:
 
 def _sigmoid(u):
     shrink = np.exp(-np.abs(u))
-    return np.where(np.asarray(u) >= 0.0, 1.0 / (1.0 + shrink), shrink / (1.0 + shrink))
+    denom = 1.0 + shrink
+    return np.where(np.asarray(u) >= 0.0, 1.0 / denom, shrink / denom)
 
 
 def _softplus(u):
@@ -260,12 +261,16 @@ def _adam(grad_fn, params, config: TrainConfig, n_samples: int) -> np.ndarray:
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     step = 0
+    # np.array_split's partition, computed once; batches beyond n_samples are empty
+    spans = [
+        (part[0], part[-1] + 1)
+        for part in np.array_split(np.arange(n_samples), config.batches)
+        if len(part)
+    ]
     for _ in range(config.epochs):
         order = rng.permutation(n_samples)
-        for batch in np.array_split(order, config.batches):
-            if len(batch) == 0:
-                continue
-            grad = grad_fn(params, batch)
+        for start, stop in spans:
+            grad = grad_fn(params, order[start:stop])
             step += 1
             m = config.beta1 * m + (1.0 - config.beta1) * grad
             v = config.beta2 * v + (1.0 - config.beta2) * grad * grad

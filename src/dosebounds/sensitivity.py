@@ -217,6 +217,8 @@ def lambda_expectation_bounds(q: BetaCompound, gamma_factor):
 
     These bracket the expected likelihood distortion when the log-odds of
     treatment drift at rate at most log(Gamma) away from the anchor point.
+    gamma_factor and q follow ``_beta_mgf_pair``'s rule: gamma varies only
+    along axes before q's, or either one is a scalar.
     """
     gamma = _check_gamma(gamma_factor)
     s = np.log(gamma)
@@ -230,19 +232,34 @@ def _beta_mgf_pair(q: BetaCompound, s):
     With q = Beta(A, B) these are 1F1(A; A+B; s) and 1F1(B; A+B; s); since
     1 - tau ~ Beta(B, A), e^-s times the second is E_q[e^(-s tau)], which is
     Kummer's transformation.  Both come from one ``specfun.hyp1f1_grid``
-    table over the s values and the shape pairs (A, A+B), (B, A+B); the
-    table is an outer product, so pass s and q along different axes (a gamma
-    column against a row of instances) rather than matched arrays.
+    table over the s values and the shape pairs (A, A+B), (B, A+B).  The
+    table is an outer product, so s may vary only along axes before q's (a
+    gamma column against a row of instances, or either one a scalar);
+    matched arrays raise ``ValueError``.  Under that rule the broadcast
+    shape is s's varying axes followed by q's, so its C order runs over s
+    in the outer index and q in the inner, as the table's rows and columns
+    do.  Each half is therefore a reshaped slice of the table, holding the
+    same bits as a gather of the matching entries.  Scalar s and q give
+    floats.
     """
     a, b = np.broadcast_arrays(
         np.asarray(q.shape_a, dtype=float), np.asarray(q.shape_b, dtype=float)
     )
     s = np.asarray(s, dtype=float)
+    ndim = max(s.ndim, a.ndim)
+    s_dims = (1,) * (ndim - s.ndim) + s.shape
+    q_dims = (1,) * (ndim - a.ndim) + a.shape
+    split = max((i + 1 for i, n in enumerate(s_dims) if n != 1), default=0)
+    if any(n != 1 for n in q_dims[:split]):
+        raise ValueError(
+            "s may vary only along axes before q's (a gamma column against a row "
+            f"of instances); got s shape {s.shape} and q shape {a.shape}"
+        )
+    shape = s_dims[:split] + q_dims[split:]
     c = (a + b).ravel()
     table = specfun.hyp1f1_grid(np.concatenate([a.ravel(), b.ravel()]), np.concatenate([c, c]), s)
-    rows = np.arange(s.size).reshape(s.shape)
-    cols = np.arange(a.size).reshape(a.shape)
-    return table[rows, cols], table[rows, cols + a.size]
+    # [()] turns a 0-d result into a float and leaves arrays as they are
+    return table[:, : a.size].reshape(shape)[()], table[:, a.size :].reshape(shape)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -117,18 +117,21 @@ def digamma(x):
     psi(x) = psi(x + 10) - sum_{j<10} 1/(x + j), then the asymptotic series
     at x + 10.  Measured against mpmath over (0, 200], the error is at most
     1e-15 * max(1, |psi(x)| + 1/x); the tests hold it to twice that.  The
-    ten reciprocals are subtracted one at a time, not summed along a stacked
-    axis, which numpy would sum pairwise and so round a one-element call
-    differently from a batched one.  Each element thus sees the same
-    operations whatever else is in the array: one call on a concatenation
-    equals the concatenated per-part calls bit for bit, so batching is exact.
+    ten reciprocals form one (10, ...) table, and ``np.subtract.reduce``
+    over its first axis takes them off one row at a time, in the order
+    -1/x - 1/(x + 1) - ... - 1/(x + 9).  numpy sums pairwise only for
+    ``add``, which would round a one-element call differently from a
+    batched one; a subtract reduction has no pairwise path.  Each element
+    thus sees the same operations whatever else is in the array: one call on
+    a concatenation equals the concatenated per-part calls bit for bit, so
+    batching is exact.
     """
     arr, scalar = _as_floats(x, "x")
     if np.any(arr <= 0.0):
         raise DomainError("digamma requires x > 0")
-    acc = -1.0 / arr
-    for j in range(1, _DIGAMMA_SHIFT):
-        acc -= 1.0 / (arr + j)
+    steps = 1.0 / np.add.outer(np.arange(float(_DIGAMMA_SHIFT)), arr)
+    np.negative(steps[0], out=steps[0])
+    acc = np.subtract.reduce(steps, axis=0)
     work = arr + _DIGAMMA_SHIFT
     inv2 = 1.0 / (work * work)
     tail = np.zeros_like(work)
@@ -211,6 +214,8 @@ def hyp1f1_grid(a, c, s) -> np.ndarray:
     coeff[k, j] = (a_j)_k / (c_j)_k, k < ``hyp1f1_terms(max s)``.  Callers
     reach negative arguments through Kummer's transformation (A&S 13.1.27),
     1F1(a; c; -s) = e^-s 1F1(c - a; c; s), which keeps every term positive.
+    ``_pochhammer_table`` builds ``coeff`` row by row, with the bits of a
+    ``np.cumprod`` down its columns.
     """
     a, c = np.broadcast_arrays(
         np.ravel(np.asarray(a, dtype=float)), np.ravel(np.asarray(c, dtype=float))
@@ -224,11 +229,25 @@ def hyp1f1_grid(a, c, s) -> np.ndarray:
         raise DomainError("hyp1f1_grid requires s >= 0; use Kummer's transformation")
     n_terms = hyp1f1_terms(s.max()) if s.size else 1
     k = np.arange(n_terms - 1, dtype=float)
-    coeff = np.ones((n_terms, a.size))
-    np.cumprod((a + k[:, None]) / (c + k[:, None]), axis=0, out=coeff[1:])
     s_pow = np.ones((s.size, n_terms))
     np.cumprod(s[:, None] / (k + 1.0), axis=1, out=s_pow[:, 1:])
-    return s_pow @ coeff
+    return s_pow @ _pochhammer_table(a, c, n_terms)
+
+
+def _pochhammer_table(a, c, n_terms: int) -> np.ndarray:
+    """(n_terms, a.size) table of (a_j)_k / (c_j)_k for flat ``a`` and ``c``.
+
+    Row k + 1 is row k times (a + k) / (c + k), one row at a time: the same
+    products in the same order as ``np.cumprod`` over the ratios' first
+    axis, so the same bits, but contiguous row operations instead of a
+    strided accumulation down each column.
+    """
+    k = np.arange(n_terms - 1, dtype=float)
+    ratio = (a + k[:, None]) / (c + k[:, None])
+    coeff = np.ones((n_terms, a.size))
+    for j in range(n_terms - 1):
+        np.multiply(coeff[j], ratio[j], out=coeff[j + 1])
+    return coeff
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:

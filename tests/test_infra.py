@@ -145,6 +145,18 @@ class TestExports:
         assert not missing, f"__all__ names that do not resolve: {missing}"
 
 
+class TestSourceLayout:
+    def test_no_source_line_is_over_100_characters(self):
+        package = os.path.join(os.path.dirname(__file__), os.pardir, "src", "dosebounds")
+        long_lines = []
+        for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+            with open(path, encoding="utf-8") as handle:
+                for number, line in enumerate(handle, start=1):
+                    if len(line.rstrip("\n")) > 100:
+                        long_lines.append(f"{os.path.basename(path)}:{number}")
+        assert long_lines == []
+
+
 class TestBenchmarkTracer:
     def test_every_patched_name_exists(self):
         # perfbench's tracer rebinds names inside the package; a renamed or

@@ -212,6 +212,29 @@ class TestGradientOnlySteps:
         )
         assert bits(fitted) == bits(ref_propensity)
 
+    def test_batches_are_the_array_split_partition(self):
+        # batches beyond n_samples are empty: skipped, and not counted as steps
+        for n in range(1, 41):
+            for batches in range(1, 10):
+                config = TrainConfig(seed=n, batches=batches, epochs=3)
+                seen = []
+
+                def grad_fn(params, batch):
+                    seen.append(batch)
+                    return np.ones_like(params)
+
+                _adam(grad_fn, np.zeros(2), config, n)
+                rng = substream(config.seed, "batch-shuffle")
+                want = [
+                    part
+                    for _ in range(config.epochs)
+                    for part in np.array_split(rng.permutation(n), batches)
+                    if len(part)
+                ]
+                assert len(seen) == len(want) == config.epochs * min(n, batches)
+                for got, part in zip(seen, want):
+                    assert got.dtype == part.dtype and np.array_equal(got, part)
+
 
 class TestFitting:
     def test_outcome_fit_recovers_generating_probabilities(self):

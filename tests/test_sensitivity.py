@@ -14,6 +14,7 @@ from dosebounds.sensitivity import (
     DeltaMSM,
     DivisorEngine,
     Uniform,
+    _beta_mgf_pair,
     _pow_log,
     compound,
     lambda_expectation_bounds,
@@ -217,6 +218,51 @@ class TestLambdaExpectationBounds:
         np.testing.assert_allclose(lo, hyp1f1(a, c, -s), rtol=1e-14)
         scalar = lambda_expectation_bounds(BetaCompound(2.0, 3.0), 1.7)
         assert all(isinstance(v, float) for v in scalar)
+
+
+class TestBetaMgfPairAxes:
+    """s varies only along axes before q's; each table half is a reshaped slice."""
+
+    @staticmethod
+    def gathered(q, s):
+        a, b = np.broadcast_arrays(np.asarray(q.shape_a), np.asarray(q.shape_b))
+        s = np.asarray(s, dtype=float)
+        c = (a + b).ravel()
+        shapes = np.concatenate([a.ravel(), b.ravel()])
+        table = specfun.hyp1f1_grid(shapes, np.concatenate([c, c]), s)
+        rows = np.arange(s.size).reshape(s.shape)
+        cols = np.arange(a.size).reshape(a.shape)
+        return table[rows, cols], table[rows, cols + a.size]
+
+    @pytest.mark.parametrize(
+        "s_shape, q_shape",
+        [((7, 1), (5,)), ((), (5,)), ((1,), (5,)), ((7, 1), ()), ((1, 1), (5,)),
+         ((2, 3, 1), (4,)), ((3, 1, 1), (1, 4, 2)), ((7, 1), (1, 5))],
+    )
+    def test_halves_equal_the_gathered_table_entries(self, s_shape, q_shape):
+        rng = np.random.default_rng(len(s_shape) + 3 * len(q_shape))
+        q = BetaCompound(rng.uniform(-0.5, 40.0, q_shape), rng.uniform(-0.5, 40.0, q_shape))
+        s = np.log(rng.uniform(1.0, 10.0, s_shape))
+        for got, want in zip(_beta_mgf_pair(q, s), self.gathered(q, s)):
+            assert got.shape == want.shape == np.broadcast_shapes(s_shape, q_shape)
+            assert got.tobytes() == want.tobytes()
+
+    def test_scalars_give_floats(self):
+        q = BetaCompound(2.0, 3.0)
+        pair = _beta_mgf_pair(q, math.log(1.7))
+        assert all(type(v) is np.float64 for v in pair)
+        assert [float(v) for v in pair] == [float(v) for v in self.gathered(q, math.log(1.7))]
+
+    @pytest.mark.parametrize(
+        "s_shape, q_shape", [((5,), (5,)), ((5,), (5, 1)), ((1, 5), (3, 1)), ((3, 1), (3, 4))]
+    )
+    def test_matched_or_swapped_axes_raise(self, s_shape, q_shape):
+        q = BetaCompound(np.full(q_shape, 2.0), np.full(q_shape, 3.0))
+        gammas = np.full(s_shape, 1.5)
+        with pytest.raises(ValueError, match="s may vary only along axes before q's"):
+            _beta_mgf_pair(q, np.log(gammas))
+        with pytest.raises(ValueError, match="s may vary only along axes before q's"):
+            lambda_expectation_bounds(q, gammas)
 
 
 class TestDivisorBounds:

@@ -283,6 +283,27 @@ class TestHyp1F1Grid:
         if k > 1 and k > s_max:
             assert log_tail(k - 1) > math.log(specfun.HYP1F1_TAIL_BOUND)
 
+    @pytest.mark.parametrize("n_cols", [1, 2, 500, 1500])
+    @pytest.mark.parametrize(
+        "s_max, n_terms", [(math.log(2.5), 18), (math.log(1e6), 64), (700.0, 1936)]
+    )
+    def test_coefficient_table_is_the_cumprod_of_its_ratios(self, s_max, n_terms, n_cols):
+        # the golden files pin only the package's own table shapes
+        assert hyp1f1_terms(s_max) == n_terms
+        rng = np.random.default_rng(n_cols)
+        c = rng.uniform(1e-3, 400.0, n_cols)
+        a = c * rng.uniform(0.0, 1.0, n_cols)
+        a[0] = c[0]
+        a[1:2] = 0.0
+        k = np.arange(n_terms - 1, dtype=float)
+        coeff = np.ones((n_terms, n_cols))
+        np.cumprod((a + k[:, None]) / (c + k[:, None]), axis=0, out=coeff[1:])
+        assert specfun._pochhammer_table(a, c, n_terms).tobytes() == coeff.tobytes()
+        s = np.array([0.0, 0.5 * s_max, s_max])
+        s_pow = np.ones((s.size, n_terms))
+        np.cumprod(s[:, None] / (k + 1.0), axis=1, out=s_pow[:, 1:])
+        assert hyp1f1_grid(a, c, s).tobytes() == (s_pow @ coeff).tobytes()
+
     def test_large_arguments_do_not_overflow(self):
         s = 700.0
         value = hyp1f1_grid(2.5, 2.5, [s])[0, 0]
