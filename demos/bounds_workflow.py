@@ -36,7 +36,7 @@ def main():
     t_grid = np.linspace(0.0, 1.0, 11)
     truth = true_apo(trial, t_grid)
     test_x = trial.visible(trial.test_idx)
-    sens = DeltaMSM("balanced-beta")
+    sens = DeltaMSM()
 
     print("dose-response band under increasing confounding budgets")
     for gamma in (1.0, 1.3, 1.8):

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .estimator import IntervalCurve, apo_band_matrix
+from .estimator import IntervalCurve, _outcome_prob_matrix, apo_band_matrix
 from .models import (
     FittedModels,
     TrainConfig,
@@ -69,14 +69,9 @@ __all__ = [
 # the divergence diverges at {0, 1}.
 PROB_CLAMP = 1e-6
 
-DEFAULT_METHODS = ("deltamsm", "cmsm", "uniform", "binarymsm")
+_METHOD_MODELS = {"deltamsm": DeltaMSM, "cmsm": CMSM, "uniform": Uniform, "binarymsm": BinaryMSM}
 
-_METHOD_MODELS = {
-    "deltamsm": lambda: DeltaMSM("balanced-beta"),
-    "cmsm": CMSM,
-    "uniform": Uniform,
-    "binarymsm": BinaryMSM,
-}
+DEFAULT_METHODS = tuple(_METHOD_MODELS)
 
 
 def sensitivity_model_for(method: str):
@@ -87,6 +82,20 @@ def sensitivity_model_for(method: str):
         known = ", ".join(sorted(_METHOD_MODELS))
         raise ValueError(f"unknown method {method!r}; expected one of {known}") from None
     return factory()
+
+
+def _checked_methods(methods) -> tuple[str, ...]:
+    """``methods`` as a tuple, once it is non-empty and names known methods,
+    each once: a repeated method would take extra shares of every tie."""
+    methods = tuple(methods)
+    if not methods:
+        raise ValueError("at least one method is needed")
+    for method in methods:
+        sensitivity_model_for(method)
+    repeated = sorted({method for method in methods if methods.count(method) > 1})
+    if repeated:
+        raise ValueError(f"duplicate methods: {', '.join(map(repr, repeated))}")
+    return methods
 
 
 @dataclass(frozen=True)
@@ -182,16 +191,16 @@ def quantile_normalize(column) -> np.ndarray:
     return average_rank[inverse] / (len(column) + 1.0)
 
 
-def synthetic_raw(n_rows: int, n_cols: int, seed: int, n_factors: int | None = None) -> np.ndarray:
+def synthetic_raw(n_rows: int, n_cols: int, seed: int) -> np.ndarray:
     """Stand-in covariate matrix with correlated, non-Gaussian columns.
 
-    Draws a Gaussian copula from a random low-rank-plus-diagonal covariance
-    and pushes each column through a random monotone warp so marginals vary.
+    Draws a Gaussian copula from a random covariance of rank ceil(n_cols / 4)
+    plus a diagonal, and pushes each column through a random monotone warp
+    so marginals vary.
     """
     if n_rows < 2 or n_cols < 1:
         raise ValueError("synthetic_raw needs n_rows >= 2 and n_cols >= 1")
-    if n_factors is None:
-        n_factors = max(1, (n_cols + 3) // 4)
+    n_factors = (n_cols + 3) // 4
     rng = substream(seed, "raw")
     loadings = rng.normal(size=(n_cols, n_factors))
     noise_scale = rng.uniform(0.2, 1.0, size=n_cols)
@@ -375,10 +384,6 @@ class TrialReport:
     summary: dict
 
 
-def _outcome_prob_matrix(outcome_model, test_x, t_grid) -> np.ndarray:
-    return np.array([outcome_model.predict(test_x, float(t)) for t in t_grid])
-
-
 def _trial_tables(trial: TrialData, models: FittedModels, config: TrialConfig):
     """(propensity params, outcome-probability matrix, true APO) on the test rows."""
     t_grid = config.dose_grid()
@@ -513,8 +518,10 @@ def run_benchmark(
     """Generate, fit, calibrate, and score ``n_trials`` independent trials.
 
     Trial i reseeds the config with a substream derived from (seed, i), so
-    the report is a pure function of (config, raw, methods, n_trials).  Per
-    trial failures are recorded on the result instead of aborting the run.
+    the report is a pure function of (config, raw, methods, n_trials).
+    ``methods`` must name known methods, each once (``ValueError``
+    otherwise).  Per trial failures are recorded on the result instead of
+    aborting the run.
     Trials run serially on the calling thread: a trial holds the interpreter
     lock for almost all of its work, and on a 2-core machine a thread pool
     made 24 default-scale trials take 2.7 s wall on two workers and 3.9 s on
@@ -523,13 +530,9 @@ def run_benchmark(
     """
     if n_workers != 1:
         raise ValueError(f"n_workers must be 1 (trials run serially), got {n_workers!r}")
-    methods = tuple(methods)
-    if not methods:
-        raise ValueError("run_benchmark needs at least one method")
+    methods = _checked_methods(methods)
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
-    for method in methods:
-        sensitivity_model_for(method)
     raw = np.asarray(raw, dtype=float)
     results = []
     for trial_id in range(n_trials):

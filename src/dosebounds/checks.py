@@ -88,7 +88,7 @@ def _folded_power_expectation(q, gamma, sign):
     return integrate(integrand, 0.0, 1.0)
 
 
-def _draw_scheme_case(rng):
+def _draw_closed_form_case(rng):
     r = float(rng.uniform(0.5, 5.0))
     propensity = BetaPropensity(float(rng.uniform(0.8, 30.0)), float(rng.uniform(0.8, 30.0)))
     t = float(rng.uniform(0.02, 0.98))
@@ -109,7 +109,7 @@ def check_closed_forms(samples: int = 200, seed: int = 0, tolerance: float = 1e-
     failures = []
     n_checked = 0
     for _ in range(samples):
-        propensity, t, r = _draw_scheme_case(rng)
+        propensity, t, r = _draw_closed_form_case(rng)
         q = compound(propensity, trust_params(t, r))
         for gamma in (1.1, 1.5, 2.5):
             lo, hi = lambda_expectation_bounds(q, gamma)

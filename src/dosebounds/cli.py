@@ -27,7 +27,6 @@ from . import benchmark as bench
 from . import checks, fileio
 from .estimator import apo_interval, capo_interval
 from .models import FittedModels, TrainConfig, fit_outcome, fit_propensity, model_payload
-from .sensitivity import _DELTA_SCHEMES, DeltaMSM
 
 __all__ = ["RunConfig", "load_run_config", "main"]
 
@@ -51,14 +50,11 @@ def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
         raise UsageError(f"{where}: unknown keys {unknown}")
 
 
-def _check_methods(methods, where: str) -> None:
-    if not methods:
-        raise UsageError(f"{where} must name at least one method")
-    for name in methods:
-        try:
-            bench.sensitivity_model_for(name)
-        except ValueError as exc:
-            raise UsageError(f"{where}: {exc}") from exc
+def _check_methods(methods, where: str) -> tuple[str, ...]:
+    try:
+        return bench._checked_methods(methods)
+    except ValueError as exc:
+        raise UsageError(f"{where}: {exc}") from exc
 
 
 def _raw_size(raw_doc: dict, key: str, default: int, least: int) -> int:
@@ -117,7 +113,7 @@ def load_run_config(doc) -> RunConfig:
     methods = doc.get("methods", list(bench.DEFAULT_METHODS))
     if not isinstance(methods, (list, tuple)):
         raise UsageError("config.methods must be a non-empty list")
-    _check_methods(methods, "config.methods")
+    methods = _check_methods(methods, "config.methods")
 
     out_dir = doc.get("out", ".")
     if not isinstance(out_dir, str):
@@ -147,7 +143,7 @@ def load_run_config(doc) -> RunConfig:
     return RunConfig(
         trial=trial,
         train=train,
-        methods=tuple(methods),
+        methods=methods,
         n_trials=n_trials,
         trust_precision=trust_precision,
         raw_rows=_raw_size(raw_doc, "rows", 1000, least_rows),
@@ -196,14 +192,6 @@ def _require_positive(args, *flags: str) -> None:
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise UsageError(f"--{flag} must be a positive integer, got {value}")
-
-
-def _sensitivity_from_flags(model: str, scheme: str | None):
-    if model == "deltamsm":
-        return DeltaMSM(scheme or "balanced-beta")
-    if scheme is not None:
-        raise UsageError("--scheme only applies to --model deltamsm")
-    return bench.sensitivity_model_for(model)
 
 
 def _write_trial_bundle(trial, config, out_dir: str) -> None:
@@ -265,7 +253,7 @@ def cmd_bounds(args) -> int:
         raise UsageError(f"--precision must be positive and finite, got {args.precision}")
     if args.precision is not None and args.model != "deltamsm":
         raise UsageError("--precision only applies to --model deltamsm")
-    sens = _sensitivity_from_flags(args.model, args.scheme)
+    sens = bench.sensitivity_model_for(args.model)
     x, t, y = _load_training_table(args.data)
     if args.target == "capo" and not 0 <= args.instance < len(x):
         raise UsageError(f"--instance must index a row of {args.data} (0..{len(x) - 1})")
@@ -314,8 +302,8 @@ def cmd_benchmark(args) -> int:
         trial = replace(trial, seed=args.seed)
     methods = config.methods
     if args.methods is not None:
-        methods = tuple(name.strip() for name in args.methods.split(",") if name.strip())
-        _check_methods(methods, "--methods")
+        methods = [name.strip() for name in args.methods.split(",") if name.strip()]
+        methods = _check_methods(methods, "--methods")
     n_trials = args.trials if args.trials is not None else config.n_trials
     out_dir = args.out if args.out is not None else config.out_dir
     if config.raw_path is not None:
@@ -339,7 +327,7 @@ def cmd_benchmark(args) -> int:
         f"{'method':>10}  {'cost x1000':>11}  {'% best':>7}  {'ratio':>7}  "
         f"{'gamma*':>7}  {'coverage':>8}"
     )
-    for name in dict.fromkeys(methods):
+    for name in methods:
         stats = report.summary["per_method"][name]
         if stats["mean_cost_x1000"] is None:
             print(f"{name:>10}  {'-':>11}  {'-':>7}  {'-':>7}  {'-':>7}  {'-':>8}")
@@ -404,10 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds = sub.add_parser("bounds", help="fit models and write bound curves")
     bounds.add_argument("--data", required=True, help="training CSV (x..., t, y)")
     bounds.add_argument("--model", required=True, choices=bench.DEFAULT_METHODS)
-    bounds.add_argument(
-        "--scheme", choices=_DELTA_SCHEMES, default=None,
-        help="DeltaMSM trust scheme (default balanced-beta); the fitted propensity is Beta",
-    )
     bounds.add_argument("--gamma", type=float, required=True, help="violation budget, >= 1")
     bounds.add_argument("--target", choices=("apo", "capo"), default="apo")
     bounds.add_argument("--instance", type=int, default=None, help="row index for capo")

@@ -276,10 +276,17 @@ class IntervalCurve:
         return self.hi - self.lo
 
 
+def _outcome_prob_matrix(outcome_model, x, t_grid) -> np.ndarray:
+    """The (doses, rows) ``prob_matrix`` of ``apo_band_matrix``: P(Y=1 | x_j,
+    t_grid[i]), with one covariate vector taken as a single row."""
+    rows = np.atleast_2d(x)
+    return np.array([outcome_model.predict(rows, float(t)) for t in t_grid])
+
+
 def _one_gamma_curve(models, sens, x, t_grid, gamma_factor, trust_precision, target):
     """Column ``gamma_factor`` of ``apo_band_matrix`` for the rows ``x``."""
     t_grid = np.asarray(t_grid, dtype=float)
-    probs = np.array([np.atleast_1d(models.outcome.predict(x, float(t))) for t in t_grid])
+    probs = _outcome_prob_matrix(models.outcome, x, t_grid)
     engine = DivisorEngine(sens, models.propensity.predict(x), trust_precision=trust_precision)
     lo, hi, undefined = apo_band_matrix(engine, probs, t_grid, [gamma_factor])
     return IntervalCurve(t_grid, lo[:, 0], hi[:, 0], target, undefined[:, 0])

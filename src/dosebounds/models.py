@@ -6,7 +6,9 @@ sigmoids near-linear over a wide input range, which is also why the default
 learning rate is an unusual 10: parameter-space steps that large correspond
 to small moves in output space.  Fits are bit-reproducible: zero
 initialization, a fixed batch partition order, and batch shuffling drawn
-from a named substream of the config seed.
+from a named substream of the config seed.  ADAM's moment decay rates and
+its denominator guard are the usual values, fixed as the module constants
+``ADAM_BETA1`` = 0.9, ``ADAM_BETA2`` = 0.999 and ``ADAM_EPSILON`` = 1e-8.
 
 ADAM takes gradient-only steps: ``_outcome_grad`` and ``_propensity_grad``
 never evaluate the loss.  A propensity step makes one ``digamma`` call, and
@@ -47,6 +49,9 @@ PROPENSITY_CAP = 100.0
 TREATMENT_CLEARANCE = 1e-6
 _PARAM_EDGE = 1e-7  # keeps predicted Beta parameters strictly inside (0, cap)
 _FORMAT_VERSION = 1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 def require_integer_fields(config, *names: str) -> None:
@@ -72,18 +77,13 @@ class TrainConfig:
     learning_rate: float = 10.0
     batches: int = 4
     epochs: int = 50
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
         require_integer_fields(self, "batches", "epochs", "seed")
-        require_real_fields(self, "learning_rate", "beta1", "beta2", "epsilon")
+        require_real_fields(self, "learning_rate")
         if self.learning_rate <= 0.0 or self.batches < 1 or self.epochs < 0:
             raise ValueError("learning_rate > 0, batches >= 1, epochs >= 0 required")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.epsilon > 0.0):
-            raise ValueError("invalid ADAM moment parameters")
 
 
 def _sigmoid(u):
@@ -183,14 +183,14 @@ class FittedModels:
     propensity: PropensityModel
 
 
-def _outcome_grad(params, feats, y, stretch):
+def _outcome_grad(params, feats, y):
     """Gradient of the mean Bernoulli negative log-likelihood (no loss)."""
-    u = (feats @ params[:-1] + params[-1]) / stretch
-    dz = (_sigmoid(u) - y) / (stretch * len(y))
+    u = (feats @ params[:-1] + params[-1]) / STRETCH
+    dz = (_sigmoid(u) - y) / (STRETCH * len(y))
     return np.concatenate([feats.T @ dz, [dz.sum()]])
 
 
-def outcome_loss_grad(params, x, t, y, stretch=STRETCH):
+def outcome_loss_grad(params, x, t, y):
     """Mean Bernoulli negative log-likelihood and its parameter gradient.
 
     ``params`` stacks the feature weights (treatment last) and then the bias.
@@ -198,39 +198,39 @@ def outcome_loss_grad(params, x, t, y, stretch=STRETCH):
     params = np.asarray(params, dtype=float)
     feats, _ = _features(x, t)
     y = np.asarray(y, dtype=float)
-    u = (feats @ params[:-1] + params[-1]) / stretch
+    u = (feats @ params[:-1] + params[-1]) / STRETCH
     loss = float(np.mean(_softplus(u) - y * u))
-    return loss, _outcome_grad(params, feats, y, stretch)
+    return loss, _outcome_grad(params, feats, y)
 
 
-def _beta_heads(params, x2, cap, stretch):
+def _beta_heads(params, x2):
     """Gates and (alpha, beta) of the two Beta heads at stacked ``params``."""
     d = x2.shape[1]
-    gate_a = _sigmoid((x2 @ params[:d] + params[d]) / stretch)
-    gate_b = _sigmoid((x2 @ params[d + 1 : 2 * d + 1] + params[2 * d + 1]) / stretch)
-    return gate_a, gate_b, cap * gate_a, cap * gate_b
+    gate_a = _sigmoid((x2 @ params[:d] + params[d]) / STRETCH)
+    gate_b = _sigmoid((x2 @ params[d + 1 : 2 * d + 1] + params[2 * d + 1]) / STRETCH)
+    return gate_a, gate_b, PROPENSITY_CAP * gate_a, PROPENSITY_CAP * gate_b
 
 
-def _propensity_grad(params, x2, ln_t, ln_1mt, cap, stretch):
+def _propensity_grad(params, x2, ln_t, ln_1mt):
     """Gradient of the mean Beta negative log-likelihood (no loss).
 
     Takes log(t) and log(1 - t) so that a fit computes them once.  One
     ``digamma`` call covers alpha, beta and alpha + beta; it is elementwise,
     so this equals three separate calls bit for bit.
     """
-    gate_a, gate_b, alpha, beta = _beta_heads(params, x2, cap, stretch)
+    gate_a, gate_b, alpha, beta = _beta_heads(params, x2)
     psi_a, psi_b, psi_sum = np.split(digamma(np.concatenate([alpha, beta, alpha + beta])), 3)
     n = len(ln_t)
     dl_da = (psi_a - psi_sum - ln_t) / n
     dl_db = (psi_b - psi_sum - ln_1mt) / n
-    da_du = cap * gate_a * (1.0 - gate_a) / stretch
-    db_du = cap * gate_b * (1.0 - gate_b) / stretch
+    da_du = PROPENSITY_CAP * gate_a * (1.0 - gate_a) / STRETCH
+    db_du = PROPENSITY_CAP * gate_b * (1.0 - gate_b) / STRETCH
     pull_a = dl_da * da_du
     pull_b = dl_db * db_du
     return np.concatenate([x2.T @ pull_a, [pull_a.sum()], x2.T @ pull_b, [pull_b.sum()]])
 
 
-def propensity_loss_grad(params, x, t, cap=PROPENSITY_CAP, stretch=STRETCH):
+def propensity_loss_grad(params, x, t):
     """Mean Beta negative log-likelihood and its gradient through the gates.
 
     ``params`` stacks alpha-head weights, alpha bias, beta-head weights, beta
@@ -244,7 +244,7 @@ def propensity_loss_grad(params, x, t, cap=PROPENSITY_CAP, stretch=STRETCH):
     d = x2.shape[1]
     if len(params) != 2 * d + 2:
         raise ValueError(f"expected {2 * d + 2} parameters, got {len(params)}")
-    _, _, alpha, beta = _beta_heads(params, x2, cap, stretch)
+    _, _, alpha, beta = _beta_heads(params, x2)
     ln_t = np.log(t)
     ln_1mt = np.log1p(-t)
     loss = float(
@@ -253,7 +253,7 @@ def propensity_loss_grad(params, x, t, cap=PROPENSITY_CAP, stretch=STRETCH):
             - (alpha - 1.0) * ln_t - (beta - 1.0) * ln_1mt
         )
     )
-    return loss, _propensity_grad(params, x2, ln_t, ln_1mt, cap, stretch)
+    return loss, _propensity_grad(params, x2, ln_t, ln_1mt)
 
 
 def _adam(grad_fn, params, config: TrainConfig, n_samples: int) -> np.ndarray:
@@ -272,11 +272,11 @@ def _adam(grad_fn, params, config: TrainConfig, n_samples: int) -> np.ndarray:
         for start, stop in spans:
             grad = grad_fn(params, order[start:stop])
             step += 1
-            m = config.beta1 * m + (1.0 - config.beta1) * grad
-            v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
-            m_hat = m / (1.0 - config.beta1**step)
-            v_hat = v / (1.0 - config.beta2**step)
-            params = params - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+            m_hat = m / (1.0 - ADAM_BETA1**step)
+            v_hat = v / (1.0 - ADAM_BETA2**step)
+            params = params - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return params
 
 
@@ -297,7 +297,7 @@ def fit_outcome(x, t, y, config: TrainConfig | None = None) -> OutcomeModel:
     feats, _ = _features(x2, t)
 
     def grad_fn(params, batch):
-        return _outcome_grad(params, feats[batch], y[batch], STRETCH)
+        return _outcome_grad(params, feats[batch], y[batch])
 
     params = _adam(grad_fn, np.zeros(x2.shape[1] + 2), config, len(y))
     return OutcomeModel(weights=params[:-1], bias=float(params[-1]), flags=tuple(flags))
@@ -319,9 +319,7 @@ def fit_propensity(x, t, config: TrainConfig | None = None) -> PropensityModel:
     ln_1mt = np.log1p(-clamped)
 
     def grad_fn(params, batch):
-        return _propensity_grad(
-            params, x2[batch], ln_t[batch], ln_1mt[batch], PROPENSITY_CAP, STRETCH
-        )
+        return _propensity_grad(params, x2[batch], ln_t[batch], ln_1mt[batch])
 
     d = x2.shape[1]
     params = _adam(grad_fn, np.zeros(2 * d + 2), config, len(t))

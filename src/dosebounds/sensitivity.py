@@ -14,20 +14,27 @@ with ``benchmark.quantile_normalize``.
 
 For the smoothness-bounded model (``DeltaMSM``) the odds of treatment given
 a counterfactual outcome may drift away from the nominal propensity at a
-log-rate of at most log(Gamma) per unit of treatment, anchored at the origin
-of the treatment support.  The resulting interval is
+log-rate of at most log(Gamma) per unit of treatment.  Anchored at the
+origin of the treatment support, this gives the interval d0 = (d0_lo, d0_hi)
 
-    d_lo = E_q[Gamma^-|tau|] - log(Gamma) Gamma^|t| |E_q[tau - t]|
-    d_hi = E_q[Gamma^+|tau|] + log(Gamma) Gamma^|t| |E_q[tau - t]|
-           + (log(Gamma)^2 / 2) Gamma^|t| E_q[(tau - t)^2]
+    d0_lo = E_q[Gamma^-|tau|] - log(Gamma) Gamma^|t| |E_q[tau - t]|
+    d0_hi = E_q[Gamma^+|tau|] + log(Gamma) Gamma^|t| |E_q[tau - t]|
+            + (log(Gamma)^2 / 2) Gamma^|t| E_q[(tau - t)^2]
 
 where q is the nominal propensity reweighed by a unimodal trust weight
-peaking at the queried dose t.  With a Beta propensity and a Beta trust
-weight, q is Beta again and every expectation has a closed form (1F1
-series); the quadrature oracle in ``specfun`` reproduces every term, which
-the test-suite exploits heavily.  The same construction with Gamma doses on
-(0, inf) and Gaussian doses on the real line, closed forms included, is
-kept in the history at commit 853bc33.
+peaking at the queried dose t.  ``DeltaMSM`` balances both ends of [0, 1]:
+with d1 the mirror interval anchored at 1 (the same construction at dose
+1 - t under the flipped propensity Beta(beta_bar, alpha_bar)), its divisor is
+
+    d = t d0(t) + (1 - t) d1(t)
+
+at both ends of the interval.  With a Beta propensity and a Beta trust weight, q is Beta
+again and every expectation has a closed form (1F1 series); the quadrature
+oracle in ``specfun`` reproduces every term, which the test-suite exploits
+heavily.  The origin-anchored d0 alone, once selectable as the ``beta``
+scheme, is kept in the history at commit 35861af, and the same construction
+with Gamma doses on (0, inf) and Gaussian doses on the real line, closed
+forms included, at commit 853bc33.
 
 The alternatives ``CMSM`` (density-ratio budget), ``Uniform`` (a flat
 divisor interval), and ``BinaryMSM`` (a dichotomized odds-ratio budget) are
@@ -62,6 +69,9 @@ __all__ = [
 # Trust precisions below this floor are numerically indistinguishable from a
 # flat weight; the Beta heuristic can hit it when alpha_bar + beta_bar <= 2.
 MIN_TRUST_PRECISION = 1e-6
+
+# BinaryMSM dichotomizes the dose at the middle of its support.
+BINARY_THRESHOLD = 0.5
 
 # CMSM evaluates the nominal density no closer than this to 0 or 1, where a
 # Beta density is exactly zero or unbounded.
@@ -266,18 +276,10 @@ def _beta_mgf_pair(q: BetaCompound, s):
 # sensitivity models and their divisor intervals
 
 
-_DELTA_SCHEMES = ("beta", "balanced-beta")
-
-
 @dataclass(frozen=True)
 class DeltaMSM:
-    """Bounded drift rate of the treatment log-odds per unit of dose."""
-
-    scheme: str = "balanced-beta"
-
-    def __post_init__(self):
-        if self.scheme not in _DELTA_SCHEMES:
-            raise ValueError(f"scheme must be one of {_DELTA_SCHEMES}, got {self.scheme!r}")
+    """Bounded drift rate of the treatment log-odds per unit of dose,
+    balanced between anchors at both ends of [0, 1]."""
 
 
 @dataclass(frozen=True)
@@ -292,13 +294,7 @@ class Uniform:
 
 @dataclass(frozen=True)
 class BinaryMSM:
-    """Odds-ratio budget on the dichotomized treatment 1{T > threshold}."""
-
-    threshold: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 < self.threshold < 1.0):
-            raise ValueError("threshold must lie strictly inside (0, 1)")
+    """Odds-ratio budget on the dichotomized treatment 1{T > BINARY_THRESHOLD}."""
 
 
 SensitivityModel = Union[DeltaMSM, CMSM, Uniform, BinaryMSM]
@@ -343,7 +339,7 @@ class DivisorEngine:
             self.trust_precision = trust_precision
         elif isinstance(model, BinaryMSM):
             self._below = specfun.reg_inc_beta(
-                propensity.alpha_bar, propensity.beta_bar, model.threshold
+                propensity.alpha_bar, propensity.beta_bar, BINARY_THRESHOLD
             )
         elif isinstance(model, CMSM):
             self._log_normaliser = propensity.log_normaliser
@@ -366,7 +362,7 @@ class DivisorEngine:
         if isinstance(model, Uniform):
             ones = np.ones(np.shape(self.propensity.alpha_bar))
             return ones / gamma, ones * gamma
-        e = np.where(t > model.threshold, 1.0 - self._below, self._below)
+        e = np.where(t > BINARY_THRESHOLD, 1.0 - self._below, self._below)
         return 1.0 / (e + gamma * (1.0 - e)), gamma / (gamma * e + (1.0 - e))
 
     # -- DeltaMSM internals
@@ -374,8 +370,6 @@ class DivisorEngine:
     def _delta_bounds(self, t, gamma):
         prop = self.propensity
         q0 = compound(prop, trust_params(t, self.trust_precision))
-        if self.model.scheme == "beta":
-            return _anchored_divisor(q0, t, gamma, lambda_expectation_bounds(q0, gamma))
         # The flipped propensity Beta(beta_bar, alpha_bar) compounded at dose
         # 1 - t is the mirror Beta(B, A) of q0 = Beta(A, B), so one pair of
         # 1F1 series serves both anchors.

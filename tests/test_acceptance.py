@@ -60,7 +60,7 @@ def test_01_point_identification_collapse():
     params = BetaPropensity(rng.uniform(1.2, 6.0, n), rng.uniform(1.2, 6.0, n))
     single = BetaPropensity(float(params.alpha_bar[0]), float(params.beta_bar[0]))
     grid = np.linspace(0.01, 0.99, 100)
-    cases = [DeltaMSM("beta"), DeltaMSM("balanced-beta"), Uniform(), BinaryMSM()]
+    cases = [DeltaMSM(), Uniform(), BinaryMSM()]
     worst_divisor = 0.0
     worst_width = 0.0
     for sens in cases:

@@ -332,7 +332,7 @@ class TestKsUniform:
 
 class TestMethodRegistry:
     def test_known_methods(self):
-        assert bm.sensitivity_model_for("deltamsm") == DeltaMSM("balanced-beta")
+        assert bm.sensitivity_model_for("deltamsm") == DeltaMSM()
         assert bm.sensitivity_model_for("cmsm") == CMSM()
         assert bm.sensitivity_model_for("uniform") == Uniform()
         assert bm.sensitivity_model_for("binarymsm") == BinaryMSM()
@@ -604,11 +604,10 @@ class TestRunBenchmark:
         assert stats["mean_ratio_to_best"] == pytest.approx(1.0)
         assert stats["std_ratio_to_best"] == pytest.approx(0.0)
 
-    def test_duplicate_method_names_share_the_tie_credit(self):
-        report = self.run_small(methods=("uniform", "uniform"), n_trials=2)
-        stats = report.summary["per_method"]["uniform"]
-        assert stats["pct_best"] == pytest.approx(100.0)
-        assert stats["mean_ratio_to_best"] == pytest.approx(1.0)
+    def test_duplicate_methods_raise(self):
+        # a repeated method would take extra shares of every tie in pct_best
+        with pytest.raises(ValueError, match="duplicate methods: 'uniform'"):
+            self.run_small(methods=("uniform", "cmsm", "uniform"), n_trials=1)
 
     def test_reruns_are_byte_identical(self):
         a = self.run_small().summary

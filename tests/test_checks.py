@@ -88,8 +88,8 @@ class TestDefectDetection:
 
         real = models.outcome_loss_grad
 
-        def wrong(params, x, t, y, stretch=100.0):
-            loss, grad = real(params, x, t, y, stretch)
+        def wrong(params, x, t, y):
+            loss, grad = real(params, x, t, y)
             return loss, grad * 1.01
 
         monkeypatch.setattr(checks, "outcome_loss_grad", wrong)

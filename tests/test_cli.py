@@ -7,7 +7,7 @@ import pytest
 
 from dosebounds import benchmark as bm
 from dosebounds import checks, cli, fileio
-from dosebounds.cli import _sensitivity_from_flags, load_run_config, main
+from dosebounds.cli import load_run_config, main
 from dosebounds.estimator import apo_interval
 from dosebounds.models import FittedModels, TrainConfig, fit_outcome, fit_propensity
 from dosebounds.sensitivity import Uniform
@@ -154,8 +154,7 @@ class TestBounds:
         write_training_csv(data)
         out = tmp_path / "out"
         assert (
-            run("bounds", "--data", data, "--model", "deltamsm", "--scheme",
-                "balanced-beta", "--gamma", 1.0, "--out", out)
+            run("bounds", "--data", data, "--model", "deltamsm", "--gamma", 1.0, "--out", out)
             == 0
         )
         _, table = fileio.read_csv(str(out / "bounds.csv"))
@@ -190,7 +189,6 @@ class TestBounds:
         base = ["bounds", "--data", data]
         assert run(*base, "--model", "uniform", "--gamma", 0.5) == 2
         assert run(*base, "--model", "uniform", "--gamma", 2, "--target", "capo") == 2
-        assert run(*base, "--model", "cmsm", "--scheme", "beta", "--gamma", 2) == 2
         assert run(*base, "--model", "uniform", "--gamma", 2, "--target", "capo",
                    "--instance", 999) == 2
         assert run(*base, "--model", "uniform", "--gamma", 2, "--precision", -1) == 2
@@ -204,29 +202,17 @@ class TestBounds:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert all(repr(name) in err for name in bm.DEFAULT_METHODS)
-        for name in bm.DEFAULT_METHODS:
-            assert _sensitivity_from_flags(name, None) == bm.sensitivity_model_for(name)
-        assert run("bounds", "--data", data, "--model", "uniform", "--scheme", "beta",
-                   "--gamma", 2) == 2
-        assert "--scheme only applies to --model deltamsm" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scheme", ["gamma", "gaussian"])
-    def test_non_beta_scheme_is_a_usage_error(self, tmp_path, capsys, scheme):
+    def test_scheme_flag_is_a_usage_error(self, tmp_path, capsys):
+        # DeltaMSM has one divisor, so there is no scheme to choose
         data = tmp_path / "train.csv"
         write_training_csv(data)
         with pytest.raises(SystemExit) as excinfo:
-            run("bounds", "--data", data, "--model", "deltamsm", "--scheme", scheme,
+            run("bounds", "--data", data, "--model", "deltamsm", "--scheme", "beta",
                 "--gamma", 2, "--out", tmp_path / "out")
         assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "--scheme" in err and "invalid choice" in err
+        assert "unrecognized arguments: --scheme beta" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-    def test_beta_scheme_runs(self, tmp_path):
-        data = tmp_path / "train.csv"
-        write_training_csv(data)
-        assert run("bounds", "--data", data, "--model", "deltamsm", "--scheme", "beta",
-                   "--gamma", 1.5, "--out", tmp_path / "out") == 0
 
     def test_missing_data_file_fails_cleanly(self, tmp_path, capsys, no_fitting):
         assert run("bounds", "--data", tmp_path / "nope.csv", "--model", "uniform",
@@ -421,6 +407,20 @@ class TestBenchmarkCommand:
         assert "unknown method 'bogus'" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    def test_duplicate_config_methods_are_a_usage_error(self, tmp_path, capsys, no_fitting):
+        # a repeated method would take extra shares of every tie in pct_best
+        config = benchmark_config(tmp_path, methods=["uniform", "cmsm", "uniform"])
+        assert run("benchmark", "--config", config, "--out", tmp_path) == 2
+        assert "config.methods: duplicate methods: 'uniform'" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_duplicate_methods_flag_is_a_usage_error(self, tmp_path, capsys, no_fitting):
+        config = benchmark_config(tmp_path)
+        assert run("benchmark", "--config", config, "--methods", "uniform,uniform,cmsm",
+                   "--out", tmp_path) == 2
+        assert "--methods: duplicate methods: 'uniform'" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
 
 class TestRunConfig:
     def test_defaults(self):
@@ -499,12 +499,8 @@ class TestConfigTypes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [("learning_rate", True), ("beta1", False), ("beta2", False), ("epsilon", True)],
-    )
+    @pytest.mark.parametrize("field, value", [("learning_rate", True)])
     def test_boolean_train_numbers_are_rejected(self, field, value):
-        # beta1, beta2 and epsilon have no config key, so they are checked directly
         with pytest.raises(ValueError, match=f"{field} must be a number, got {value}"):
             TrainConfig(**{field: value})
 

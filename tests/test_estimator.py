@@ -392,7 +392,7 @@ class TestCurves:
 
     def test_unit_gamma_collapses_to_prediction(self):
         models = FittedModels(self.outcome(), PropensityStub([3.0], [3.0]))
-        curve = capo_interval(models, DeltaMSM("balanced-beta"), [0.0], self.t_grid, 1.0)
+        curve = capo_interval(models, DeltaMSM(), [0.0], self.t_grid, 1.0)
         expected = 0.2 + 0.5 * self.t_grid
         np.testing.assert_allclose(curve.lo, expected, atol=1e-9)
         np.testing.assert_allclose(curve.hi, expected, atol=1e-9)
@@ -404,7 +404,7 @@ class TestCurves:
         expected = 0.2 + 0.5 * self.t_grid
         prev = None
         for gamma in (1.2, 1.6, 2.3):
-            curve = capo_interval(models, DeltaMSM("beta"), [0.0], self.t_grid, gamma)
+            curve = capo_interval(models, DeltaMSM(), [0.0], self.t_grid, gamma)
             assert np.all(curve.lo <= expected + 1e-12)
             assert np.all(curve.hi >= expected - 1e-12)
             assert np.all(curve.lo >= -1e-12) and np.all(curve.hi <= 1.0 + 1e-12)
@@ -415,8 +415,8 @@ class TestCurves:
 
     def test_apo_of_single_instance_equals_capo(self):
         models = FittedModels(self.outcome(), PropensityStub([3.0, 5.0], [3.0, 2.0]))
-        capo = capo_interval(models, DeltaMSM("balanced-beta"), [1.0], self.t_grid, 1.7)
-        apo = apo_interval(models, DeltaMSM("balanced-beta"), [[1.0]], self.t_grid, 1.7)
+        capo = capo_interval(models, DeltaMSM(), [1.0], self.t_grid, 1.7)
+        apo = apo_interval(models, DeltaMSM(), [[1.0]], self.t_grid, 1.7)
         np.testing.assert_allclose(apo.lo, capo.lo, rtol=1e-13)
         np.testing.assert_allclose(apo.hi, capo.hi, rtol=1e-13)
         assert apo.target == "apo"
@@ -435,9 +435,9 @@ class TestCurves:
         xs = [[0.0], [1.0]]
         gamma = 1.9
         t = 0.35
-        curve = apo_interval(models, DeltaMSM("beta"), xs, [t, 0.5], gamma)
+        curve = apo_interval(models, DeltaMSM(), xs, [t, 0.5], gamma)
         params = models.propensity.predict(np.asarray(xs))
-        d_lo, d_hi = DivisorEngine(DeltaMSM("beta"), params).bounds(t, gamma)
+        d_lo, d_hi = DivisorEngine(DeltaMSM(), params).bounds(t, gamma)
         draws = outcome_draws(self.outcome(), t, xs, d_lo, d_hi)
         assert curve.lo[0] == pytest.approx(extremize(*draws, "min"), rel=1e-12)
         assert curve.hi[0] == pytest.approx(extremize(*draws, "max"), rel=1e-12)
@@ -448,14 +448,14 @@ class TestCurves:
         models = FittedModels(self.outcome(), PropensityStub([9.0, 1.0], [2.0, 9.0]))
         xs = [[0.0], [1.0]]
         grid = [0.5, 0.9]
-        mixed = apo_interval(models, DeltaMSM("beta"), xs, grid, 2.5)
+        mixed = apo_interval(models, DeltaMSM(), xs, grid, 2.5)
         assert not mixed.undefined_mask[0]
         assert mixed.undefined_mask[1]
-        healthy_only = apo_interval(models, DeltaMSM("beta"), [[0.0]], grid, 2.5)
+        healthy_only = apo_interval(models, DeltaMSM(), [[0.0]], grid, 2.5)
         assert not healthy_only.undefined_mask.any()
         assert mixed.lo[1] == pytest.approx(healthy_only.lo[1], rel=1e-12)
         assert mixed.hi[1] == pytest.approx(healthy_only.hi[1], rel=1e-12)
-        all_dropped = apo_interval(models, DeltaMSM("beta"), [[1.0]], grid, 2.5)
+        all_dropped = apo_interval(models, DeltaMSM(), [[1.0]], grid, 2.5)
         assert all_dropped.undefined_mask[1]
         assert math.isnan(all_dropped.lo[1]) and math.isnan(all_dropped.hi[1])
 
@@ -469,7 +469,7 @@ class TestCurves:
             )
             xs = [[0.0], [1.0], [2.0]]
             gamma = float(rng.uniform(1.0, 2.5))
-            curve = apo_interval(models, DeltaMSM("balanced-beta"), xs, self.t_grid, gamma)
+            curve = apo_interval(models, DeltaMSM(), xs, self.t_grid, gamma)
             good = ~np.isnan(curve.lo)
             assert np.all(curve.lo[good] <= curve.hi[good] + 1e-12)
 
@@ -492,8 +492,8 @@ class TestApoBandMatrix:
 
     @pytest.mark.parametrize(
         "model",
-        [DeltaMSM("balanced-beta"), DeltaMSM("beta"), CMSM(), Uniform()],
-        ids=["balanced", "beta", "cmsm", "uniform"],
+        [DeltaMSM(), CMSM(), Uniform()],
+        ids=["balanced", "cmsm", "uniform"],
     )
     def test_matches_per_gamma_curves(self, model):
         from dosebounds.estimator import apo_band_matrix
@@ -527,7 +527,7 @@ class TestApoBandMatrix:
         from dosebounds.sensitivity import DivisorEngine
 
         outcome, propensity, xs, prob = self.case([1.0, 0.9], [9.0, 12.0])
-        engine = DivisorEngine(DeltaMSM("beta"), propensity.predict(np.asarray(xs)))
+        engine = DivisorEngine(DeltaMSM(), propensity.predict(np.asarray(xs)))
         lo, hi, undefined = apo_band_matrix(engine, prob, self.t_grid, np.array([1.0, 2.5]))
         assert undefined[-1, 1]
         assert not undefined[:, 0].any()
@@ -560,7 +560,7 @@ class TestGammaSubsetExactness:
         t_grid = np.linspace(0.0, 1.0, 12)
         prob = rng.uniform(0.05, 0.95, (len(t_grid), n))
         gammas = np.linspace(1.0, 2.5, 100)
-        engine = DivisorEngine(DeltaMSM("balanced-beta"), propensity)
+        engine = DivisorEngine(DeltaMSM(), propensity)
         full = apo_band_matrix(engine, prob, t_grid, gammas)
         subsets = [[0, 99], [98, 99], list(range(9, 100, 10)), list(range(40, 50)) + [99]]
         for size in (2, 3, 5, 11, 21, 40):
@@ -595,7 +595,7 @@ def band_cases(draw):
 class TestBandKernelProperties:
     """Ordering, nesting and point identification of ``apo_band_matrix``."""
 
-    collapsing = [DeltaMSM("beta"), DeltaMSM("balanced-beta"), Uniform(), BinaryMSM()]
+    collapsing = [DeltaMSM(), Uniform(), BinaryMSM()]
 
     @given(band_cases())
     @settings(max_examples=150, deadline=None)
@@ -652,7 +652,7 @@ class TestBandKernelProperties:
         # Hypothesis examples of test_capo_is_the_one_gamma_column that miss
         # its atol of 1e-15 at the largest gamma
         propensity = BetaPropensity(np.array([alpha]), np.array([beta]))
-        engine = DivisorEngine(DeltaMSM("balanced-beta"), propensity)
+        engine = DivisorEngine(DeltaMSM(), propensity)
         prob = np.array(prob)[:, None]
         t_grid = np.linspace(0.0, 1.0, len(prob))
         gammas = np.array(gammas)

@@ -6,11 +6,12 @@ import json
 import os
 import pkgutil
 import re
+import shlex
 
 import numpy as np
 import pytest
 
-from dosebounds.cli import load_run_config
+from dosebounds.cli import _build_parser, load_run_config
 from dosebounds.fileio import (
     atomic_write_text,
     format_float,
@@ -45,6 +46,26 @@ class TestReadme:
         assert imported
         missing = [name for module, name in imported if not hasattr(module, name)]
         assert not missing
+
+    def test_python_blocks_run(self):
+        # each block stands alone, as a reader would paste it
+        for block in readme_blocks("python"):
+            exec(compile(block, README, "exec"), {})
+
+    def test_shell_commands_parse(self):
+        commands = [
+            shlex.split(line)[1:]
+            for block in readme_blocks("sh")
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("dosebounds ")
+        ]
+        assert commands
+        parser = _build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: dosebounds {shlex.join(argv)}")
 
 
 class TestSeeds:

@@ -297,36 +297,20 @@ class TestDivisorBounds:
 
     def test_gamma_one_is_exact_for_every_model(self):
         prop = BetaPropensity(2.7, 1.9)
-        for model in (
-            DeltaMSM("beta"),
-            DeltaMSM("balanced-beta"),
-            Uniform(),
-            BinaryMSM(),
-        ):
+        for model in (DeltaMSM(), Uniform(), BinaryMSM()):
             d_lo, d_hi = DivisorEngine(model, prop).bounds(0.3, 1.0)
             assert d_lo == pytest.approx(1.0, abs=1e-12)
             assert d_hi == pytest.approx(1.0, abs=1e-12)
 
-    def test_beta_scheme_matches_termwise_quadrature(self):
-        prop = BetaPropensity(3.0, 3.0)
-        t, gamma = 0.5, 1.5
-        q = compound(prop, trust_params(t, prop.nominal_precision))
-        oracle = anchored_divisor_oracle(q, t, gamma)
-        d_lo, d_hi = DivisorEngine(DeltaMSM("beta"), prop).bounds(t, gamma)
-        assert d_lo == pytest.approx(oracle[0], abs=1e-7)
-        assert d_hi == pytest.approx(oracle[1], abs=1e-7)
-
     @pytest.mark.parametrize(
-        "scheme,prop,t",
-        [
-            ("beta", BetaPropensity(4.2, 2.1), 0.25),
-        ],
+        "prop,gamma", [(BetaPropensity(3.0, 3.0), 1.5), (BetaPropensity(4.2, 2.1), 1.8)]
     )
-    def test_anchored_schemes_match_termwise_quadrature(self, scheme, prop, t):
-        gamma = 1.8
+    def test_dose_one_matches_termwise_quadrature(self, prop, gamma):
+        # at t = 1 the balanced divisor puts its whole weight on the anchor at 0
+        t = 1.0
         q = compound(prop, trust_params(t, prop.nominal_precision))
         oracle = anchored_divisor_oracle(q, t, gamma)
-        d_lo, d_hi = DivisorEngine(DeltaMSM(scheme), prop).bounds(t, gamma)
+        d_lo, d_hi = DivisorEngine(DeltaMSM(), prop).bounds(t, gamma)
         assert d_lo == pytest.approx(oracle[0], abs=1e-7)
         assert d_hi == pytest.approx(oracle[1], abs=1e-7)
 
@@ -338,7 +322,7 @@ class TestDivisorBounds:
         q1 = compound(prop.flipped(), trust_params(1.0 - t, r))
         lo0, hi0 = anchored_divisor_oracle(q0, t, gamma)
         lo1, hi1 = anchored_divisor_oracle(q1, 1.0 - t, gamma)
-        d_lo, d_hi = DivisorEngine(DeltaMSM("balanced-beta"), prop).bounds(t, gamma)
+        d_lo, d_hi = DivisorEngine(DeltaMSM(), prop).bounds(t, gamma)
         assert d_lo == pytest.approx(t * lo0 + (1.0 - t) * lo1, abs=1e-7)
         assert d_hi == pytest.approx(t * hi0 + (1.0 - t) * hi1, abs=1e-7)
 
@@ -351,7 +335,7 @@ class TestDivisorBounds:
         gammas = np.linspace(1.0, 10.0, 9)[:, None]
         s = np.log(gammas)
         for t in (0.0, 0.37, 1.0):
-            d_lo, d_hi = DivisorEngine(DeltaMSM("balanced-beta"), prop).bounds(t, gammas)
+            d_lo, d_hi = DivisorEngine(DeltaMSM(), prop).bounds(t, gammas)
             want_lo = want_hi = 0.0
             for weight, anchor, dose in ((t, prop, t), (1.0 - t, prop.flipped(), 1.0 - t)):
                 q = compound(anchor, trust_params(dose, r))
@@ -372,8 +356,8 @@ class TestDivisorBounds:
         for _ in range(20):
             a, b = rng.uniform(0.8, 20.0, size=2)
             t = rng.uniform(0.0, 1.0)
-            fwd = DivisorEngine(DeltaMSM("balanced-beta"), BetaPropensity(a, b)).bounds(t, gamma)
-            rev = DivisorEngine(DeltaMSM("balanced-beta"), BetaPropensity(b, a)).bounds(
+            fwd = DivisorEngine(DeltaMSM(), BetaPropensity(a, b)).bounds(t, gamma)
+            rev = DivisorEngine(DeltaMSM(), BetaPropensity(b, a)).bounds(
                 1.0 - t, gamma
             )
             assert fwd[0] == pytest.approx(rev[0], rel=1e-12)
@@ -386,12 +370,7 @@ class TestDivisorBounds:
             prop = BetaPropensity(a, b)
             t = rng.uniform(0.02, 0.98)
             gamma = rng.uniform(1.0, 2.5)
-            for model in (
-                DeltaMSM("beta"),
-                DeltaMSM("balanced-beta"),
-                Uniform(),
-                BinaryMSM(),
-            ):
+            for model in (DeltaMSM(), Uniform(), BinaryMSM()):
                 d_lo, d_hi = DivisorEngine(model, prop).bounds(t, gamma)
                 assert d_lo <= 1.0 + 1e-10
                 assert d_hi >= 1.0 - 1e-10
@@ -399,7 +378,7 @@ class TestDivisorBounds:
     def test_monotone_in_gamma(self):
         prop = BetaPropensity(4.0, 3.0)
         gammas = np.linspace(1.0, 2.5, 20)
-        for model in (DeltaMSM("balanced-beta"), CMSM(), Uniform(), BinaryMSM()):
+        for model in (DeltaMSM(), CMSM(), Uniform(), BinaryMSM()):
             results = [DivisorEngine(model, prop).bounds(0.35, g) for g in gammas]
             los = [d_lo for d_lo, _ in results]
             his = [d_hi for _, d_hi in results]
@@ -421,14 +400,14 @@ class TestDivisorBounds:
         assert d_lo > 0.0
         # a propensity concentrated far from the queried dose loses d_lo > 0
         prop = BetaPropensity(0.9, 60.0)
-        d_lo, _ = DivisorEngine(DeltaMSM("beta"), prop, trust_precision=0.5).bounds(1.0, 2.5)
+        d_lo, _ = DivisorEngine(DeltaMSM(), prop, trust_precision=0.5).bounds(1.0, 2.5)
         assert d_lo <= 0.0
 
     def test_array_propensity_matches_scalar_loop(self):
         alphas = np.array([1.5, 3.0, 7.0])
         betas = np.array([2.0, 2.5, 1.2])
         t, gamma = 0.4, 1.9
-        for model in (DeltaMSM("balanced-beta"), CMSM(), Uniform(), BinaryMSM()):
+        for model in (DeltaMSM(), CMSM(), Uniform(), BinaryMSM()):
             batch = DivisorEngine(model, BetaPropensity(alphas, betas)).bounds(t, gamma)
             batch = np.broadcast_arrays(*batch)
             for i in range(3):
@@ -440,10 +419,10 @@ class TestDivisorBounds:
 
     def test_engine_cache_consistency(self):
         prop = BetaPropensity(3.0, 4.0)
-        engine = DivisorEngine(DeltaMSM("balanced-beta"), prop)
+        engine = DivisorEngine(DeltaMSM(), prop)
         first = engine.bounds(0.3, 1.5)
         again = engine.bounds(0.3, 2.0)
-        fresh = DivisorEngine(DeltaMSM("balanced-beta"), prop).bounds(0.3, 2.0)
+        fresh = DivisorEngine(DeltaMSM(), prop).bounds(0.3, 2.0)
         assert again[0] == pytest.approx(fresh[0], rel=1e-14)
         assert again[1] == pytest.approx(fresh[1], rel=1e-14)
         assert first[0] >= again[0]
@@ -451,23 +430,21 @@ class TestDivisorBounds:
     def test_validation(self):
         prop = BetaPropensity(2.0, 2.0)
         with pytest.raises(ValueError):
-            DivisorEngine(DeltaMSM("beta"), prop).bounds(0.5, 0.99)
+            DivisorEngine(DeltaMSM(), prop).bounds(0.5, 0.99)
+        # neither model has a setting: one DeltaMSM scheme, one BinaryMSM threshold
+        with pytest.raises(TypeError):
+            DeltaMSM("beta")
+        with pytest.raises(TypeError):
+            BinaryMSM(threshold=0.4)
         with pytest.raises(ValueError):
-            DeltaMSM("cauchy")
-        with pytest.raises(ValueError):
-            BinaryMSM(threshold=1.5)
-        with pytest.raises(ValueError):
-            DivisorEngine(DeltaMSM("beta"), prop, trust_precision=-1.0)
+            DivisorEngine(DeltaMSM(), prop, trust_precision=-1.0)
 
 
 class TestDefaultTrustPrecision:
     def test_matches_nominal_precision(self):
-        for scheme, prop, want in (
-            ("beta", BetaPropensity(3.0, 5.0), 6.0),
-            ("balanced-beta", BetaPropensity(3.0, 5.0), 6.0),
-        ):
-            assert prop.nominal_precision == pytest.approx(want)
-            assert DivisorEngine(DeltaMSM(scheme), prop).trust_precision == pytest.approx(want)
+        prop = BetaPropensity(3.0, 5.0)
+        assert prop.nominal_precision == pytest.approx(6.0)
+        assert DivisorEngine(DeltaMSM(), prop).trust_precision == pytest.approx(6.0)
 
     def test_beta_floor(self):
         # diffuse propensities would give a non-positive heuristic precision
