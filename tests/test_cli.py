@@ -10,7 +10,7 @@ from dosebounds import checks, cli, fileio
 from dosebounds.cli import load_run_config, main
 from dosebounds.estimator import apo_interval
 from dosebounds.models import FittedModels, TrainConfig, fit_outcome, fit_propensity
-from dosebounds.sensitivity import Uniform
+from dosebounds.sensitivity import DeltaMSM, Uniform
 
 
 def run(*argv):
@@ -213,6 +213,31 @@ class TestBounds:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --scheme beta" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scheme", ["gamma", "gaussian"])
+    def test_non_beta_scheme_is_a_usage_error(self, tmp_path, capsys, scheme):
+        data = tmp_path / "train.csv"
+        write_training_csv(data)
+        with pytest.raises(SystemExit) as excinfo:
+            run("bounds", "--data", data, "--model", "deltamsm", "--scheme", scheme,
+                "--gamma", 2, "--out", tmp_path / "out")
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: --scheme {scheme}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_beta_scheme_runs(self, tmp_path):
+        # DeltaMSM's one divisor is the balanced Beta-propensity one
+        data = tmp_path / "train.csv"
+        x, t, y = write_training_csv(data)
+        out = tmp_path / "out"
+        assert run("bounds", "--data", data, "--model", "deltamsm", "--gamma", 1.5,
+                   "--seed", 1, "--out", out) == 0
+        _, table = fileio.read_csv(str(out / "bounds.csv"))
+        train = TrainConfig(seed=1)
+        models = FittedModels(fit_outcome(x, t, y, train), fit_propensity(x, t, train))
+        curve = apo_interval(models, DeltaMSM(), x, np.linspace(0.0, 1.0, 100), 1.5)
+        np.testing.assert_allclose(table[:, 1], curve.lo, rtol=1e-15)
+        np.testing.assert_allclose(table[:, 2], curve.hi, rtol=1e-15)
 
     def test_missing_data_file_fails_cleanly(self, tmp_path, capsys, no_fitting):
         assert run("bounds", "--data", tmp_path / "nope.csv", "--model", "uniform",
