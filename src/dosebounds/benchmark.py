@@ -76,6 +76,9 @@ DEFAULT_METHODS = tuple(_METHOD_MODELS)
 
 def sensitivity_model_for(method: str):
     """The sensitivity model a benchmark method name stands for."""
+    # checked first: a list as a method name would raise TypeError on the lookup
+    if not isinstance(method, str):
+        raise ValueError(f"method names must be strings, got {method!r}")
     try:
         factory = _METHOD_MODELS[method]
     except KeyError:

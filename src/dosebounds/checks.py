@@ -1,7 +1,8 @@
 """Randomized self-check suites.
 
 Each suite replays a correctness argument with fresh random inputs: the
-divisor closed forms against adaptive quadrature, the weight-box extremizer
+divisor closed forms against adaptive quadrature (the Gauss-Kronrod
+integrator below, which no run path calls), the weight-box extremizer
 and the closed-form binary-outcome band against exhaustive vertex
 enumeration, and the training gradients against central finite differences.
 The test suite freezes the same comparisons at fixed seeds; the CLI exposes
@@ -10,18 +11,23 @@ them so any build can be re-validated at an arbitrary sample count.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import sensitivity
 from .estimator import _WEIGHT_CAP, _bernoulli_extremes, extremize
 from .models import outcome_loss_grad, propensity_loss_grad
 from .seeds import substream
-from .sensitivity import BetaPropensity, compound, lambda_expectation_bounds, trust_params
-from .specfun import integrate
+from .sensitivity import BetaCompound, BetaPropensity, compound, trust_params
+from .specfun import DomainError, NumericError
 
 __all__ = [
+    "QuadratureSpec",
+    "DEFAULT_QUADRATURE",
+    "integrate",
     "CheckResult",
     "MAX_EXTREMIZER_N",
     "SUITE_NAMES",
@@ -73,6 +79,151 @@ def resolve_suite(name: str) -> str:
     return name
 
 
+# ---------------------------------------------------------------------------
+# adaptive Gauss-Kronrod quadrature
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Accuracy budget for ``integrate``."""
+
+    abs_tol: float = 1e-10
+    rel_tol: float = 1e-9
+    max_subdivisions: int = 2000
+
+    def __post_init__(self):
+        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
+            raise ValueError("tolerances must be positive")
+        if self.max_subdivisions < 1:
+            raise ValueError("max_subdivisions must be at least 1")
+
+
+DEFAULT_QUADRATURE = QuadratureSpec()
+
+# 15-point Kronrod extension of 7-point Gauss-Legendre on [-1, 1].
+_XGK = np.array(
+    [
+        0.991455371120812639206854697526329,
+        0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926,
+        0.741531185599394439863864773280788,
+        0.586087235467691130294144838258730,
+        0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245,
+    ]
+)
+_WGK = np.array(
+    [
+        0.022935322010529224963732008058970,
+        0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518,
+        0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550,
+        0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649,
+        0.209482141084727828012999174891714,
+    ]
+)
+_WG = np.array(
+    [
+        0.129484966168869693270611432679082,
+        0.279705391489276667901467771423780,
+        0.381830050505118944950369775488975,
+        0.417959183673469387755102040816327,
+    ]
+)
+
+_NODES = np.concatenate([-_XGK, _XGK[::-1], [0.0]])
+_KRONROD_W = np.concatenate([_WGK[:-1], _WGK[:-1][::-1], [_WGK[-1]]])
+_GAUSS_W = np.zeros(15)
+for _i, _j in enumerate((1, 3, 5)):
+    _GAUSS_W[_j] = _WG[_i]
+    _GAUSS_W[13 - _j] = _WG[_i]
+_GAUSS_W[14] = _WG[3]
+del _i, _j
+
+
+def _eval_vectorized(f, x: np.ndarray) -> np.ndarray:
+    try:
+        y = np.asarray(f(x), dtype=float)
+    except (TypeError, ValueError):
+        return np.fromiter((float(f(v)) for v in x), dtype=float, count=x.size)
+    if y.shape == x.shape:
+        return y
+    if y.ndim == 0:
+        return np.full(x.shape, float(y))
+    raise ValueError("integrand returned an array of unexpected shape")
+
+
+def _kronrod_cell(f, a: float, b: float) -> tuple[float, float]:
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fx = _eval_vectorized(f, center + half * _NODES)
+    if not np.isfinite(fx).all():
+        raise NumericError(f"integrand is not finite inside [{a!r}, {b!r}]")
+    resk = half * float(_KRONROD_W @ fx)
+    resg = half * float(_GAUSS_W @ fx)
+    resabs = abs(half) * float(_KRONROD_W @ np.abs(fx))
+    mean = resk / (b - a)
+    resasc = abs(half) * float(_KRONROD_W @ np.abs(fx - mean))
+    err = abs(resk - resg)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    floor = 50.0 * np.finfo(float).eps * resabs
+    if floor > 0.0:
+        err = max(err, floor)
+    return resk, err
+
+
+def _adaptive(f, lo: float, hi: float, spec: QuadratureSpec) -> float:
+    value, err = _kronrod_cell(f, lo, hi)
+    total, total_err = value, err
+    heap = [(-err, 0, lo, hi, value)]
+    used = 0
+    counter = 1
+    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
+        if used >= spec.max_subdivisions:
+            raise NumericError(
+                f"quadrature used all {spec.max_subdivisions} subdivisions "
+                f"(estimate {total!r}, error estimate {total_err:.3e})",
+                value=total,
+                error=total_err,
+            )
+        neg_err, _, a, b, v = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        v1, e1 = _kronrod_cell(f, a, mid)
+        v2, e2 = _kronrod_cell(f, mid, b)
+        total += (v1 + v2) - v
+        total_err += (e1 + e2) - (-neg_err)
+        heapq.heappush(heap, (-e1, counter, a, mid, v1))
+        heapq.heappush(heap, (-e2, counter + 1, mid, b, v2))
+        counter += 2
+        used += 1
+    return total
+
+
+def integrate(f, lo: float, hi: float, spec: QuadratureSpec | None = None) -> float:
+    """Definite integral of ``f`` over ``[lo, hi]`` to the requested tolerance.
+
+    ``f`` should accept a numpy array of abscissae and return the matching
+    array of values; plain scalar callables are looped over as a fallback.
+    Both bounds must be finite.  The open Kronrod rule never evaluates ``f``
+    at the endpoints, so an integrable endpoint singularity is fine.
+    """
+    spec = spec or DEFAULT_QUADRATURE
+    lo = float(lo)
+    hi = float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"integration bounds must be finite, got [{lo!r}, {hi!r}]")
+    if not lo < hi:
+        raise DomainError(f"integration requires lo < hi, got [{lo!r}, {hi!r}]")
+    return _adaptive(f, lo, hi, spec)
+
+
+# ---------------------------------------------------------------------------
+# suites
+
+
 def _folded_power_expectation(q, gamma, sign):
     """E_q[gamma^(sign |tau|)] by adaptive quadrature over (0, 1)."""
     s = math.log(gamma)
@@ -99,8 +250,11 @@ def check_closed_forms(samples: int = 200, seed: int = 0, tolerance: float = 1e-
     """Closed-form folded-power expectations versus adaptive quadrature.
 
     Draws random Beta propensity parameters, a dose in (0, 1) and a trust
-    precision for each sample, then compares both expectation bounds of the
-    Beta compound at several budget levels.  Errors are relative.
+    precision for each sample, then compares, at several budget levels, the
+    four expectation bounds that ``DivisorEngine`` reads from
+    ``sensitivity._folded_power_bounds``: both bounds for the Beta compound q
+    and both for its mirror Beta(B, A), the compound of the anchor at 1.
+    Errors are relative.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -111,19 +265,21 @@ def check_closed_forms(samples: int = 200, seed: int = 0, tolerance: float = 1e-
     for _ in range(samples):
         propensity, t, r = _draw_closed_form_case(rng)
         q = compound(propensity, trust_params(t, r))
+        laws = (("", q), ("mirror ", BetaCompound(q.beta, q.alpha)))
         for gamma in (1.1, 1.5, 2.5):
-            lo, hi = lambda_expectation_bounds(q, gamma)
-            for side, got in (("lo", lo), ("hi", hi)):
-                want = _folded_power_expectation(q, gamma, -1.0 if side == "lo" else 1.0)
-                err = abs(got - want) / abs(want)
-                n_checked += 1
-                if err > worst:
-                    worst = err
-                if err > tolerance and len(failures) < _MAX_REPORTED_FAILURES:
-                    failures.append(
-                        f"q={q} gamma={gamma} {side}: "
-                        f"closed={got!r} quadrature={want!r} rel_err={err:.3e}"
-                    )
+            pairs = sensitivity._folded_power_bounds(q, gamma)
+            for (label, law), (lo, hi) in zip(laws, pairs):
+                for side, got, sign in (("lo", lo, -1.0), ("hi", hi, 1.0)):
+                    want = _folded_power_expectation(law, gamma, sign)
+                    err = abs(got - want) / abs(want)
+                    n_checked += 1
+                    if err > worst:
+                        worst = err
+                    if err > tolerance and len(failures) < _MAX_REPORTED_FAILURES:
+                        failures.append(
+                            f"q={law} gamma={gamma} {label}{side}: "
+                            f"closed={got!r} quadrature={want!r} rel_err={err:.3e}"
+                        )
     return CheckResult("closed-forms", n_checked, worst, tolerance, tuple(failures))
 
 

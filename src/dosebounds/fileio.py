@@ -1,7 +1,8 @@
 """Atomic, reproducible file output plus plain CSV helpers.
 
 Every writer lands the full payload in a temporary file first and renames it
-into place, so interrupted runs never leave half-written artifacts.  Floats
+into place, so interrupted runs never leave half-written artifacts; the file
+gets the mode a plain ``open`` would give it (0o666 less the umask).  Floats
 are rendered with 17 significant digits, which round-trips IEEE doubles.
 JSON output is strict: non-finite floats, which JSON cannot hold, are written
 as the strings "inf", "-inf" and "nan".
@@ -26,6 +27,10 @@ def atomic_write_text(path: str, text: str) -> None:
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        # mkstemp creates the file 0o600, and os.replace keeps that mode
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp_path, path)

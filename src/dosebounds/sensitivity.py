@@ -28,13 +28,14 @@ with d1 the mirror interval anchored at 1 (the same construction at dose
 
     d = t d0(t) + (1 - t) d1(t)
 
-at both ends of the interval.  With a Beta propensity and a Beta trust weight, q is Beta
-again and every expectation has a closed form (1F1 series); the quadrature
-oracle in ``specfun`` reproduces every term, which the test-suite exploits
-heavily.  The origin-anchored d0 alone, once selectable as the ``beta``
-scheme, is kept in the history at commit 35861af, and the same construction
-with Gamma doses on (0, inf) and Gaussian doses on the real line, closed
-forms included, at commit 853bc33.
+at both ends of the interval.  With a Beta propensity and a Beta trust
+weight, q is Beta again and every expectation has a closed form (1F1
+series).  The ``closed-forms`` suite in ``checks`` compares
+``_folded_power_bounds``, the formula the engine runs for both anchors, with
+adaptive quadrature.  The origin-anchored d0 alone, once selectable as the
+``beta`` scheme, is kept in the history at commit 35861af, and the same
+construction with Gamma doses on (0, inf) and Gaussian doses on the real
+line, closed forms included, at commit 853bc33.
 
 The alternatives ``CMSM`` (density-ratio budget), ``Uniform`` (a flat
 divisor interval), and ``BinaryMSM`` (a dichotomized odds-ratio budget) are
@@ -53,11 +54,6 @@ from . import specfun
 __all__ = [
     "PartialIdentificationError",
     "BetaPropensity",
-    "BetaTrust",
-    "trust_params",
-    "BetaCompound",
-    "compound",
-    "lambda_expectation_bounds",
     "DeltaMSM",
     "CMSM",
     "Uniform",
@@ -230,10 +226,21 @@ def lambda_expectation_bounds(q: BetaCompound, gamma_factor):
     gamma_factor and q follow ``_beta_mgf_pair``'s rule: gamma varies only
     along axes before q's, or either one is a scalar.
     """
-    gamma = _check_gamma(gamma_factor)
+    return _folded_power_bounds(q, _check_gamma(gamma_factor))[0]
+
+
+def _folded_power_bounds(q: BetaCompound, gamma):
+    """(E_q[Gamma^-|tau|], E_q[Gamma^|tau|]) for q, then the same pair for its
+    mirror Beta(B, A), all four from one ``_beta_mgf_pair`` table.
+
+    With s = log(Gamma), up = E_q[e^(s tau)] and mirror = E_q[e^(s (1 - tau))],
+    q's pair is (e^-s mirror, up); the mirror law is that of 1 - tau, so its
+    pair is (e^-s up, mirror).  gamma and q follow ``_beta_mgf_pair``'s rule.
+    """
     s = np.log(gamma)
     up, mirror = _beta_mgf_pair(q, s)
-    return np.exp(-s) * mirror, up
+    down = np.exp(-s)
+    return (down * mirror, up), (down * up, mirror)
 
 
 def _beta_mgf_pair(q: BetaCompound, s):
@@ -373,12 +380,10 @@ class DivisorEngine:
         # The flipped propensity Beta(beta_bar, alpha_bar) compounded at dose
         # 1 - t is the mirror Beta(B, A) of q0 = Beta(A, B), so one pair of
         # 1F1 series serves both anchors.
-        s = np.log(gamma)
-        up, mirror = _beta_mgf_pair(q0, s)
-        down = np.exp(-s)
-        lo0, hi0 = _anchored_divisor(q0, t, gamma, (down * mirror, up))
+        power0, power1 = _folded_power_bounds(q0, gamma)
+        lo0, hi0 = _anchored_divisor(q0, t, gamma, power0)
         q1 = BetaCompound(q0.beta, q0.alpha)
-        lo1, hi1 = _anchored_divisor(q1, 1.0 - t, gamma, (down * up, mirror))
+        lo1, hi1 = _anchored_divisor(q1, 1.0 - t, gamma, power1)
         return t * lo0 + (1.0 - t) * lo1, t * hi0 + (1.0 - t) * hi1
 
 

@@ -1,9 +1,9 @@
-"""Self-contained special functions and adaptive quadrature.
+"""Self-contained special functions on the run path.
 
-The adaptive Gauss-Kronrod integrator defined here is the reference oracle
-for every closed-form expectation used by the sensitivity machinery, so this
-module deliberately sticks to stdlib ``math`` plus numpy and implements the
-remaining special functions directly:
+Every function here is one that a benchmark trial or a ``bounds`` call
+evaluates, except the scalar ``hyp1f1`` (its docstring says why it stays).
+The module sticks to stdlib ``math`` plus numpy and implements the special
+functions directly:
 
 * ``log_gamma`` and ``erf`` wrap ``math.lgamma`` / ``math.erf`` (vectorised),
 * ``digamma`` shifts every argument by the same 10 recurrence steps, with
@@ -16,36 +16,29 @@ remaining special functions directly:
   every (s, (a, c)) pair as one matrix product of scaled powers s^k/k! and
   Pochhammer ratios (a)_k/(c)_k.  Each term is at most s^k/k! and the sum is
   at least 1, so the tail after K terms is below s^K/K! / (1 - s/(K+1))
-  relative; ``hyp1f1_terms`` fixes K from the largest s so that this bound
+  relative; ``_hyp1f1_terms`` fixes K from the largest s so that this bound
   is at most 2^-53, with no convergence test,
-* ``reg_inc_beta`` uses the continued-fraction expansion,
-* ``integrate`` is a globally adaptive 15-point Kronrod / 7-point Gauss rule
-  with interval bisection; the closed forms it checks are expectations over
-  doses in [0, 1], so both bounds must be finite.
+* ``reg_inc_beta`` uses the continued-fraction expansion.
+
+The adaptive quadrature that checks the closed forms built on these lives
+in ``checks``, next to its one user.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DomainError",
     "NumericError",
-    "QuadratureSpec",
-    "DEFAULT_QUADRATURE",
     "log_gamma",
     "digamma",
     "erf",
     "hyp1f1",
-    "HYP1F1_TAIL_BOUND",
-    "hyp1f1_terms",
     "hyp1f1_grid",
     "reg_inc_beta",
-    "integrate",
 ]
 
 
@@ -150,6 +143,11 @@ def hyp1f1(a, b, z):
     Plain Taylor series in z; for z < 0 (where terms alternate) the Kummer
     reflection 1F1(a;b;z) = e^z 1F1(b-a;b;-z) restores an all-positive series
     whenever b > a.  Inputs broadcast elementwise.
+
+    No package code calls it: bands and divisors use ``hyp1f1_grid``, and
+    this series is the tests' elementwise oracle for that table.  It stays
+    here because perfbench's tracer patches ``specfun.hyp1f1`` by name; it
+    moves to a test helper once the tracer patches ``hyp1f1_grid`` instead.
     """
     aa, a_scalar = _as_floats(a, "a")
     bb, b_scalar = _as_floats(b, "b")
@@ -183,18 +181,18 @@ def hyp1f1(a, b, z):
     return _ret(np.ascontiguousarray(out), scalar)
 
 
-# Relative truncation error that hyp1f1_terms guarantees: the unit roundoff
+# Relative truncation error that _hyp1f1_terms guarantees: the unit roundoff
 # of a double.
 HYP1F1_TAIL_BOUND = 2.0**-53
 
 
-def hyp1f1_terms(s_max: float) -> int:
+def _hyp1f1_terms(s_max: float) -> int:
     """Fewest terms K with K + 1 > s_max whose tail bound
     s^K/K! / (1 - s/(K+1)) is within ``HYP1F1_TAIL_BOUND`` for every
     0 <= s <= s_max (the bound grows with s)."""
     s_max = float(s_max)
     if not (0.0 <= s_max < math.inf):
-        raise DomainError(f"hyp1f1_terms requires a finite s_max >= 0, got {s_max!r}")
+        raise DomainError(f"_hyp1f1_terms requires a finite s_max >= 0, got {s_max!r}")
     if s_max == 0.0:
         return 1
     log_s = math.log(s_max)
@@ -211,7 +209,7 @@ def hyp1f1_grid(a, c, s) -> np.ndarray:
     ``a`` and ``c`` broadcast to one flat list of shapes with 0 <= a <= c and
     c > 0; ``s`` is a flat list of arguments s >= 0.  Returns the
     (len(s), len(a)) matrix s_pow @ coeff with s_pow[i, k] = s_i^k / k! and
-    coeff[k, j] = (a_j)_k / (c_j)_k, k < ``hyp1f1_terms(max s)``.  Callers
+    coeff[k, j] = (a_j)_k / (c_j)_k, k < ``_hyp1f1_terms(max s)``.  Callers
     reach negative arguments through Kummer's transformation (A&S 13.1.27),
     1F1(a; c; -s) = e^-s 1F1(c - a; c; s), which keeps every term positive.
     ``_pochhammer_table`` builds ``coeff`` row by row, with the bits of a
@@ -227,7 +225,7 @@ def hyp1f1_grid(a, c, s) -> np.ndarray:
         raise DomainError("hyp1f1_grid requires 0 <= a <= c and c > 0")
     if np.any(s < 0.0):
         raise DomainError("hyp1f1_grid requires s >= 0; use Kummer's transformation")
-    n_terms = hyp1f1_terms(s.max()) if s.size else 1
+    n_terms = _hyp1f1_terms(s.max()) if s.size else 1
     k = np.arange(n_terms - 1, dtype=float)
     s_pow = np.ones((s.size, n_terms))
     np.cumprod(s[:, None] / (k + 1.0), axis=1, out=s_pow[:, 1:])
@@ -322,144 +320,3 @@ def reg_inc_beta(a, b, x):
     for i, (ai, bi, xi) in enumerate(zip(aa.ravel(), bb.ravel(), xx.ravel())):
         flat[i] = _reg_inc_beta_scalar(float(ai), float(bi), float(xi))
     return out
-
-
-# ---------------------------------------------------------------------------
-# adaptive Gauss-Kronrod quadrature
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy budget for ``integrate``."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-# 15-point Kronrod extension of 7-point Gauss-Legendre on [-1, 1].
-_XGK = np.array(
-    [
-        0.991455371120812639206854697526329,
-        0.949107912342758524526189684047851,
-        0.864864423359769072789712788640926,
-        0.741531185599394439863864773280788,
-        0.586087235467691130294144838258730,
-        0.405845151377397166906606412076961,
-        0.207784955007898467600689403773245,
-    ]
-)
-_WGK = np.array(
-    [
-        0.022935322010529224963732008058970,
-        0.063092092629978553290700663189204,
-        0.104790010322250183839876322541518,
-        0.140653259715525918745189590510238,
-        0.169004726639267902826583426598550,
-        0.190350578064785409913256402421014,
-        0.204432940075298892414161999234649,
-        0.209482141084727828012999174891714,
-    ]
-)
-_WG = np.array(
-    [
-        0.129484966168869693270611432679082,
-        0.279705391489276667901467771423780,
-        0.381830050505118944950369775488975,
-        0.417959183673469387755102040816327,
-    ]
-)
-
-_NODES = np.concatenate([-_XGK, _XGK[::-1], [0.0]])
-_KRONROD_W = np.concatenate([_WGK[:-1], _WGK[:-1][::-1], [_WGK[-1]]])
-_GAUSS_W = np.zeros(15)
-for _i, _j in enumerate((1, 3, 5)):
-    _GAUSS_W[_j] = _WG[_i]
-    _GAUSS_W[13 - _j] = _WG[_i]
-_GAUSS_W[14] = _WG[3]
-del _i, _j
-
-
-def _eval_vectorized(f, x: np.ndarray) -> np.ndarray:
-    try:
-        y = np.asarray(f(x), dtype=float)
-    except (TypeError, ValueError):
-        return np.fromiter((float(f(v)) for v in x), dtype=float, count=x.size)
-    if y.shape == x.shape:
-        return y
-    if y.ndim == 0:
-        return np.full(x.shape, float(y))
-    raise ValueError("integrand returned an array of unexpected shape")
-
-
-def _kronrod_cell(f, a: float, b: float) -> tuple[float, float]:
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fx = _eval_vectorized(f, center + half * _NODES)
-    if not np.isfinite(fx).all():
-        raise NumericError(f"integrand is not finite inside [{a!r}, {b!r}]")
-    resk = half * float(_KRONROD_W @ fx)
-    resg = half * float(_GAUSS_W @ fx)
-    resabs = abs(half) * float(_KRONROD_W @ np.abs(fx))
-    mean = resk / (b - a)
-    resasc = abs(half) * float(_KRONROD_W @ np.abs(fx - mean))
-    err = abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    floor = 50.0 * np.finfo(float).eps * resabs
-    if floor > 0.0:
-        err = max(err, floor)
-    return resk, err
-
-
-def _adaptive(f, lo: float, hi: float, spec: QuadratureSpec) -> float:
-    value, err = _kronrod_cell(f, lo, hi)
-    total, total_err = value, err
-    heap = [(-err, 0, lo, hi, value)]
-    used = 0
-    counter = 1
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        if used >= spec.max_subdivisions:
-            raise NumericError(
-                f"quadrature used all {spec.max_subdivisions} subdivisions "
-                f"(estimate {total!r}, error estimate {total_err:.3e})",
-                value=total,
-                error=total_err,
-            )
-        neg_err, _, a, b, v = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        v1, e1 = _kronrod_cell(f, a, mid)
-        v2, e2 = _kronrod_cell(f, mid, b)
-        total += (v1 + v2) - v
-        total_err += (e1 + e2) - (-neg_err)
-        heapq.heappush(heap, (-e1, counter, a, mid, v1))
-        heapq.heappush(heap, (-e2, counter + 1, mid, b, v2))
-        counter += 2
-        used += 1
-    return total
-
-
-def integrate(f, lo: float, hi: float, spec: QuadratureSpec | None = None) -> float:
-    """Definite integral of ``f`` over ``[lo, hi]`` to the requested tolerance.
-
-    ``f`` should accept a numpy array of abscissae and return the matching
-    array of values; plain scalar callables are looped over as a fallback.
-    Both bounds must be finite.  The open Kronrod rule never evaluates ``f``
-    at the endpoints, so an integrable endpoint singularity is fine.
-    """
-    spec = spec or DEFAULT_QUADRATURE
-    lo = float(lo)
-    hi = float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"integration bounds must be finite, got [{lo!r}, {hi!r}]")
-    if not lo < hi:
-        raise DomainError(f"integration requires lo < hi, got [{lo!r}, {hi!r}]")
-    return _adaptive(f, lo, hi, spec)

@@ -153,12 +153,10 @@ def test_05_training_gradient_checks():
     )
 
 
-def test_06_benchmark_directional_win_rate():
-    start = time.perf_counter()
-    config = bm.TrialConfig(n_confounders=10, form="quadratic", seed=0)
-    raw = bm.synthetic_raw(1000, 16, seed=0)
-    trial_report = bm.run_benchmark(config, raw, n_trials=50)
-    elapsed = time.perf_counter() - start
+def test_06_benchmark_directional_win_rate(fifty_trial_run):
+    # 50 trials of TrialConfig(n_confounders=10, form="quadratic", seed=0) on
+    # synthetic_raw(1000, 16, seed=0); see tests/conftest.py
+    trial_report, elapsed = fifty_trial_run
     wins = 0
     scored = 0
     for result in trial_report.results:

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from dosebounds import benchmark as bm
+from dosebounds.checks import integrate
 from dosebounds.estimator import IntervalCurve, apo_band_matrix, apo_interval
 from dosebounds.models import FittedModels, TrainConfig, fit_outcome, fit_propensity
 from dosebounds.seeds import derive_seed
 from dosebounds.sensitivity import CMSM, BinaryMSM, DeltaMSM, DivisorEngine, Uniform
-from dosebounds.specfun import integrate
 
 
 def bernoulli_kl(p, q):
@@ -608,6 +608,10 @@ class TestRunBenchmark:
         # a repeated method would take extra shares of every tie in pct_best
         with pytest.raises(ValueError, match="duplicate methods: 'uniform'"):
             self.run_small(methods=("uniform", "cmsm", "uniform"), n_trials=1)
+
+    def test_non_string_methods_raise(self):
+        with pytest.raises(ValueError, match=r"method names must be strings, got \['uniform'\]"):
+            self.run_small(methods=(["uniform"], "cmsm"), n_trials=1)
 
     def test_reruns_are_byte_identical(self):
         a = self.run_small().summary

@@ -12,7 +12,8 @@ class TestSuitesPass:
         result = checks.check_closed_forms(samples=15, seed=0)
         assert result.passed
         assert result.suite == "closed-forms"
-        assert result.n_checked == 15 * 3 * 2
+        # two bounds for q and two for its mirror, at three budgets
+        assert result.n_checked == 15 * 3 * 4
         assert result.max_error < result.tolerance
         assert result.failures == ()
 
@@ -42,19 +43,41 @@ class TestSuitesPass:
 
 class TestDefectDetection:
     def test_closed_forms_catches_a_skewed_closed_form(self, monkeypatch):
+        # the suite reads the engine's own helper, so one skew moves both
         from dosebounds import sensitivity
 
-        real = sensitivity.lambda_expectation_bounds
+        real = sensitivity._folded_power_bounds
 
-        def skewed(q, gamma_factor):
-            lo, hi = real(q, gamma_factor)
-            return lo, hi * (1.0 + 1e-5)
+        def skewed(q, gamma):
+            (lo, hi), mirror = real(q, gamma)
+            return (lo, hi * (1.0 + 1e-5)), mirror
 
-        monkeypatch.setattr(checks, "lambda_expectation_bounds", skewed)
+        engine = sensitivity.DivisorEngine(
+            sensitivity.DeltaMSM(), sensitivity.BetaPropensity(2.0, 5.0)
+        )
+        before = engine.bounds(0.3, 1.5)
+        monkeypatch.setattr(sensitivity, "_folded_power_bounds", skewed)
+        after = engine.bounds(0.3, 1.5)
+        assert after[0] == before[0]
+        assert after[1] > before[1]
         result = checks.check_closed_forms(samples=3, seed=0)
         assert not result.passed
         assert result.max_error > 1e-6
         assert result.failures
+
+    def test_closed_forms_catches_a_skewed_mirror_pair(self, monkeypatch):
+        from dosebounds import sensitivity
+
+        real = sensitivity._folded_power_bounds
+
+        def skewed(q, gamma):
+            pair, (lo, hi) = real(q, gamma)
+            return pair, (lo * (1.0 - 1e-5), hi)
+
+        monkeypatch.setattr(sensitivity, "_folded_power_bounds", skewed)
+        result = checks.check_closed_forms(samples=3, seed=0)
+        assert not result.passed
+        assert all("mirror lo" in item for item in result.failures)
 
     def test_extremizer_catches_a_biased_optimum(self, monkeypatch):
         from dosebounds import estimator

@@ -446,6 +446,20 @@ class TestBenchmarkCommand:
         assert "--methods: duplicate methods: 'uniform'" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "method",
+        [["uniform"], {"name": "uniform"}, 3, None],
+        ids=["list", "object", "number", "null"],
+    )
+    def test_non_string_config_method_is_a_usage_error(
+        self, tmp_path, capsys, no_fitting, method
+    ):
+        # a list is unhashable: it once escaped the method lookup as a TypeError
+        config = benchmark_config(tmp_path, methods=[method])
+        assert run("benchmark", "--config", config, "--out", tmp_path) == 2
+        assert "config.methods: method names must be strings" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
 
 class TestRunConfig:
     def test_defaults(self):

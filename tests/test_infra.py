@@ -2,6 +2,7 @@ import ast
 import glob
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import pkgutil
@@ -114,6 +115,17 @@ class TestFileio:
         assert target.read_text() == "payload"
         assert glob.glob(str(tmp_path / "nested" / "*.tmp")) == []
 
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask022", "umask027"])
+    def test_atomic_write_gives_the_umask_mode(self, tmp_path, umask):
+        # mkstemp creates the temporary file 0o600, and the rename keeps it
+        target = tmp_path / "out.txt"
+        previous = os.umask(umask)
+        try:
+            atomic_write_text(str(target), "payload")
+        finally:
+            os.umask(previous)
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
     def test_write_json_is_byte_stable(self, tmp_path):
         path = tmp_path / "data.json"
         payload = {"b": 1.5, "a": [1, 2], "c": {"z": True, "y": None}}
@@ -165,6 +177,28 @@ class TestExports:
         ]
         assert not missing, f"__all__ names that do not resolve: {missing}"
 
+    def test_top_level_is_the_documented_api(self):
+        # the names README's Python blocks, demos/ and perfbench read, the
+        # baselines and the exceptions documented functions raise; the rest
+        # stays in its submodule
+        import dosebounds
+
+        documented = [
+            "BetaPropensity", "BinaryMSM", "CMSM", "DegenerateDrawsError", "DeltaMSM",
+            "DivisorEngine", "FittedModels", "IntervalCurve", "PartialIdentificationError",
+            "TrainConfig", "TrialConfig", "Uniform", "apo_band_matrix", "apo_interval",
+            "cacd_interval", "capo_interval", "derive_seed", "extremize", "fit_outcome",
+            "fit_propensity", "generate_trial", "outcome_draws", "run_benchmark",
+            "sensitivity_model_for", "synthetic_raw", "true_apo",
+        ]
+        assert sorted(dosebounds.__all__) == documented
+        public = sorted(
+            name
+            for name, value in vars(dosebounds).items()
+            if not name.startswith("_") and not inspect.ismodule(value)
+        )
+        assert public == documented
+
 
 class TestSourceLayout:
     def test_no_source_line_is_over_100_characters(self):
@@ -176,6 +210,30 @@ class TestSourceLayout:
                     if len(line.rstrip("\n")) > 100:
                         long_lines.append(f"{os.path.basename(path)}:{number}")
         assert long_lines == []
+
+    def test_specfun_holds_only_the_run_path(self):
+        # every public function has a caller elsewhere in the package; the
+        # scalar hyp1f1 stays only because perfbench's tracer patches it
+        from dosebounds import specfun
+
+        package = os.path.join(os.path.dirname(__file__), os.pardir, "src", "dosebounds")
+        sources = []
+        for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+            if os.path.basename(path) != "specfun.py":
+                with open(path, encoding="utf-8") as handle:
+                    sources.append(handle.read())
+        public = [
+            name
+            for name, value in vars(specfun).items()
+            if inspect.isfunction(value)
+            and value.__module__ == specfun.__name__
+            and not name.startswith("_")
+        ]
+        assert "hyp1f1_grid" in public
+        uncalled = [
+            name for name in public if not any(re.search(rf"\b{name}\(", s) for s in sources)
+        ]
+        assert uncalled == ["hyp1f1"]
 
 
 class TestBenchmarkTracer:

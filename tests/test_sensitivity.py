@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from dosebounds import specfun
+from dosebounds.checks import _folded_power_expectation as folded_power_expectation
+from dosebounds.checks import integrate
 from dosebounds.estimator import apo_band_matrix
 from dosebounds.sensitivity import (
     _EDGE_CLEARANCE,
@@ -20,22 +22,7 @@ from dosebounds.sensitivity import (
     lambda_expectation_bounds,
     trust_params,
 )
-from dosebounds.specfun import hyp1f1, integrate, reg_inc_beta
-
-
-def folded_power_expectation(q, gamma, sign):
-    """E_q[gamma^(sign |tau|)] by adaptive quadrature."""
-    s = math.log(gamma)
-
-    def integrand(tau):
-        tau = np.asarray(tau, dtype=float)
-        dens = q.pdf(tau)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.exp(sign * s * np.abs(tau)) * dens
-        # the density underflows to zero long before the power overflows
-        return np.where(dens > 0.0, vals, 0.0)
-
-    return integrate(integrand, 0.0, 1.0)
+from dosebounds.specfun import hyp1f1, reg_inc_beta
 
 
 def anchored_divisor_oracle(q, t, gamma):

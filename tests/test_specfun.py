@@ -7,21 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dosebounds import specfun
+from dosebounds import checks, specfun
+from dosebounds.checks import QuadratureSpec, integrate
 from dosebounds.models import PROPENSITY_CAP
 from dosebounds.specfun import (
     DomainError,
     NumericError,
-    QuadratureSpec,
     digamma,
     erf,
     hyp1f1,
     hyp1f1_grid,
-    hyp1f1_terms,
-    integrate,
     log_gamma,
     reg_inc_beta,
 )
+from dosebounds.specfun import _hyp1f1_terms as hyp1f1_terms
 
 
 def beta_pdf(tau, a, b):
@@ -356,7 +355,7 @@ class TestRegIncBeta:
 
 class TestDefaults:
     def test_quadrature_defaults(self):
-        spec = specfun.DEFAULT_QUADRATURE
+        spec = checks.DEFAULT_QUADRATURE
         assert spec.abs_tol == 1e-10
         assert spec.rel_tol == 1e-9
         assert spec.max_subdivisions == 2000
