@@ -21,7 +21,7 @@ from . import sensitivity
 from .estimator import _WEIGHT_CAP, _bernoulli_extremes, extremize
 from .models import outcome_loss_grad, propensity_loss_grad
 from .seeds import substream
-from .sensitivity import BetaCompound, BetaPropensity, compound, trust_params
+from .sensitivity import BetaPropensity
 from .specfun import DomainError, NumericError
 
 __all__ = [
@@ -252,9 +252,10 @@ def check_closed_forms(samples: int = 200, seed: int = 0, tolerance: float = 1e-
     Draws random Beta propensity parameters, a dose in (0, 1) and a trust
     precision for each sample, then compares, at several budget levels, the
     four expectation bounds that ``DivisorEngine`` reads from
-    ``sensitivity._folded_power_bounds``: both bounds for the Beta compound q
-    and both for its mirror Beta(B, A), the compound of the anchor at 1.
-    Errors are relative.
+    ``sensitivity._folded_power_bounds``: both bounds for q = Beta(a, b), the
+    shape pair the engine takes from ``sensitivity._compound_shapes``, and
+    both for its mirror Beta(b, a), the q of the anchor at 1.  Errors are
+    relative.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -264,10 +265,10 @@ def check_closed_forms(samples: int = 200, seed: int = 0, tolerance: float = 1e-
     n_checked = 0
     for _ in range(samples):
         propensity, t, r = _draw_closed_form_case(rng)
-        q = compound(propensity, trust_params(t, r))
-        laws = (("", q), ("mirror ", BetaCompound(q.beta, q.alpha)))
+        a, b = sensitivity._compound_shapes(propensity, t, r)
+        laws = (("", BetaPropensity(a, b)), ("mirror ", BetaPropensity(b, a)))
         for gamma in (1.1, 1.5, 2.5):
-            pairs = sensitivity._folded_power_bounds(q, gamma)
+            pairs = sensitivity._folded_power_bounds(a, b, gamma)
             for (label, law), (lo, hi) in zip(laws, pairs):
                 for side, got, sign in (("lo", lo, -1.0), ("hi", hi, 1.0)):
                     want = _folded_power_expectation(law, gamma, sign)

@@ -21,21 +21,20 @@ origin of the treatment support, this gives the interval d0 = (d0_lo, d0_hi)
     d0_hi = E_q[Gamma^+|tau|] + log(Gamma) Gamma^|t| |E_q[tau - t]|
             + (log(Gamma)^2 / 2) Gamma^|t| E_q[(tau - t)^2]
 
-where q is the nominal propensity reweighed by a unimodal trust weight
-peaking at the queried dose t.  ``DeltaMSM`` balances both ends of [0, 1]:
-with d1 the mirror interval anchored at 1 (the same construction at dose
-1 - t under the flipped propensity Beta(beta_bar, alpha_bar)), its divisor is
+where q = Beta(alpha_bar + r t, beta_bar + r (1 - t)) is the nominal
+propensity reweighed by the trust weight tau^(r t) (1 - tau)^(r (1 - t)),
+which peaks at the queried dose t with precision r (``trust_precision``).
+``DeltaMSM`` balances both ends of [0, 1]: with d1 the mirror interval
+anchored at 1 (the same construction at dose 1 - t under the mirrored
+propensity Beta(beta_bar, alpha_bar), whose q has q's shapes swapped), its
+divisor is
 
     d = t d0(t) + (1 - t) d1(t)
 
-at both ends of the interval.  With a Beta propensity and a Beta trust
-weight, q is Beta again and every expectation has a closed form (1F1
-series).  The ``closed-forms`` suite in ``checks`` compares
-``_folded_power_bounds``, the formula the engine runs for both anchors, with
-adaptive quadrature.  The origin-anchored d0 alone, once selectable as the
-``beta`` scheme, is kept in the history at commit 35861af, and the same
-construction with Gamma doses on (0, inf) and Gaussian doses on the real
-line, closed forms included, at commit 853bc33.
+at both ends of the interval.  Every expectation has a closed form (1F1
+series); the ``closed-forms`` suite in ``checks`` compares
+``_folded_power_bounds``, which the engine runs for both anchors, with
+adaptive quadrature.
 
 The alternatives ``CMSM`` (density-ratio budget), ``Uniform`` (a flat
 divisor interval), and ``BinaryMSM`` (a dichotomized odds-ratio budget) are
@@ -78,12 +77,10 @@ class PartialIdentificationError(RuntimeError):
     """The requested bound does not exist (the interval is unbounded)."""
 
 
-def _all_positive(*values) -> bool:
-    return all(np.all(np.asarray(v, dtype=float) > 0.0) for v in values)
-
-
-def _all_finite(*values) -> bool:
-    return all(np.isfinite(np.asarray(v, dtype=float)).all() for v in values)
+def _all_finite_positive(*values) -> bool:
+    """Every entry lies in (0, inf); NaN fails both comparisons."""
+    arrays = [np.asarray(v, dtype=float) for v in values]
+    return all(((v > 0.0) & (v < np.inf)).all() for v in arrays)
 
 
 def _pow_log(base, exponent):
@@ -112,9 +109,7 @@ class BetaPropensity:
     beta_bar: float | np.ndarray
 
     def __post_init__(self):
-        if not _all_finite(self.alpha_bar, self.beta_bar) or not _all_positive(
-            self.alpha_bar, self.beta_bar
-        ):
+        if not _all_finite_positive(self.alpha_bar, self.beta_bar):
             raise ValueError("Beta propensity requires finite alpha_bar > 0 and beta_bar > 0")
 
     @property
@@ -134,134 +129,53 @@ class BetaPropensity:
         """Heuristic ``DeltaMSM`` trust precision matched to this density's own scale."""
         return np.maximum(self.alpha_bar + self.beta_bar - 2.0, MIN_TRUST_PRECISION)
 
-    def flipped(self) -> "BetaPropensity":
-        """Density of 1 - T when T follows this law."""
-        return BetaPropensity(self.beta_bar, self.alpha_bar)
-
 
 # ---------------------------------------------------------------------------
-# trust weights w_t(tau), normalized so that w_t(t) = 1
+# the DeltaMSM closed form on q = Beta(a, b)
 
 
-@dataclass(frozen=True)
-class BetaTrust:
-    """w(tau) proportional to tau^(a-1) (1-tau)^(b-1), with mode t and
-    precision r, scaled so that w(t) = 1 (``weight`` divides by the kernel at t)."""
-
-    t: float | np.ndarray
-    a: float | np.ndarray
-    b: float | np.ndarray
-
-    def weight(self, tau):
-        # evaluated anchored at t in log space: the exponent is <= 0 for any
-        # tau, so large precisions r cannot overflow the kernel
-        tau = np.asarray(tau, dtype=float)
-        ea, eb = self.a - 1.0, self.b - 1.0
-        log_w = (_pow_log(tau, ea) - _pow_log(self.t, ea)) + (
-            _pow_log(1.0 - tau, eb) - _pow_log(1.0 - self.t, eb)
-        )
-        return np.exp(log_w)
-
-
-def trust_params(t, r) -> BetaTrust:
-    """Per-dose Beta trust weight with mode t in [0, 1] and precision r > 0."""
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if not _all_finite(t, r) or not _all_positive(r):
-        raise ValueError("trust_params requires finite t and r > 0")
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise ValueError("Beta trust requires 0 <= t <= 1")
-    return BetaTrust(t=t, a=r * t + 1.0, b=r * (1.0 - t) + 1.0)
-
-
-# ---------------------------------------------------------------------------
-# compound densities q(tau | t, x), the trust-reweighed nominal propensity
-
-
-@dataclass(frozen=True)
-class BetaCompound:
-    """q = Beta(alpha + 1, beta + 1) stored via its shifted parameters."""
-
-    alpha: float | np.ndarray
-    beta: float | np.ndarray
-
-    @property
-    def shape_a(self):
-        return self.alpha + 1.0
-
-    @property
-    def shape_b(self):
-        return self.beta + 1.0
-
-    @property
-    def mean(self):
-        return self.shape_a / (self.shape_a + self.shape_b)
-
-    @property
-    def variance(self):
-        s = self.shape_a + self.shape_b
-        return self.shape_a * self.shape_b / (s * s * (s + 1.0))
-
-    def pdf(self, tau):
-        return BetaPropensity(self.shape_a, self.shape_b).pdf(tau)
-
-
-def compound(propensity: BetaPropensity, trust: BetaTrust) -> BetaCompound:
-    """Normalized product of the nominal propensity and a trust weight.
-
-    Both are Beta kernels, so the product is Beta again and only the
-    parameters move.
-    """
-    return BetaCompound(
-        alpha=propensity.alpha_bar + trust.a - 2.0,
-        beta=propensity.beta_bar + trust.b - 2.0,
+def _compound_shapes(propensity: BetaPropensity, t, r):
+    """Shape pair (a, b) of q, the propensity reweighed by the trust weight at t."""
+    # written as trust shape + 1.0, less 2.0 for the product, + 1.0 for the
+    # shape: the shorter alpha_bar + r * t rounds about 2% of random shapes
+    # an ulp differently, which would move every stored reference
+    return (
+        propensity.alpha_bar + (r * t + 1.0) - 2.0 + 1.0,
+        propensity.beta_bar + (r * (1.0 - t) + 1.0) - 2.0 + 1.0,
     )
 
 
-def lambda_expectation_bounds(q: BetaCompound, gamma_factor):
-    """(E_q[Gamma^-|tau|], E_q[Gamma^+|tau|]) in closed form.
-
-    These bracket the expected likelihood distortion when the log-odds of
-    treatment drift at rate at most log(Gamma) away from the anchor point.
-    gamma_factor and q follow ``_beta_mgf_pair``'s rule: gamma varies only
-    along axes before q's, or either one is a scalar.
-    """
-    return _folded_power_bounds(q, _check_gamma(gamma_factor))[0]
-
-
-def _folded_power_bounds(q: BetaCompound, gamma):
-    """(E_q[Gamma^-|tau|], E_q[Gamma^|tau|]) for q, then the same pair for its
-    mirror Beta(B, A), all four from one ``_beta_mgf_pair`` table.
+def _folded_power_bounds(a, b, gamma):
+    """(E_q[Gamma^-|tau|], E_q[Gamma^|tau|]) for q = Beta(a, b), then the same
+    pair for its mirror Beta(b, a), all four from one ``_beta_mgf_pair`` table.
 
     With s = log(Gamma), up = E_q[e^(s tau)] and mirror = E_q[e^(s (1 - tau))],
     q's pair is (e^-s mirror, up); the mirror law is that of 1 - tau, so its
     pair is (e^-s up, mirror).  gamma and q follow ``_beta_mgf_pair``'s rule.
     """
     s = np.log(gamma)
-    up, mirror = _beta_mgf_pair(q, s)
+    up, mirror = _beta_mgf_pair(a, b, s)
     down = np.exp(-s)
     return (down * mirror, up), (down * up, mirror)
 
 
-def _beta_mgf_pair(q: BetaCompound, s):
-    """(E_q[e^(s tau)], E_q[e^(s (1 - tau))]) for s >= 0, shaped like q and s broadcast.
+def _beta_mgf_pair(a, b, s):
+    """(E_q[e^(s tau)], E_q[e^(s (1 - tau))]) for q = Beta(a, b) and s >= 0,
+    shaped like q and s broadcast.
 
-    With q = Beta(A, B) these are 1F1(A; A+B; s) and 1F1(B; A+B; s); since
-    1 - tau ~ Beta(B, A), e^-s times the second is E_q[e^(-s tau)], which is
-    Kummer's transformation.  Both come from one ``specfun.hyp1f1_grid``
-    table over the s values and the shape pairs (A, A+B), (B, A+B).  The
-    table is an outer product, so s may vary only along axes before q's (a
-    gamma column against a row of instances, or either one a scalar);
-    matched arrays raise ``ValueError``.  Under that rule the broadcast
-    shape is s's varying axes followed by q's, so its C order runs over s
-    in the outer index and q in the inner, as the table's rows and columns
-    do.  Each half is therefore a reshaped slice of the table, holding the
-    same bits as a gather of the matching entries.  Scalar s and q give
-    floats.
+    These are 1F1(a; a+b; s) and 1F1(b; a+b; s); since 1 - tau ~ Beta(b, a),
+    e^-s times the second is E_q[e^(-s tau)], which is Kummer's
+    transformation.  Both come from one ``specfun.hyp1f1_grid`` table over
+    the s values and the shape pairs (a, a+b), (b, a+b).  The table is an
+    outer product, so s may vary only along axes before q's (a gamma column
+    against a row of instances, or either one a scalar); matched arrays
+    raise ``ValueError``.  Under that rule the broadcast shape is s's
+    varying axes followed by q's, so its C order runs over s in the outer
+    index and q in the inner, as the table's rows and columns do.  Each half
+    is therefore a reshaped slice of the table, holding the same bits as a
+    gather of the matching entries.  Scalar s and q give floats.
     """
-    a, b = np.broadcast_arrays(
-        np.asarray(q.shape_a, dtype=float), np.asarray(q.shape_b, dtype=float)
-    )
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     s = np.asarray(s, dtype=float)
     ndim = max(s.ndim, a.ndim)
     s_dims = (1,) * (ndim - s.ndim) + s.shape
@@ -327,7 +241,9 @@ class DivisorEngine:
     Propensity parameters may be arrays covering many instances at once, and
     gamma_factor may be a column of budgets; bounds then broadcast to
     (gammas, instances).  Only ``DeltaMSM`` reads ``trust_precision``
-    (default ``nominal_precision``).
+    (default ``nominal_precision``), which must be finite and positive.
+    ``bounds`` raises ``ValueError`` for a dose outside [0, 1] or NaN, under
+    every model.
     """
 
     def __init__(
@@ -341,8 +257,8 @@ class DivisorEngine:
         if isinstance(model, DeltaMSM):
             if trust_precision is None:
                 trust_precision = propensity.nominal_precision
-            elif not _all_positive(trust_precision):
-                raise ValueError("trust_precision must be positive")
+            elif not _all_finite_positive(trust_precision):
+                raise ValueError("trust_precision must be finite and positive")
             self.trust_precision = trust_precision
         elif isinstance(model, BinaryMSM):
             self._below = specfun.reg_inc_beta(
@@ -357,6 +273,9 @@ class DivisorEngine:
         """(d_lo, d_hi) at dose t under budget gamma_factor; where d_lo <= 0
         the upper counterfactual bound is lost and only d_hi stays meaningful."""
         t = np.asarray(t, dtype=float)
+        # NaN fails both comparisons; .all() on the mask is cheaper than np.all
+        if not ((t >= 0.0) & (t <= 1.0)).all():
+            raise ValueError(f"doses must lie in [0, 1], got {t!r}")
         gamma = _check_gamma(gamma_factor)
         model = self.model
         if isinstance(model, DeltaMSM):
@@ -375,26 +294,25 @@ class DivisorEngine:
     # -- DeltaMSM internals
 
     def _delta_bounds(self, t, gamma):
-        prop = self.propensity
-        q0 = compound(prop, trust_params(t, self.trust_precision))
-        # The flipped propensity Beta(beta_bar, alpha_bar) compounded at dose
-        # 1 - t is the mirror Beta(B, A) of q0 = Beta(A, B), so one pair of
-        # 1F1 series serves both anchors.
-        power0, power1 = _folded_power_bounds(q0, gamma)
-        lo0, hi0 = _anchored_divisor(q0, t, gamma, power0)
-        q1 = BetaCompound(q0.beta, q0.alpha)
-        lo1, hi1 = _anchored_divisor(q1, 1.0 - t, gamma, power1)
+        a, b = _compound_shapes(self.propensity, t, self.trust_precision)
+        # The mirrored propensity Beta(beta_bar, alpha_bar) at dose 1 - t has
+        # q = Beta(b, a), so one pair of 1F1 series serves both anchors.
+        power0, power1 = _folded_power_bounds(a, b, gamma)
+        lo0, hi0 = _anchored_divisor(a, b, t, gamma, power0)
+        lo1, hi1 = _anchored_divisor(b, a, 1.0 - t, gamma, power1)
         return t * lo0 + (1.0 - t) * lo1, t * hi0 + (1.0 - t) * hi1
 
 
-def _anchored_divisor(q: BetaCompound, t, gamma, power_bounds):
-    """Divisor interval from q's moments and (E_q[Gamma^-|tau|], E_q[Gamma^|tau|])."""
+def _anchored_divisor(a, b, t, gamma, power_bounds):
+    """Divisor interval from the moments of q = Beta(a, b) and
+    (E_q[Gamma^-|tau|], E_q[Gamma^|tau|])."""
     lo_e, hi_e = power_bounds
     s = np.log(gamma)
     growth = gamma ** np.abs(t)
-    m1 = q.mean - t
+    c = a + b
+    m1 = a / c - t
     abs_m1 = np.abs(m1)
-    m2 = q.variance + m1 * m1
+    m2 = a * b / (c * c * (c + 1.0)) + m1 * m1
     d_lo = lo_e - s * growth * abs_m1
     d_hi = hi_e + s * growth * abs_m1 + 0.5 * s * s * growth * m2
     return d_lo, d_hi

@@ -48,8 +48,8 @@ class TestDefectDetection:
 
         real = sensitivity._folded_power_bounds
 
-        def skewed(q, gamma):
-            (lo, hi), mirror = real(q, gamma)
+        def skewed(a, b, gamma):
+            (lo, hi), mirror = real(a, b, gamma)
             return (lo, hi * (1.0 + 1e-5)), mirror
 
         engine = sensitivity.DivisorEngine(
@@ -70,8 +70,8 @@ class TestDefectDetection:
 
         real = sensitivity._folded_power_bounds
 
-        def skewed(q, gamma):
-            pair, (lo, hi) = real(q, gamma)
+        def skewed(a, b, gamma):
+            pair, (lo, hi) = real(a, b, gamma)
             return pair, (lo * (1.0 - 1e-5), hi)
 
         monkeypatch.setattr(sensitivity, "_folded_power_bounds", skewed)

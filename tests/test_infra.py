@@ -235,6 +235,30 @@ class TestSourceLayout:
         ]
         assert uncalled == ["hyp1f1"]
 
+    def test_sensitivity_holds_only_the_run_path(self):
+        # every function and class sensitivity defines is read by code in the
+        # package, its own module included; a docstring, an __all__ entry or an
+        # import does not count, so an entry point only the tests call fails
+        from dosebounds import sensitivity
+
+        package = os.path.join(os.path.dirname(__file__), os.pardir, "src", "dosebounds")
+        read = set()
+        for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+            with open(path, encoding="utf-8") as handle:
+                for node in ast.walk(ast.parse(handle.read())):
+                    if isinstance(node, ast.Name):
+                        read.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        read.add(node.attr)
+        defined = [
+            name
+            for name, value in vars(sensitivity).items()
+            if (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == sensitivity.__name__
+        ]
+        assert "_folded_power_bounds" in defined
+        assert sorted(set(defined) - read) == []
+
 
 class TestBenchmarkTracer:
     def test_every_patched_name_exists(self):

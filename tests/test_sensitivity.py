@@ -10,19 +10,41 @@ from dosebounds.estimator import apo_band_matrix
 from dosebounds.sensitivity import (
     _EDGE_CLEARANCE,
     CMSM,
-    BetaCompound,
     BetaPropensity,
     BinaryMSM,
     DeltaMSM,
     DivisorEngine,
     Uniform,
+    _anchored_divisor,
     _beta_mgf_pair,
+    _compound_shapes,
+    _folded_power_bounds,
     _pow_log,
-    compound,
-    lambda_expectation_bounds,
-    trust_params,
 )
 from dosebounds.specfun import hyp1f1, reg_inc_beta
+
+
+def trust_weight(t, r, tau):
+    """Trust weight tau^(r t) (1 - tau)^(r (1 - t)), scaled so that w(t) = 1.
+
+    Evaluated in log space relative to t: the exponent is <= 0 for any tau,
+    so a large precision r cannot overflow the kernel.
+    """
+    tau = np.asarray(tau, dtype=float)
+    log_w = (_pow_log(tau, r * t) - _pow_log(t, r * t)) + (
+        _pow_log(1.0 - tau, r * (1.0 - t)) - _pow_log(1.0 - t, r * (1.0 - t))
+    )
+    return np.exp(log_w)
+
+
+def compound_law(propensity, t, r):
+    """q as a density: the Beta law with the engine's compound shapes."""
+    return BetaPropensity(*_compound_shapes(propensity, t, r))
+
+
+def mirrored(propensity):
+    """Density of 1 - T when T follows ``propensity``."""
+    return BetaPropensity(propensity.beta_bar, propensity.alpha_bar)
 
 
 def anchored_divisor_oracle(q, t, gamma):
@@ -42,9 +64,8 @@ def anchored_divisor_oracle(q, t, gamma):
 
 class TestTrustParams:
     def test_beta_midpoint(self):
-        trust = trust_params(0.5, 2.0)
-        assert trust.a == pytest.approx(2.0)
-        assert trust.b == pytest.approx(2.0)
+        # under a flat propensity q is the trust weight itself: Beta(2, 2) here
+        assert _compound_shapes(BetaPropensity(1.0, 1.0), 0.5, 2.0) == (2.0, 2.0)
 
     @pytest.mark.parametrize(
         "t,grid",
@@ -54,44 +75,47 @@ class TestTrustParams:
         ],
     )
     def test_unit_peak_at_queried_dose(self, t, grid):
-        trust = trust_params(t, 3.0)
         if t > 0.0:
-            assert trust.weight(t) == pytest.approx(1.0, rel=1e-12)
-        values = trust.weight(grid)
+            assert trust_weight(t, 3.0, t) == pytest.approx(1.0, rel=1e-12)
+        values = trust_weight(t, 3.0, grid)
         assert np.max(values) <= 1.0 + 1e-9
         peak = grid[np.argmax(values)]
         assert peak == pytest.approx(t, abs=2.5 * (grid[1] - grid[0]))
 
     def test_validation(self):
+        # the engine checks the dose range and the trust precision
+        prop = BetaPropensity(2.0, 2.0)
         with pytest.raises(ValueError):
-            trust_params(1.2, 1.0)
+            DivisorEngine(DeltaMSM(), prop).bounds(1.2, 1.0)
         with pytest.raises(ValueError):
-            trust_params(0.5, 0.0)
+            DivisorEngine(DeltaMSM(), prop, trust_precision=0.0)
 
 
 class TestCompound:
     def test_beta_shift(self):
-        q = compound(BetaPropensity(3.0, 3.0), trust_params(0.5, 2.0))
-        assert isinstance(q, BetaCompound)
-        assert q.alpha == pytest.approx(3.0)
-        assert q.beta == pytest.approx(3.0)
-        assert q.shape_a == pytest.approx(4.0)
-        assert q.shape_b == pytest.approx(4.0)
+        assert _compound_shapes(BetaPropensity(3.0, 3.0), 0.5, 2.0) == (4.0, 4.0)
 
     def test_matches_renormalized_product(self):
         propensity, t, grid = BetaPropensity(2.5, 4.0), 0.35, np.linspace(0.05, 0.95, 19)
-        trust = trust_params(t, 2.7)
-        q = compound(propensity, trust)
-        norm = integrate(lambda tau: trust.weight(tau) * propensity.pdf(tau), 0.0, 1.0)
-        oracle = trust.weight(grid) * propensity.pdf(grid) / norm
+        q = compound_law(propensity, t, 2.7)
+        norm = integrate(lambda tau: trust_weight(t, 2.7, tau) * propensity.pdf(tau), 0.0, 1.0)
+        oracle = trust_weight(t, 2.7, grid) * propensity.pdf(grid) / norm
         np.testing.assert_allclose(q.pdf(grid), oracle, rtol=1e-8, atol=1e-10)
 
     def test_moments_match_quadrature(self):
-        q = compound(BetaPropensity(2.5, 4.0), trust_params(0.35, 2.7))
+        # _anchored_divisor with zero power terms, anchor 0 and log(gamma) = s
+        # reads -s E_q[tau] and s E_q[tau] + (s^2 / 2) E_q[tau^2]
+        a, b = _compound_shapes(BetaPropensity(2.5, 4.0), 0.35, 2.7)
+        q = BetaPropensity(a, b)
+        gamma = math.e
+        s = math.log(gamma)
+        d_lo, d_hi = _anchored_divisor(a, b, 0.0, gamma, (0.0, 0.0))
+        engine_mean = -d_lo / s
+        engine_second = 2.0 * (d_hi + d_lo) / (s * s)
         mean = integrate(lambda tau: tau * q.pdf(tau), 0.0, 1.0)
         second = integrate(lambda tau: tau * tau * q.pdf(tau), 0.0, 1.0)
-        assert q.mean == pytest.approx(mean, rel=1e-8)
-        assert q.variance == pytest.approx(second - mean * mean, rel=1e-7)
+        assert engine_mean == pytest.approx(mean, rel=1e-8)
+        assert engine_second - engine_mean**2 == pytest.approx(second - mean * mean, rel=1e-7)
 
 
 def random_propensity(rng, n):
@@ -156,54 +180,49 @@ class TestDensitySplit:
 
 
 class TestLambdaExpectationBounds:
+    """(E_q[Gamma^-|tau|], E_q[Gamma^|tau|]), the first pair of ``_folded_power_bounds``."""
+
     def test_no_budget_collapses_to_one(self):
-        lo, hi = lambda_expectation_bounds(BetaCompound(2.0, 3.0), 1.0)
+        lo, hi = _folded_power_bounds(3.0, 4.0, 1.0)[0]
         assert lo == 1.0
         assert hi == 1.0
 
     @pytest.mark.parametrize("gamma", [1.1, 1.5, 2.5])
-    @pytest.mark.parametrize(
-        "q",
-        [
-            BetaCompound(1.4, 2.6),
-            BetaCompound(6.0, 1.1),
-        ],
-    )
+    @pytest.mark.parametrize("q", [(2.4, 3.6), (7.0, 2.1)])
     def test_matches_quadrature(self, q, gamma):
-        lo, hi = lambda_expectation_bounds(q, gamma)
-        assert lo == pytest.approx(folded_power_expectation(q, gamma, -1.0), rel=1e-9)
-        assert hi == pytest.approx(folded_power_expectation(q, gamma, +1.0), rel=1e-9)
+        lo, hi = _folded_power_bounds(*q, gamma)[0]
+        law = BetaPropensity(*q)
+        assert lo == pytest.approx(folded_power_expectation(law, gamma, -1.0), rel=1e-9)
+        assert hi == pytest.approx(folded_power_expectation(law, gamma, +1.0), rel=1e-9)
 
     def test_bracket_one(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
-            q = BetaCompound(rng.uniform(-0.5, 30.0), rng.uniform(-0.5, 30.0))
-            lo, hi = lambda_expectation_bounds(q, rng.uniform(1.0, 2.5))
+            a, b = rng.uniform(0.5, 31.0), rng.uniform(0.5, 31.0)
+            lo, hi = _folded_power_bounds(a, b, rng.uniform(1.0, 2.5))[0]
             assert lo <= 1.0 + 1e-12
             assert hi >= 1.0 - 1e-12
 
     def test_monotone_in_gamma(self):
-        q = BetaCompound(2.5, 3.5)
         gammas = np.linspace(1.0, 2.5, 16)
-        los, his = zip(*(lambda_expectation_bounds(q, g) for g in gammas))
+        los, his = zip(*(_folded_power_bounds(3.5, 4.5, g)[0] for g in gammas))
         assert np.all(np.diff(los) <= 1e-12)
         assert np.all(np.diff(his) >= -1e-12)
 
     def test_rejects_gamma_below_one(self):
-        with pytest.raises(ValueError):
-            lambda_expectation_bounds(BetaCompound(2.0, 2.0), 0.9)
+        with pytest.raises(ValueError, match="gamma_factor"):
+            DivisorEngine(DeltaMSM(), BetaPropensity(2.0, 2.0)).bounds(0.5, 0.9)
 
     def test_beta_grid_broadcasts_like_the_series(self):
         rng = np.random.default_rng(8)
-        q = BetaCompound(rng.uniform(-0.5, 60.0, 5), rng.uniform(-0.5, 60.0, 5))
+        a, b = rng.uniform(0.5, 61.0, 5), rng.uniform(0.5, 61.0, 5)
         gammas = np.linspace(1.0, 10.0, 7)[:, None]
-        lo, hi = lambda_expectation_bounds(q, gammas)
+        lo, hi = _folded_power_bounds(a, b, gammas)[0]
         assert lo.shape == hi.shape == (7, 5)
-        a, c = q.shape_a, q.shape_a + q.shape_b
         s = np.log(gammas)
-        np.testing.assert_allclose(hi, hyp1f1(a, c, s), rtol=1e-14)
-        np.testing.assert_allclose(lo, hyp1f1(a, c, -s), rtol=1e-14)
-        scalar = lambda_expectation_bounds(BetaCompound(2.0, 3.0), 1.7)
+        np.testing.assert_allclose(hi, hyp1f1(a, a + b, s), rtol=1e-14)
+        np.testing.assert_allclose(lo, hyp1f1(a, a + b, -s), rtol=1e-14)
+        scalar = _folded_power_bounds(3.0, 4.0, 1.7)[0]
         assert all(isinstance(v, float) for v in scalar)
 
 
@@ -211,8 +230,8 @@ class TestBetaMgfPairAxes:
     """s varies only along axes before q's; each table half is a reshaped slice."""
 
     @staticmethod
-    def gathered(q, s):
-        a, b = np.broadcast_arrays(np.asarray(q.shape_a), np.asarray(q.shape_b))
+    def gathered(a, b, s):
+        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
         s = np.asarray(s, dtype=float)
         c = (a + b).ravel()
         shapes = np.concatenate([a.ravel(), b.ravel()])
@@ -228,28 +247,28 @@ class TestBetaMgfPairAxes:
     )
     def test_halves_equal_the_gathered_table_entries(self, s_shape, q_shape):
         rng = np.random.default_rng(len(s_shape) + 3 * len(q_shape))
-        q = BetaCompound(rng.uniform(-0.5, 40.0, q_shape), rng.uniform(-0.5, 40.0, q_shape))
+        a, b = rng.uniform(0.5, 41.0, q_shape), rng.uniform(0.5, 41.0, q_shape)
         s = np.log(rng.uniform(1.0, 10.0, s_shape))
-        for got, want in zip(_beta_mgf_pair(q, s), self.gathered(q, s)):
+        for got, want in zip(_beta_mgf_pair(a, b, s), self.gathered(a, b, s)):
             assert got.shape == want.shape == np.broadcast_shapes(s_shape, q_shape)
             assert got.tobytes() == want.tobytes()
 
     def test_scalars_give_floats(self):
-        q = BetaCompound(2.0, 3.0)
-        pair = _beta_mgf_pair(q, math.log(1.7))
+        pair = _beta_mgf_pair(3.0, 4.0, math.log(1.7))
         assert all(type(v) is np.float64 for v in pair)
-        assert [float(v) for v in pair] == [float(v) for v in self.gathered(q, math.log(1.7))]
+        want = self.gathered(3.0, 4.0, math.log(1.7))
+        assert [float(v) for v in pair] == [float(v) for v in want]
 
     @pytest.mark.parametrize(
         "s_shape, q_shape", [((5,), (5,)), ((5,), (5, 1)), ((1, 5), (3, 1)), ((3, 1), (3, 4))]
     )
     def test_matched_or_swapped_axes_raise(self, s_shape, q_shape):
-        q = BetaCompound(np.full(q_shape, 2.0), np.full(q_shape, 3.0))
+        a, b = np.full(q_shape, 3.0), np.full(q_shape, 4.0)
         gammas = np.full(s_shape, 1.5)
         with pytest.raises(ValueError, match="s may vary only along axes before q's"):
-            _beta_mgf_pair(q, np.log(gammas))
+            _beta_mgf_pair(a, b, np.log(gammas))
         with pytest.raises(ValueError, match="s may vary only along axes before q's"):
-            lambda_expectation_bounds(q, gammas)
+            _folded_power_bounds(a, b, gammas)
 
 
 class TestDivisorBounds:
@@ -295,7 +314,7 @@ class TestDivisorBounds:
     def test_dose_one_matches_termwise_quadrature(self, prop, gamma):
         # at t = 1 the balanced divisor puts its whole weight on the anchor at 0
         t = 1.0
-        q = compound(prop, trust_params(t, prop.nominal_precision))
+        q = compound_law(prop, t, prop.nominal_precision)
         oracle = anchored_divisor_oracle(q, t, gamma)
         d_lo, d_hi = DivisorEngine(DeltaMSM(), prop).bounds(t, gamma)
         assert d_lo == pytest.approx(oracle[0], abs=1e-7)
@@ -305,8 +324,8 @@ class TestDivisorBounds:
         prop = BetaPropensity(3.5, 2.0)
         t, gamma = 0.3, 1.7
         r = float(prop.nominal_precision)
-        q0 = compound(prop, trust_params(t, r))
-        q1 = compound(prop.flipped(), trust_params(1.0 - t, r))
+        q0 = compound_law(prop, t, r)
+        q1 = compound_law(mirrored(prop), 1.0 - t, r)
         lo0, hi0 = anchored_divisor_oracle(q0, t, gamma)
         lo1, hi1 = anchored_divisor_oracle(q1, 1.0 - t, gamma)
         d_lo, d_hi = DivisorEngine(DeltaMSM(), prop).bounds(t, gamma)
@@ -324,12 +343,12 @@ class TestDivisorBounds:
         for t in (0.0, 0.37, 1.0):
             d_lo, d_hi = DivisorEngine(DeltaMSM(), prop).bounds(t, gammas)
             want_lo = want_hi = 0.0
-            for weight, anchor, dose in ((t, prop, t), (1.0 - t, prop.flipped(), 1.0 - t)):
-                q = compound(anchor, trust_params(dose, r))
-                a, c = q.shape_a, q.shape_a + q.shape_b
+            for weight, anchor, dose in ((t, prop, t), (1.0 - t, mirrored(prop), 1.0 - t)):
+                a, b = _compound_shapes(anchor, dose, r)
+                c = a + b
                 growth = gammas**dose
-                m1 = q.mean - dose
-                m2 = q.variance + m1 * m1
+                m1 = a / c - dose
+                m2 = a * b / (c * c * (c + 1.0)) + m1 * m1
                 want_lo = want_lo + weight * (hyp1f1(a, c, -s) - s * growth * np.abs(m1))
                 want_hi = want_hi + weight * (
                     hyp1f1(a, c, s) + s * growth * np.abs(m1) + 0.5 * s * s * growth * m2
@@ -377,8 +396,7 @@ class TestDivisorBounds:
         # the queried dose and the expectation bounds approach gamma^(+-|t|)
         gamma = 2.0
         prop, t, r = BetaPropensity(3.0, 5.0), 0.3, 1e6
-        q = compound(prop, trust_params(t, r))
-        lo, hi = lambda_expectation_bounds(q, gamma)
+        lo, hi = _folded_power_bounds(*_compound_shapes(prop, t, r), gamma)[0]
         assert lo == pytest.approx(gamma ** (-abs(t)), abs=1e-4)
         assert hi == pytest.approx(gamma ** (+abs(t)), abs=1e-4)
 
@@ -425,6 +443,29 @@ class TestDivisorBounds:
             BinaryMSM(threshold=0.4)
         with pytest.raises(ValueError):
             DivisorEngine(DeltaMSM(), prop, trust_precision=-1.0)
+
+    @pytest.mark.parametrize(
+        "t", [1.2, -0.1, math.nan, np.array([0.5, math.nan])],
+        ids=["above", "below", "nan", "nan-in-array"],
+    )
+    @pytest.mark.parametrize(
+        "model", [DeltaMSM(), CMSM(), Uniform(), BinaryMSM()], ids=lambda m: type(m).__name__
+    )
+    def test_rejects_a_dose_outside_the_unit_interval(self, model, t):
+        engine = DivisorEngine(model, BetaPropensity(np.array([2.0, 3.5]), np.array([4.0, 1.5])))
+        for edge in (0.0, 1.0):
+            engine.bounds(edge, 1.5)
+        with pytest.raises(ValueError, match=r"doses must lie in \[0, 1\]"):
+            engine.bounds(t, 1.5)
+
+    @pytest.mark.parametrize(
+        "precision", [math.inf, math.nan, np.array([2.0, math.inf])],
+        ids=["inf", "nan", "inf-in-array"],
+    )
+    def test_rejects_a_non_finite_trust_precision(self, precision):
+        prop = BetaPropensity(np.array([2.0, 3.5]), np.array([4.0, 1.5]))
+        with pytest.raises(ValueError, match="trust_precision must be finite and positive"):
+            DivisorEngine(DeltaMSM(), prop, trust_precision=precision)
 
 
 class TestDefaultTrustPrecision:
