@@ -11,10 +11,10 @@ ignorance band gives away (average Bernoulli KL from truth to the points of
 the band).  Lower cost at equal coverage is better.
 
 Calibration builds about 2 sqrt(n) of the n gamma columns: coverage is
-nondecreasing in gamma, so a two-stage search (``calibrate_gamma``) finds the
-first crossing.  Every probe set holds at least two columns and ends at
-gamma_max, which keeps the Beta-compound 1F1 tables, and so every score,
-bitwise equal to those of a full sweep.
+nondecreasing in gamma, so a two-stage search (``_calibrate_from_tables``)
+finds the first crossing.  Every probe set holds at least two columns and
+ends at gamma_max, which keeps the Beta-compound 1F1 tables, and so every
+score, bitwise equal to those of a full sweep.
 
 Trials are independent: every trial derives its own named random substreams
 from the benchmark seed, so reports are bit-identical across reruns.  They
@@ -57,9 +57,7 @@ __all__ = [
     "true_apo",
     "divergence_cost",
     "coverage",
-    "ks_uniform",
     "sensitivity_model_for",
-    "calibrate_gamma",
     "run_benchmark",
     "write_trials_csv",
     "write_summary_json",
@@ -350,16 +348,6 @@ def coverage(p_true, curve: IntervalCurve) -> float:
     return float(np.mean(inside | curve.undefined_mask))
 
 
-def ks_uniform(values) -> float:
-    """Kolmogorov-Smirnov statistic of a sample against Uniform(0, 1)."""
-    x = np.sort(np.asarray(values, dtype=float))
-    n = len(x)
-    if n == 0:
-        raise ValueError("ks_uniform needs a non-empty sample")
-    grid = np.arange(n, dtype=float)
-    return float(max(np.max((grid + 1.0) / n - x), np.max(x - grid / n)))
-
-
 @dataclass(frozen=True)
 class MethodScore:
     method: str
@@ -402,6 +390,26 @@ def _calibrate_from_tables(
     method, propensity_params, prob_matrix, p_true, t_grid, gammas, target,
     trust_precision=None,
 ) -> MethodScore:
+    """Smallest grid gamma reaching the target coverage, and its cost.
+
+    Coverage is nondecreasing in gamma (bands nest, and points that lose
+    their divisor floor stay flagged), so the first crossing is the optimum
+    and a search finds it.  With s = ceil(sqrt(n)) for n grid gammas, stage 1
+    builds the bands of every s-th column counted back from gamma_max; if
+    gamma_max misses the target, the method is uncalibrated.  Stage 2 builds
+    the columns strictly between the last coarse column that misses and the
+    first that reaches, plus gamma_max again; the pick is the first of them
+    that reaches, else that coarse column.  Each stage ends at gamma_max
+    with at least two columns because a column's DeltaMSM band depends on
+    the set it is computed with: the 1F1 term count follows the largest
+    gamma, and a one-column table goes through a matrix-vector product that
+    sums in another order.  So every probed column equals the full sweep's
+    bit for bit.
+    A method that never reaches the target keeps the largest gamma, takes an
+    "uncalibrated" flag, and is charged for the fully ignorant band: the cost
+    measures the price of the target coverage, and a band that never attains
+    it only certifies the vacuous interval.
+    """
     engine = DivisorEngine(
         sensitivity_model_for(method), propensity_params, trust_precision=trust_precision
     )
@@ -449,39 +457,6 @@ def _calibrate_from_tables(
         coverage=float(covered),
         cost=divergence_cost(p_true, curve),
         flags=tuple(flags),
-    )
-
-
-def calibrate_gamma(
-    method: str,
-    trial: TrialData,
-    models: FittedModels,
-    config: TrialConfig,
-    trust_precision=None,
-) -> MethodScore:
-    """Smallest grid gamma reaching the target coverage, and its cost.
-
-    Coverage is nondecreasing in gamma (bands nest, and points that lose
-    their divisor floor stay flagged), so the first crossing is the optimum
-    and a search finds it.  With s = ceil(sqrt(n)) for n grid gammas, stage 1
-    builds the bands of every s-th column counted back from gamma_max; if
-    gamma_max misses the target, the method is uncalibrated.  Stage 2 builds
-    the columns strictly between the last coarse column that misses and the
-    first that reaches, plus gamma_max again; the pick is the first of them
-    that reaches, else that coarse column.  Each stage ends at gamma_max
-    with at least two columns because a column's DeltaMSM band depends on
-    the set it is computed with: the 1F1 term count follows the largest
-    gamma, and a one-column table goes through a matrix-vector product that
-    sums in another order.  So every probed column equals the full sweep's
-    bit for bit.
-    A method that never reaches the target keeps the largest gamma, takes an
-    "uncalibrated" flag, and is charged for the fully ignorant band: the cost
-    measures the price of the target coverage, and a band that never attains
-    it only certifies the vacuous interval.
-    """
-    return _calibrate_from_tables(
-        method, *_trial_tables(trial, models, config), config.dose_grid(),
-        config.gamma_grid(), config.target_coverage, trust_precision=trust_precision,
     )
 
 

@@ -25,8 +25,9 @@ from .sensitivity import BetaPropensity
 from .specfun import DomainError, NumericError
 
 __all__ = [
-    "QuadratureSpec",
-    "DEFAULT_QUADRATURE",
+    "QUADRATURE_ABS_TOL",
+    "QUADRATURE_REL_TOL",
+    "QUADRATURE_MAX_SUBDIVISIONS",
     "integrate",
     "CheckResult",
     "MAX_EXTREMIZER_N",
@@ -83,22 +84,10 @@ def resolve_suite(name: str) -> str:
 # adaptive Gauss-Kronrod quadrature
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy budget for ``integrate``."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+# accuracy budget for ``integrate``
+QUADRATURE_ABS_TOL = 1e-10
+QUADRATURE_REL_TOL = 1e-9
+QUADRATURE_MAX_SUBDIVISIONS = 2000
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre on [-1, 1].
 _XGK = np.array(
@@ -143,22 +132,10 @@ _GAUSS_W[14] = _WG[3]
 del _i, _j
 
 
-def _eval_vectorized(f, x: np.ndarray) -> np.ndarray:
-    try:
-        y = np.asarray(f(x), dtype=float)
-    except (TypeError, ValueError):
-        return np.fromiter((float(f(v)) for v in x), dtype=float, count=x.size)
-    if y.shape == x.shape:
-        return y
-    if y.ndim == 0:
-        return np.full(x.shape, float(y))
-    raise ValueError("integrand returned an array of unexpected shape")
-
-
 def _kronrod_cell(f, a: float, b: float) -> tuple[float, float]:
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fx = _eval_vectorized(f, center + half * _NODES)
+    fx = np.asarray(f(center + half * _NODES), dtype=float)
     if not np.isfinite(fx).all():
         raise NumericError(f"integrand is not finite inside [{a!r}, {b!r}]")
     resk = half * float(_KRONROD_W @ fx)
@@ -175,16 +152,16 @@ def _kronrod_cell(f, a: float, b: float) -> tuple[float, float]:
     return resk, err
 
 
-def _adaptive(f, lo: float, hi: float, spec: QuadratureSpec) -> float:
+def _adaptive(f, lo: float, hi: float) -> float:
     value, err = _kronrod_cell(f, lo, hi)
     total, total_err = value, err
     heap = [(-err, 0, lo, hi, value)]
     used = 0
     counter = 1
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        if used >= spec.max_subdivisions:
+    while total_err > max(QUADRATURE_ABS_TOL, QUADRATURE_REL_TOL * abs(total)):
+        if used >= QUADRATURE_MAX_SUBDIVISIONS:
             raise NumericError(
-                f"quadrature used all {spec.max_subdivisions} subdivisions "
+                f"quadrature used all {QUADRATURE_MAX_SUBDIVISIONS} subdivisions "
                 f"(estimate {total!r}, error estimate {total_err:.3e})",
                 value=total,
                 error=total_err,
@@ -202,22 +179,21 @@ def _adaptive(f, lo: float, hi: float, spec: QuadratureSpec) -> float:
     return total
 
 
-def integrate(f, lo: float, hi: float, spec: QuadratureSpec | None = None) -> float:
-    """Definite integral of ``f`` over ``[lo, hi]`` to the requested tolerance.
+def integrate(f, lo: float, hi: float) -> float:
+    """Definite integral of ``f`` over ``[lo, hi]`` to the module's tolerances.
 
-    ``f`` should accept a numpy array of abscissae and return the matching
-    array of values; plain scalar callables are looped over as a fallback.
-    Both bounds must be finite.  The open Kronrod rule never evaluates ``f``
-    at the endpoints, so an integrable endpoint singularity is fine.
+    ``f`` takes a numpy array of abscissae and returns the matching array of
+    values.  Both bounds must be finite.  The open Kronrod rule never
+    evaluates ``f`` at the endpoints, so an integrable endpoint singularity
+    is fine.
     """
-    spec = spec or DEFAULT_QUADRATURE
     lo = float(lo)
     hi = float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"integration bounds must be finite, got [{lo!r}, {hi!r}]")
     if not lo < hi:
         raise DomainError(f"integration requires lo < hi, got [{lo!r}, {hi!r}]")
-    return _adaptive(f, lo, hi, spec)
+    return _adaptive(f, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -157,10 +157,6 @@ def load_run_config(doc) -> RunConfig:
 # shared helpers
 
 
-def _out_path(directory: str, name: str) -> str:
-    return os.path.join(directory, name)
-
-
 def _read_table(path: str, what: str):
     """(names, data) of a numeric CSV; a table that cannot be read or holds a
     non-finite value is a usage error."""
@@ -201,11 +197,11 @@ def _write_trial_bundle(trial, config, out_dir: str) -> None:
         table = np.column_stack(
             [trial.visible(idx), trial.treatments(idx), trial.outcomes(idx)]
         )
-        fileio.write_csv(_out_path(out_dir, name), header, table.tolist())
+        fileio.write_csv(os.path.join(out_dir, name), header, table.tolist())
     grid = config.dose_grid()
     truth = bench.true_apo(trial, grid)
     fileio.write_csv(
-        _out_path(out_dir, "truth.csv"),
+        os.path.join(out_dir, "truth.csv"),
         ["t", "true_apo"],
         np.column_stack([grid, truth]).tolist(),
     )
@@ -238,7 +234,7 @@ def cmd_dgp(args) -> int:
             f"({config.n_train}/{config.n_test} rows, {config.treatment_index} visible confounders)"
         )
         return 0
-    path = _out_path(args.out, "raw.csv")
+    path = os.path.join(args.out, "raw.csv")
     fileio.write_csv(path, [f"x{j}" for j in range(args.cols)], raw.tolist())
     print(f"wrote {path} ({args.rows} rows, {args.cols} columns)")
     return 0
@@ -249,6 +245,8 @@ def cmd_bounds(args) -> int:
         raise UsageError(f"--gamma must be finite and >= 1, got {args.gamma}")
     if args.target == "capo" and args.instance is None:
         raise UsageError("--target capo requires --instance")
+    if args.target != "capo" and args.instance is not None:
+        raise UsageError("--instance only applies to --target capo")
     if args.precision is not None and not 0.0 < args.precision < math.inf:
         raise UsageError(f"--precision must be positive and finite, got {args.precision}")
     if args.precision is not None and args.model != "deltamsm":
@@ -266,7 +264,7 @@ def cmd_bounds(args) -> int:
         )
     else:
         curve = apo_interval(models, sens, x, grid, args.gamma, trust_precision=args.precision)
-    bounds_path = _out_path(args.out, "bounds.csv")
+    bounds_path = os.path.join(args.out, "bounds.csv")
     fileio.write_csv(
         bounds_path,
         ["t", "lo", "hi", "undefined_flag"],
@@ -275,7 +273,7 @@ def cmd_bounds(args) -> int:
             for ti, lo, hi, flag in zip(curve.t_grid, curve.lo, curve.hi, curve.undefined_mask)
         ],
     )
-    models_path = _out_path(args.out, "models.json")
+    models_path = os.path.join(args.out, "models.json")
     fileio.write_json(
         models_path,
         {
@@ -321,8 +319,8 @@ def cmd_benchmark(args) -> int:
         train_config=config.train,
         trust_precision=config.trust_precision,
     )
-    bench.write_trials_csv(_out_path(out_dir, "trials.csv"), report)
-    bench.write_summary_json(_out_path(out_dir, "summary.json"), report)
+    bench.write_trials_csv(os.path.join(out_dir, "trials.csv"), report)
+    bench.write_summary_json(os.path.join(out_dir, "summary.json"), report)
     print(
         f"{'method':>10}  {'cost x1000':>11}  {'% best':>7}  {'ratio':>7}  "
         f"{'gamma*':>7}  {'coverage':>8}"

@@ -325,11 +325,12 @@ def apo_band_matrix(engine: DivisorEngine, prob_matrix, t_grid, gamma_grid):
     """Pooled outcome bounds for every (dose, gamma) pair in one sweep.
 
     ``prob_matrix[i, j]`` holds P(Y=1 | x_j, t_grid[i]); the engine carries
-    the per-instance propensity parameters.  Returns (lo, hi, undefined)
-    arrays of shape (len(t_grid), len(gamma_grid)).  Each dose asks the
-    engine for the whole gamma column at once, so divisors come back as
-    (gammas, instances) tables that broadcast against the dose's row of
-    probabilities.  Instances whose divisor floor crosses zero at a given
+    the propensity parameters, one per column of ``prob_matrix`` or scalars
+    shared by all of them (``ValueError`` otherwise).  Returns (lo, hi,
+    undefined) arrays of shape (len(t_grid), len(gamma_grid)).  Each dose
+    asks the engine for the whole gamma column at once, so divisors come
+    back as (gammas, instances) tables that broadcast against the dose's row
+    of probabilities.  Instances whose divisor floor crosses zero at a given
     (dose, gamma) are dropped from that pooled ratio and the point is
     flagged; when every instance drops, the bounds are NaN.
     """
@@ -338,6 +339,13 @@ def apo_band_matrix(engine: DivisorEngine, prob_matrix, t_grid, gamma_grid):
     prob_matrix = np.atleast_2d(np.asarray(prob_matrix, dtype=float))
     if prob_matrix.shape[0] != len(t_grid):
         raise ValueError("prob_matrix must have one row per dose grid point")
+    propensity = engine.propensity
+    instances = np.broadcast_shapes(np.shape(propensity.alpha_bar), np.shape(propensity.beta_bar))
+    if instances not in ((), prob_matrix.shape[1:]):
+        raise ValueError(
+            f"prob_matrix of shape {prob_matrix.shape} needs one column per instance "
+            f"of the engine's propensity, whose parameters have shape {instances}"
+        )
     shape = (len(t_grid), len(gammas))
     lo = np.empty(shape)
     hi = np.empty(shape)

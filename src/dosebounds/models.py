@@ -20,12 +20,10 @@ finite-difference tests and perfbench's layer counts, not training.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import fileio
 from .seeds import substream
 from .sensitivity import BetaPropensity
 from .specfun import digamma, log_gamma
@@ -40,8 +38,6 @@ __all__ = [
     "outcome_loss_grad",
     "propensity_loss_grad",
     "model_payload",
-    "save_model",
-    "load_model",
 ]
 
 STRETCH = 100.0
@@ -106,19 +102,16 @@ def _features(x, t):
 
 @dataclass(frozen=True)
 class OutcomeModel:
-    """p(y=1 | x, t) = sigmoid((w . [x, t] + b) / stretch)."""
+    """p(y=1 | x, t) = sigmoid((w . [x, t] + b) / STRETCH)."""
 
     weights: np.ndarray
     bias: float
-    stretch: float = STRETCH
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.weights.ndim != 1 or len(self.weights) < 1:
             raise ValueError("weights must cover the covariates plus the treatment")
-        if self.stretch <= 0.0:
-            raise ValueError("stretch must be positive")
 
     @property
     def n_covariates(self) -> int:
@@ -130,7 +123,7 @@ class OutcomeModel:
             raise ValueError(
                 f"expected {self.n_covariates} covariates, got {feats.shape[1] - 1}"
             )
-        p = _sigmoid((feats @ self.weights + self.bias) / self.stretch)
+        p = _sigmoid((feats @ self.weights + self.bias) / STRETCH)
         return float(p[0]) if collapse else p
 
     def outcome_support(self, x, t):
@@ -140,14 +133,12 @@ class OutcomeModel:
 
 @dataclass(frozen=True)
 class PropensityModel:
-    """Beta(alpha_bar(x), beta_bar(x)) heads, each cap * sigmoid(u / stretch)."""
+    """Beta(alpha_bar(x), beta_bar(x)) heads, each PROPENSITY_CAP * sigmoid(u / STRETCH)."""
 
     alpha_weights: np.ndarray
     alpha_bias: float
     beta_weights: np.ndarray
     beta_bias: float
-    cap: float = PROPENSITY_CAP
-    stretch: float = STRETCH
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -155,8 +146,6 @@ class PropensityModel:
         object.__setattr__(self, "beta_weights", np.asarray(self.beta_weights, dtype=float))
         if self.alpha_weights.shape != self.beta_weights.shape or self.alpha_weights.ndim != 1:
             raise ValueError("the two heads must weigh the same covariates")
-        if self.cap <= 0.0 or self.stretch <= 0.0:
-            raise ValueError("cap and stretch must be positive")
 
     @property
     def n_covariates(self) -> int:
@@ -168,10 +157,10 @@ class PropensityModel:
         x2 = np.atleast_2d(x)
         if x2.shape[1] != self.n_covariates:
             raise ValueError(f"expected {self.n_covariates} covariates, got {x2.shape[1]}")
-        alpha = self.cap * _sigmoid((x2 @ self.alpha_weights + self.alpha_bias) / self.stretch)
-        beta = self.cap * _sigmoid((x2 @ self.beta_weights + self.beta_bias) / self.stretch)
-        alpha = np.clip(alpha, _PARAM_EDGE, self.cap - _PARAM_EDGE)
-        beta = np.clip(beta, _PARAM_EDGE, self.cap - _PARAM_EDGE)
+        alpha = PROPENSITY_CAP * _sigmoid((x2 @ self.alpha_weights + self.alpha_bias) / STRETCH)
+        beta = PROPENSITY_CAP * _sigmoid((x2 @ self.beta_weights + self.beta_bias) / STRETCH)
+        alpha = np.clip(alpha, _PARAM_EDGE, PROPENSITY_CAP - _PARAM_EDGE)
+        beta = np.clip(beta, _PARAM_EDGE, PROPENSITY_CAP - _PARAM_EDGE)
         if single:
             return BetaPropensity(float(alpha[0]), float(beta[0]))
         return BetaPropensity(alpha, beta)
@@ -340,7 +329,7 @@ def model_payload(model) -> dict:
             "kind": "outcome",
             "weights": [float(w) for w in model.weights],
             "bias": float(model.bias),
-            "stretch": float(model.stretch),
+            "stretch": STRETCH,
             "flags": list(model.flags),
         }
     if isinstance(model, PropensityModel):
@@ -351,40 +340,8 @@ def model_payload(model) -> dict:
             "alpha_bias": float(model.alpha_bias),
             "beta_weights": [float(w) for w in model.beta_weights],
             "beta_bias": float(model.beta_bias),
-            "cap": float(model.cap),
-            "stretch": float(model.stretch),
+            "cap": PROPENSITY_CAP,
+            "stretch": STRETCH,
             "flags": list(model.flags),
         }
     raise ValueError(f"cannot serialize {type(model).__name__}")
-
-
-def save_model(model, path: str) -> None:
-    """Serialize a model to flat JSON (atomically written)."""
-    fileio.write_json(path, model_payload(model))
-
-
-def load_model(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    version = payload.get("format_version")
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format_version {version!r}")
-    kind = payload.get("kind")
-    if kind == "outcome":
-        return OutcomeModel(
-            weights=np.asarray(payload["weights"], dtype=float),
-            bias=float(payload["bias"]),
-            stretch=float(payload["stretch"]),
-            flags=tuple(payload.get("flags", [])),
-        )
-    if kind == "propensity":
-        return PropensityModel(
-            alpha_weights=np.asarray(payload["alpha_weights"], dtype=float),
-            alpha_bias=float(payload["alpha_bias"]),
-            beta_weights=np.asarray(payload["beta_weights"], dtype=float),
-            beta_bias=float(payload["beta_bias"]),
-            cap=float(payload["cap"]),
-            stretch=float(payload["stretch"]),
-            flags=tuple(payload.get("flags", [])),
-        )
-    raise ValueError(f"{path}: unknown model kind {kind!r}")

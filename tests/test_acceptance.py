@@ -23,6 +23,7 @@ from dosebounds.sensitivity import (
     DeltaMSM,
     Uniform,
 )
+from test_benchmark import ks_uniform
 
 
 def report(n, ok, detail):
@@ -186,7 +187,7 @@ def test_07_dgp_uniformity_and_true_curve_oracle():
     config = bm.TrialConfig(n_confounders=10, form="quadratic", seed=7)
     trial = bm.generate_trial(bm.synthetic_raw(1000, 16, seed=7), config)
     ks_worst = max(
-        bm.ks_uniform(trial.v_matrix[:, j]) for j in range(trial.v_matrix.shape[1])
+        ks_uniform(trial.v_matrix[:, j]) for j in range(trial.v_matrix.shape[1])
     )
     t_grid = config.dose_grid()[::10]
     apo = bm.true_apo(trial, t_grid)

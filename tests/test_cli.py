@@ -268,6 +268,15 @@ class TestBounds:
         assert "--precision only applies to --model deltamsm" in capsys.readouterr().err
         assert not (tmp_path / "bounds.csv").exists()
 
+    def test_instance_without_capo_is_a_usage_error(self, tmp_path, capsys, no_fitting):
+        # only a capo band conditions on one row
+        data = tmp_path / "train.csv"
+        write_training_csv(data)
+        assert run("bounds", "--data", data, "--model", "uniform", "--gamma", 2,
+                   "--target", "apo", "--instance", 3, "--out", tmp_path) == 2
+        assert "--instance only applies to --target capo" in capsys.readouterr().err
+        assert not (tmp_path / "bounds.csv").exists()
+
     def test_non_binary_outcomes_are_a_usage_error(self, tmp_path, capsys, no_fitting):
         data = tmp_path / "train.csv"
         fileio.write_csv(str(data), ["x0", "t", "y"], [[0.1, 0.5, 1.0], [0.2, 0.4, 0.5]])

@@ -544,6 +544,23 @@ class TestApoBandMatrix:
         with pytest.raises(ValueError):
             apo_band_matrix(engine, prob[:-1], self.t_grid, self.gamma_grid)
 
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_rejects_another_instance_count(self, columns):
+        # one column would pool as five copies of one instance, three would
+        # not broadcast against the five instances' divisors
+        engine = DivisorEngine(Uniform(), BetaPropensity(np.full(5, 2.0), np.full(5, 3.0)))
+        prob = np.full((len(self.t_grid), columns), 0.5)
+        with pytest.raises(ValueError, match="one column per instance"):
+            apo_band_matrix(engine, prob, self.t_grid, self.gamma_grid)
+
+    def test_scalar_propensity_serves_any_instance_count(self):
+        engine = DivisorEngine(Uniform(), BetaPropensity(2.0, 3.0))
+        prob = np.linspace(0.1, 0.9, 3 * len(self.t_grid)).reshape(len(self.t_grid), 3)
+        lo, hi, undefined = apo_band_matrix(engine, prob, self.t_grid, [1.0])
+        assert not undefined.any()
+        np.testing.assert_allclose(lo[:, 0], prob.mean(axis=1), rtol=1e-15)
+        np.testing.assert_allclose(hi[:, 0], prob.mean(axis=1), rtol=1e-15)
+
 
 class TestGammaSubsetExactness:
     """Calibration probes gamma subsets instead of the whole grid and must
@@ -637,7 +654,7 @@ class TestBandKernelProperties:
         strict=True,
         raises=AssertionError,
         reason="a gamma column's 1F1 sum depends on the sweep's row count; "
-        "ROADMAP item 2's batch-independent kernel is the fix",
+        "ROADMAP item 11's per-element Horner sum is the fix",
     )
     @pytest.mark.parametrize(
         "alpha, beta, prob, gammas",

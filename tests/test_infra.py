@@ -12,6 +12,7 @@ import shlex
 import numpy as np
 import pytest
 
+import dosebounds
 from dosebounds.cli import _build_parser, load_run_config
 from dosebounds.fileio import (
     atomic_write_text,
@@ -200,6 +201,30 @@ class TestExports:
         assert public == documented
 
 
+def names_read_in_package():
+    """Every name and attribute that code in ``src/dosebounds`` reads."""
+    package = os.path.join(os.path.dirname(__file__), os.pardir, "src", "dosebounds")
+    read = set()
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            for node in ast.walk(ast.parse(handle.read())):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    return read
+
+
+def defined_functions_and_classes(module):
+    """Names of the functions and classes ``module`` itself defines."""
+    return [
+        name
+        for name, value in vars(module).items()
+        if (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == module.__name__
+    ]
+
+
 class TestSourceLayout:
     def test_no_source_line_is_over_100_characters(self):
         package = os.path.join(os.path.dirname(__file__), os.pardir, "src", "dosebounds")
@@ -241,23 +266,21 @@ class TestSourceLayout:
         # import does not count, so an entry point only the tests call fails
         from dosebounds import sensitivity
 
-        package = os.path.join(os.path.dirname(__file__), os.pardir, "src", "dosebounds")
-        read = set()
-        for path in sorted(glob.glob(os.path.join(package, "*.py"))):
-            with open(path, encoding="utf-8") as handle:
-                for node in ast.walk(ast.parse(handle.read())):
-                    if isinstance(node, ast.Name):
-                        read.add(node.id)
-                    elif isinstance(node, ast.Attribute):
-                        read.add(node.attr)
-        defined = [
-            name
-            for name, value in vars(sensitivity).items()
-            if (inspect.isfunction(value) or inspect.isclass(value))
-            and value.__module__ == sensitivity.__name__
-        ]
+        defined = defined_functions_and_classes(sensitivity)
         assert "_folded_power_bounds" in defined
-        assert sorted(set(defined) - read) == []
+        assert sorted(set(defined) - names_read_in_package()) == []
+
+    @pytest.mark.parametrize(
+        "module", ["benchmark", "checks", "cli", "estimator", "fileio", "models", "seeds"]
+    )
+    def test_module_holds_only_the_run_path(self, module):
+        # the sensitivity rule, except that the documented top-level API
+        # (dosebounds.__all__) counts as read even if no package code calls it
+        module = importlib.import_module(f"dosebounds.{module}")
+        defined = defined_functions_and_classes(module)
+        assert defined
+        unread = set(defined) - names_read_in_package() - set(dosebounds.__all__)
+        assert sorted(unread) == []
 
 
 class TestBenchmarkTracer:

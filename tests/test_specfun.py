@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dosebounds import checks, specfun
-from dosebounds.checks import QuadratureSpec, integrate
+from dosebounds.checks import integrate
 from dosebounds.models import PROPENSITY_CAP
 from dosebounds.specfun import (
     DomainError,
@@ -35,10 +35,6 @@ class TestIntegrate:
         value = integrate(lambda tau: tau**3, 0.0, 1.0)
         assert value == pytest.approx(0.25, abs=1e-14)
 
-    def test_scalar_integrand_fallback(self):
-        value = integrate(lambda tau: math.sin(tau), 0.0, math.pi)
-        assert value == pytest.approx(2.0, abs=1e-10)
-
     def test_oscillatory(self):
         value = integrate(lambda tau: np.cos(40.0 * tau), 0.0, 1.0)
         assert value == pytest.approx(math.sin(40.0) / 40.0, abs=1e-10)
@@ -47,10 +43,12 @@ class TestIntegrate:
         value = integrate(lambda tau: 1.0 / np.sqrt(tau), 0.0, 1.0)
         assert value == pytest.approx(2.0, rel=1e-8)
 
-    def test_budget_exhaustion_reports_partial(self):
-        spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=3)
+    def test_budget_exhaustion_reports_partial(self, monkeypatch):
+        monkeypatch.setattr(checks, "QUADRATURE_ABS_TOL", 1e-13)
+        monkeypatch.setattr(checks, "QUADRATURE_REL_TOL", 1e-13)
+        monkeypatch.setattr(checks, "QUADRATURE_MAX_SUBDIVISIONS", 3)
         with pytest.raises(NumericError) as excinfo:
-            integrate(lambda tau: 1.0 / np.sqrt(tau), 0.0, 1.0, spec)
+            integrate(lambda tau: 1.0 / np.sqrt(tau), 0.0, 1.0)
         assert excinfo.value.value == pytest.approx(2.0, rel=1e-2)
         assert excinfo.value.error is not None
 
@@ -63,12 +61,6 @@ class TestIntegrate:
             integrate(lambda tau: tau, -math.inf, 0.0)
         with pytest.raises(DomainError):
             integrate(lambda tau: tau, 0.0, math.inf)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
 
 
 class TestLogGamma:
@@ -355,7 +347,6 @@ class TestRegIncBeta:
 
 class TestDefaults:
     def test_quadrature_defaults(self):
-        spec = checks.DEFAULT_QUADRATURE
-        assert spec.abs_tol == 1e-10
-        assert spec.rel_tol == 1e-9
-        assert spec.max_subdivisions == 2000
+        assert checks.QUADRATURE_ABS_TOL == 1e-10
+        assert checks.QUADRATURE_REL_TOL == 1e-9
+        assert checks.QUADRATURE_MAX_SUBDIVISIONS == 2000
