@@ -20,6 +20,7 @@ from dosebounds import (
     synthetic_raw,
     true_apo,
 )
+from dosebounds.benchmark import coverage
 
 
 def main():
@@ -41,9 +42,7 @@ def main():
     print("dose-response band under increasing confounding budgets")
     for gamma in (1.0, 1.3, 1.8):
         curve = apo_interval(models, sens, test_x, t_grid, gamma)
-        covered = np.mean(
-            ((curve.lo <= truth) & (truth <= curve.hi)) | curve.undefined_mask
-        )
+        covered = coverage(truth, curve.lo, curve.hi, curve.undefined_mask)
         print(f"\ngamma = {gamma:.1f}   coverage of the true curve: {covered:.0%}")
         print("   t     truth      lo      hi   width")
         for i, dose in enumerate(t_grid):

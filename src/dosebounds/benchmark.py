@@ -335,17 +335,21 @@ def divergence_cost(p_true, curve: IntervalCurve) -> float:
     return float(np.mean(_kl_band(p, lo, hi)))
 
 
-def coverage(p_true, curve: IntervalCurve) -> float:
-    """Share of grid points whose true value the band contains.
+def coverage(p_true, lo, hi, undefined):
+    """Share of doses whose true value the band contains.
 
+    ``lo``, ``hi`` and ``undefined`` hold one band over the dose grid of
+    ``p_true``, or (doses, gammas) tables with one share per gamma column.
     Flagged points count as covered: their interval is vacuously unbounded.
     """
     p = np.asarray(p_true, dtype=float)
-    if p.shape != curve.lo.shape:
-        raise ValueError("p_true must match the curve grid")
+    lo = np.asarray(lo, dtype=float)
+    if p.shape != lo.shape[:1]:
+        raise ValueError("p_true must match the band's dose grid")
+    p = p.reshape(p.shape + (1,) * (lo.ndim - 1))
     with np.errstate(invalid="ignore"):
-        inside = (curve.lo <= p) & (p <= curve.hi)
-    return float(np.mean(inside | curve.undefined_mask))
+        inside = (lo <= p) & (p <= hi)
+    return np.mean(inside | undefined, axis=0)
 
 
 @dataclass(frozen=True)
@@ -387,8 +391,7 @@ def _trial_tables(trial: TrialData, models: FittedModels, config: TrialConfig):
 
 
 def _calibrate_from_tables(
-    method, propensity_params, prob_matrix, p_true, t_grid, gammas, target,
-    trust_precision=None,
+    method, propensity_params, prob_matrix, p_true, t_grid, gammas, target
 ) -> MethodScore:
     """Smallest grid gamma reaching the target coverage, and its cost.
 
@@ -410,16 +413,12 @@ def _calibrate_from_tables(
     measures the price of the target coverage, and a band that never attains
     it only certifies the vacuous interval.
     """
-    engine = DivisorEngine(
-        sensitivity_model_for(method), propensity_params, trust_precision=trust_precision
-    )
+    engine = DivisorEngine(sensitivity_model_for(method), propensity_params)
 
     def probe(cols):
         """(lo, hi, undefined, coverage) at ascending gamma columns ``cols``."""
         lo, hi, undefined = apo_band_matrix(engine, prob_matrix, t_grid, gammas[cols])
-        with np.errstate(invalid="ignore"):
-            inside = (lo <= p_true[:, None]) & (p_true[:, None] <= hi)
-        return lo, hi, undefined, np.mean(inside | undefined, axis=0)
+        return lo, hi, undefined, coverage(p_true, lo, hi, undefined)
 
     # stage 1: every step-th column, counted back from gamma_max; the step is
     # ceil(sqrt(n)), except that a two-gamma grid probes both columns at once
@@ -444,12 +443,11 @@ def _calibrate_from_tables(
     if undefined.any():
         flags.append("undefined_points")
     if calibrated:
-        curve = IntervalCurve(t_grid, lo, hi, "apo", undefined)
+        curve = IntervalCurve(t_grid, lo, hi, undefined)
     else:
         # the only band such a method can certify is the vacuous one
         curve = IntervalCurve(
-            t_grid, np.zeros_like(t_grid), np.ones_like(t_grid), "apo",
-            np.zeros(len(t_grid), dtype=bool),
+            t_grid, np.zeros_like(t_grid), np.ones_like(t_grid), np.zeros(len(t_grid), dtype=bool)
         )
     return MethodScore(
         method=method,
@@ -460,7 +458,7 @@ def _calibrate_from_tables(
     )
 
 
-def _run_trial(trial_id, raw, config, methods, train_config, trust_precision=None) -> TrialResult:
+def _run_trial(trial_id, raw, config, methods, train_config) -> TrialResult:
     trial_config = replace(config, seed=derive_seed(config.seed, "trial", trial_id))
     trial = generate_trial(raw, trial_config)
     fit_seed = derive_seed(config.seed, "fit", trial_id)
@@ -475,10 +473,7 @@ def _run_trial(trial_id, raw, config, methods, train_config, trust_precision=Non
     t_grid = config.dose_grid()
     gammas = config.gamma_grid()
     scores = tuple(
-        _calibrate_from_tables(
-            method, *tables, t_grid, gammas, config.target_coverage,
-            trust_precision=trust_precision,
-        )
+        _calibrate_from_tables(method, *tables, t_grid, gammas, config.target_coverage)
         for method in methods
     )
     return TrialResult(trial_id=trial_id, scores=scores)
@@ -491,7 +486,6 @@ def run_benchmark(
     n_trials: int = 50,
     train_config: TrainConfig | None = None,
     n_workers: int = 1,
-    trust_precision=None,
 ) -> TrialReport:
     """Generate, fit, calibrate, and score ``n_trials`` independent trials.
 
@@ -515,7 +509,7 @@ def run_benchmark(
     results = []
     for trial_id in range(n_trials):
         try:
-            result = _run_trial(trial_id, raw, config, methods, train_config, trust_precision)
+            result = _run_trial(trial_id, raw, config, methods, train_config)
         except Exception as exc:
             result = TrialResult(trial_id, (), f"{type(exc).__name__}: {exc}")
         results.append(result)

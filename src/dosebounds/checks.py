@@ -31,6 +31,10 @@ __all__ = [
     "integrate",
     "CheckResult",
     "MAX_EXTREMIZER_N",
+    "CLOSED_FORM_TOLERANCE",
+    "EXTREMIZER_TOLERANCE",
+    "GRADIENT_TOLERANCE",
+    "GRADIENT_STEP",
     "SUITE_NAMES",
     "check_closed_forms",
     "check_extremizer",
@@ -46,6 +50,14 @@ _MAX_REPORTED_FAILURES = 5
 # Brute force enumerates all 2^n corners of the weight box in 2^n x n arrays:
 # about 8 MB each at n = 16, 170 MB at 20 and past 3 GB at 24.
 MAX_EXTREMIZER_N = 16
+
+# Each suite passes when its worst error is at most its tolerance: relative
+# for the closed forms and the gradients, absolute for the extremizer.
+CLOSED_FORM_TOLERANCE = 1e-7
+EXTREMIZER_TOLERANCE = 1e-12
+GRADIENT_TOLERANCE = 1e-4
+# central-difference step of the gradient check
+GRADIENT_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -222,7 +234,7 @@ def _draw_closed_form_case(rng):
     return propensity, t, r
 
 
-def check_closed_forms(samples: int = 200, seed: int = 0, tolerance: float = 1e-7) -> CheckResult:
+def check_closed_forms(samples: int = 200, seed: int = 0) -> CheckResult:
     """Closed-form folded-power expectations versus adaptive quadrature.
 
     Draws random Beta propensity parameters, a dose in (0, 1) and a trust
@@ -252,12 +264,12 @@ def check_closed_forms(samples: int = 200, seed: int = 0, tolerance: float = 1e-
                     n_checked += 1
                     if err > worst:
                         worst = err
-                    if err > tolerance and len(failures) < _MAX_REPORTED_FAILURES:
+                    if err > CLOSED_FORM_TOLERANCE and len(failures) < _MAX_REPORTED_FAILURES:
                         failures.append(
                             f"q={law} gamma={gamma} {label}{side}: "
                             f"closed={got!r} quadrature={want!r} rel_err={err:.3e}"
                         )
-    return CheckResult("closed-forms", n_checked, worst, tolerance, tuple(failures))
+    return CheckResult("closed-forms", n_checked, worst, CLOSED_FORM_TOLERANCE, tuple(failures))
 
 
 def _vertex_extrema(f, w_lo, w_hi):
@@ -304,9 +316,7 @@ def _gap(got, want) -> float:
     return abs(got - want)
 
 
-def check_extremizer(
-    instances: int = 1000, max_n: int = 12, seed: int = 0, tolerance: float = 1e-12
-) -> CheckResult:
+def check_extremizer(instances: int = 1000, max_n: int = 12, seed: int = 0) -> CheckResult:
     """Greedy ratio extremization, and the closed-form binary-outcome band,
     versus brute force over all 2^n vertices.
 
@@ -338,7 +348,7 @@ def check_extremizer(
         )
         if err > worst:
             worst = err
-        if err > tolerance and len(failures) < _MAX_REPORTED_FAILURES:
+        if err > EXTREMIZER_TOLERANCE and len(failures) < _MAX_REPORTED_FAILURES:
             failures.append(f"n={n} f={f.tolist()} box=({w_lo.tolist()}, {w_hi.tolist()})")
 
         box = _draw_bernoulli_box(int(binary_rng.integers(1, max(1, max_n // 2) + 1)), binary_rng)
@@ -347,28 +357,26 @@ def check_extremizer(
         err = max(_gap(float(g), w) for g, w in zip(got, want))
         if err > worst:
             worst = err
-        if err > tolerance and len(failures) < _MAX_REPORTED_FAILURES:
+        if err > EXTREMIZER_TOLERANCE and len(failures) < _MAX_REPORTED_FAILURES:
             failures.append(
                 "bernoulli p_one={} d_lo={} d_hi={} valid={}".format(*(v.tolist() for v in box))
             )
-    return CheckResult("extremizer", 4 * instances, worst, tolerance, tuple(failures))
+    return CheckResult("extremizer", 4 * instances, worst, EXTREMIZER_TOLERANCE, tuple(failures))
 
 
-def _central_difference(loss, params, step):
+def _central_difference(loss, params):
     grad = np.empty_like(params)
     for i in range(len(params)):
         bumped = params.copy()
-        bumped[i] = params[i] + step
+        bumped[i] = params[i] + GRADIENT_STEP
         up = loss(bumped)
-        bumped[i] = params[i] - step
+        bumped[i] = params[i] - GRADIENT_STEP
         down = loss(bumped)
-        grad[i] = (up - down) / (2.0 * step)
+        grad[i] = (up - down) / (2.0 * GRADIENT_STEP)
     return grad
 
 
-def check_gradients(
-    points: int = 100, seed: int = 0, step: float = 1e-5, tolerance: float = 1e-4
-) -> CheckResult:
+def check_gradients(points: int = 100, seed: int = 0) -> CheckResult:
     """Analytic training gradients versus central finite differences.
 
     The error is per-coordinate relative with a 1e-8 floor, matching
@@ -390,13 +398,13 @@ def check_gradients(
         for _ in range(points):
             params = rng.normal(scale=20.0, size=size)
             _, grad = loss_grad(params)
-            numeric = _central_difference(lambda p: loss_grad(p)[0], params, step)
+            numeric = _central_difference(lambda p: loss_grad(p)[0], params)
             err = float(np.max(np.abs(grad - numeric) / (np.abs(numeric) + 1e-8)))
             if err > worst:
                 worst = err
-            if err > tolerance and len(failures) < _MAX_REPORTED_FAILURES:
+            if err > GRADIENT_TOLERANCE and len(failures) < _MAX_REPORTED_FAILURES:
                 failures.append(f"{label} params={params.tolist()} rel_err={err:.3e}")
-    return CheckResult("gradients", 2 * points, worst, tolerance, tuple(failures))
+    return CheckResult("gradients", 2 * points, worst, GRADIENT_TOLERANCE, tuple(failures))
 
 
 def run_suites(

@@ -38,8 +38,9 @@ class UsageError(ValueError):
 # --------------------------------------------------------------------------
 # benchmark run configuration (JSON document)
 
-_TOP_KEYS = {"trial", "train", "methods", "n_trials", "trust_precision", "raw", "seed", "out"}
-_TRIAL_KEYS = {field.name for field in fields(bench.TrialConfig)}
+_TOP_KEYS = {"trial", "train", "methods", "n_trials", "raw", "seed"}
+# the top-level seed is the one way to set the trial seed
+_TRIAL_KEYS = {field.name for field in fields(bench.TrialConfig)} - {"seed"}
 _TRAIN_KEYS = {"lr", "batches", "epochs"}
 _RAW_KEYS = {"rows", "cols", "path"}
 
@@ -48,13 +49,6 @@ def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
     unknown = sorted(set(doc) - allowed)
     if unknown:
         raise UsageError(f"{where}: unknown keys {unknown}")
-
-
-def _check_methods(methods, where: str) -> tuple[str, ...]:
-    try:
-        return bench._checked_methods(methods)
-    except ValueError as exc:
-        raise UsageError(f"{where}: {exc}") from exc
 
 
 def _raw_size(raw_doc: dict, key: str, default: int, least: int) -> int:
@@ -72,11 +66,9 @@ class RunConfig:
     train: TrainConfig
     methods: tuple[str, ...]
     n_trials: int
-    trust_precision: float | None
     raw_rows: int
     raw_cols: int
     raw_path: str | None
-    out_dir: str
 
 
 def load_run_config(doc) -> RunConfig:
@@ -113,24 +105,15 @@ def load_run_config(doc) -> RunConfig:
     methods = doc.get("methods", list(bench.DEFAULT_METHODS))
     if not isinstance(methods, (list, tuple)):
         raise UsageError("config.methods must be a non-empty list")
-    methods = _check_methods(methods, "config.methods")
-
-    out_dir = doc.get("out", ".")
-    if not isinstance(out_dir, str):
-        raise UsageError(f"config.out must be a string, got {out_dir!r}")
+    try:
+        methods = bench._checked_methods(methods)
+    except ValueError as exc:
+        raise UsageError(f"config.methods: {exc}") from exc
 
     # bool is a subclass of int, so `true` would otherwise pass as 1
     n_trials = doc.get("n_trials", 50)
     if isinstance(n_trials, bool) or not isinstance(n_trials, int) or n_trials < 1:
         raise UsageError("config.n_trials must be a positive integer")
-
-    trust_precision = doc.get("trust_precision")
-    if trust_precision is not None:
-        if isinstance(trust_precision, bool) or not isinstance(trust_precision, (int, float)):
-            raise UsageError("config.trust_precision must be a number")
-        trust_precision = float(trust_precision)
-        if not 0.0 < trust_precision < math.inf:
-            raise UsageError("config.trust_precision must be positive and finite")
 
     try:
         trial = bench.TrialConfig(**trial_doc)
@@ -145,11 +128,9 @@ def load_run_config(doc) -> RunConfig:
         train=train,
         methods=methods,
         n_trials=n_trials,
-        trust_precision=trust_precision,
         raw_rows=_raw_size(raw_doc, "rows", 1000, least_rows),
         raw_cols=_raw_size(raw_doc, "cols", 16, 1),
         raw_path=raw_path,
-        out_dir=out_dir,
     )
 
 
@@ -247,10 +228,6 @@ def cmd_bounds(args) -> int:
         raise UsageError("--target capo requires --instance")
     if args.target != "capo" and args.instance is not None:
         raise UsageError("--instance only applies to --target capo")
-    if args.precision is not None and not 0.0 < args.precision < math.inf:
-        raise UsageError(f"--precision must be positive and finite, got {args.precision}")
-    if args.precision is not None and args.model != "deltamsm":
-        raise UsageError("--precision only applies to --model deltamsm")
     sens = bench.sensitivity_model_for(args.model)
     x, t, y = _load_training_table(args.data)
     if args.target == "capo" and not 0 <= args.instance < len(x):
@@ -259,11 +236,9 @@ def cmd_bounds(args) -> int:
     models = FittedModels(fit_outcome(x, t, y, train), fit_propensity(x, t, train))
     grid = np.linspace(0.0, 1.0, 100)
     if args.target == "capo":
-        curve = capo_interval(
-            models, sens, x[args.instance], grid, args.gamma, trust_precision=args.precision
-        )
+        curve = capo_interval(models, sens, x[args.instance], grid, args.gamma)
     else:
-        curve = apo_interval(models, sens, x, grid, args.gamma, trust_precision=args.precision)
+        curve = apo_interval(models, sens, x, grid, args.gamma)
     bounds_path = os.path.join(args.out, "bounds.csv")
     fileio.write_csv(
         bounds_path,
@@ -288,7 +263,6 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    _require_positive(args, "trials")
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -298,12 +272,6 @@ def cmd_benchmark(args) -> int:
     trial = config.trial
     if args.seed is not None:
         trial = replace(trial, seed=args.seed)
-    methods = config.methods
-    if args.methods is not None:
-        methods = [name.strip() for name in args.methods.split(",") if name.strip()]
-        methods = _check_methods(methods, "--methods")
-    n_trials = args.trials if args.trials is not None else config.n_trials
-    out_dir = args.out if args.out is not None else config.out_dir
     if config.raw_path is not None:
         _, raw = _read_table(config.raw_path, "raw table")
         needed = trial.n_train + trial.n_test
@@ -312,20 +280,15 @@ def cmd_benchmark(args) -> int:
     else:
         raw = bench.synthetic_raw(config.raw_rows, config.raw_cols, seed=trial.seed)
     report = bench.run_benchmark(
-        trial,
-        raw,
-        methods=methods,
-        n_trials=n_trials,
-        train_config=config.train,
-        trust_precision=config.trust_precision,
+        trial, raw, methods=config.methods, n_trials=config.n_trials, train_config=config.train
     )
-    bench.write_trials_csv(os.path.join(out_dir, "trials.csv"), report)
-    bench.write_summary_json(os.path.join(out_dir, "summary.json"), report)
+    bench.write_trials_csv(os.path.join(args.out, "trials.csv"), report)
+    bench.write_summary_json(os.path.join(args.out, "summary.json"), report)
     print(
         f"{'method':>10}  {'cost x1000':>11}  {'% best':>7}  {'ratio':>7}  "
         f"{'gamma*':>7}  {'coverage':>8}"
     )
-    for name in methods:
+    for name in config.methods:
         stats = report.summary["per_method"][name]
         if stats["mean_cost_x1000"] is None:
             print(f"{name:>10}  {'-':>11}  {'-':>7}  {'-':>7}  {'-':>7}  {'-':>8}")
@@ -337,7 +300,7 @@ def cmd_benchmark(args) -> int:
         )
     failed = report.summary["n_failed"]
     if failed:
-        print(f"{failed} of {n_trials} trials failed; see trials.csv", file=sys.stderr)
+        print(f"{failed} of {config.n_trials} trials failed; see trials.csv", file=sys.stderr)
         return 1
     return 0
 
@@ -393,17 +356,14 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--gamma", type=float, required=True, help="violation budget, >= 1")
     bounds.add_argument("--target", choices=("apo", "capo"), default="apo")
     bounds.add_argument("--instance", type=int, default=None, help="row index for capo")
-    bounds.add_argument("--precision", type=float, default=None, help="trust precision override")
     bounds.add_argument("--seed", type=int, default=0)
     bounds.add_argument("--out", default=".", help="output directory")
     bounds.set_defaults(func=cmd_bounds)
 
     benchmark = sub.add_parser("benchmark", help="run the multi-trial comparison")
     benchmark.add_argument("--config", required=True, help="JSON run configuration")
-    benchmark.add_argument("--trials", type=int, default=None, help="override n_trials")
-    benchmark.add_argument("--methods", default=None, help="comma-separated method list")
     benchmark.add_argument("--seed", type=int, default=None, help="override the config seed")
-    benchmark.add_argument("--out", default=None, help="override the output directory")
+    benchmark.add_argument("--out", default=".", help="output directory")
     benchmark.set_defaults(func=cmd_benchmark)
 
     check = sub.add_parser("check", help="run randomized self-check suites")

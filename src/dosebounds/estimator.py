@@ -252,7 +252,6 @@ class IntervalCurve:
     t_grid: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    target: str
     undefined_mask: np.ndarray
     one_sided: np.ndarray | None = None
 
@@ -283,42 +282,28 @@ def _outcome_prob_matrix(outcome_model, x, t_grid) -> np.ndarray:
     return np.array([outcome_model.predict(rows, float(t)) for t in t_grid])
 
 
-def _one_gamma_curve(models, sens, x, t_grid, gamma_factor, trust_precision, target):
+def _one_gamma_curve(models, sens, x, t_grid, gamma_factor):
     """Column ``gamma_factor`` of ``apo_band_matrix`` for the rows ``x``."""
     t_grid = np.asarray(t_grid, dtype=float)
     probs = _outcome_prob_matrix(models.outcome, x, t_grid)
-    engine = DivisorEngine(sens, models.propensity.predict(x), trust_precision=trust_precision)
+    engine = DivisorEngine(sens, models.propensity.predict(x))
     lo, hi, undefined = apo_band_matrix(engine, probs, t_grid, [gamma_factor])
-    return IntervalCurve(t_grid, lo[:, 0], hi[:, 0], target, undefined[:, 0])
+    return IntervalCurve(t_grid, lo[:, 0], hi[:, 0], undefined[:, 0])
 
 
-def capo_interval(
-    models,
-    sens: SensitivityModel,
-    x,
-    t_grid,
-    gamma_factor: float,
-    trust_precision=None,
-) -> IntervalCurve:
+def capo_interval(models, sens: SensitivityModel, x, t_grid, gamma_factor: float) -> IntervalCurve:
     """Covariate-conditional outcome bounds over a dose grid."""
     x = np.asarray(x, dtype=float)
-    return _one_gamma_curve(models, sens, x, t_grid, gamma_factor, trust_precision, "capo")
+    return _one_gamma_curve(models, sens, x, t_grid, gamma_factor)
 
 
-def apo_interval(
-    models,
-    sens: SensitivityModel,
-    xs,
-    t_grid,
-    gamma_factor: float,
-    trust_precision=None,
-) -> IntervalCurve:
+def apo_interval(models, sens: SensitivityModel, xs, t_grid, gamma_factor: float) -> IntervalCurve:
     """Population-averaged outcome bounds: draws of all instances are pooled
     into a single extremization per grid point."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if len(xs) == 0:
         raise ValueError("apo_interval needs at least one instance")
-    return _one_gamma_curve(models, sens, xs, t_grid, gamma_factor, trust_precision, "apo")
+    return _one_gamma_curve(models, sens, xs, t_grid, gamma_factor)
 
 
 def apo_band_matrix(engine: DivisorEngine, prob_matrix, t_grid, gamma_grid):
@@ -395,4 +380,4 @@ def cacd_interval(capo_curve: IntervalCurve, h: float) -> IntervalCurve:
     lo = (lo_in[fwd] - hi_in[back]) / span
     hi = (hi_in[fwd] - lo_in[back]) / span
     mask = mask_in[fwd] | mask_in[back]
-    return IntervalCurve(grid, lo, hi, "cacd", mask, one_sided=one_sided)
+    return IntervalCurve(grid, lo, hi, mask, one_sided=one_sided)

@@ -5,7 +5,7 @@ density into the counterfactual one, ``p~(y | do(t), x) = p(y | t, x) / d``.
 Each sensitivity model turns a violation budget ``gamma_factor`` (written
 Gamma below, with Gamma = 1 meaning no hidden confounding) into an interval
 ``(d_lo, d_hi)`` around the ideal value 1, which ``DivisorEngine(model,
-propensity, trust_precision).bounds(t, gamma_factor)`` returns as two arrays.
+propensity).bounds(t, gamma_factor)`` returns as two arrays.
 
 Doses live on [0, 1] and the nominal propensity is Beta(alpha_bar,
 beta_bar), the family the fitted propensity head produces.  A dose on any
@@ -23,7 +23,8 @@ origin of the treatment support, this gives the interval d0 = (d0_lo, d0_hi)
 
 where q = Beta(alpha_bar + r t, beta_bar + r (1 - t)) is the nominal
 propensity reweighed by the trust weight tau^(r t) (1 - tau)^(r (1 - t)),
-which peaks at the queried dose t with precision r (``trust_precision``).
+which peaks at the queried dose t with precision r: the propensity's own
+``nominal_precision`` max(alpha_bar + beta_bar - 2, ``MIN_TRUST_PRECISION``).
 ``DeltaMSM`` balances both ends of [0, 1]: with d1 the mirror interval
 anchored at 1 (the same construction at dose 1 - t under the mirrored
 propensity Beta(beta_bar, alpha_bar), whose q has q's shapes swapped), its
@@ -234,32 +235,22 @@ class DivisorEngine:
 
     Doses t lie in [0, 1] and the propensity is a ``BetaPropensity``; doses
     on another scale are quantile-normalised first.  Precomputes only what
-    does not depend on (t, gamma_factor): the propensity's log-normaliser
-    for ``CMSM``, so a dose sweep evaluates only the density kernel per
-    dose, and the dichotomized propensities of ``BinaryMSM``; every
-    ``bounds`` call is otherwise a pure function of its arguments.
-    Propensity parameters may be arrays covering many instances at once, and
-    gamma_factor may be a column of budgets; bounds then broadcast to
-    (gammas, instances).  Only ``DeltaMSM`` reads ``trust_precision``
-    (default ``nominal_precision``), which must be finite and positive.
-    ``bounds`` raises ``ValueError`` for a dose outside [0, 1] or NaN, under
-    every model.
+    does not depend on (t, gamma_factor): the ``trust_precision`` of
+    ``DeltaMSM``, always the propensity's ``nominal_precision``; the
+    propensity's log-normaliser for ``CMSM``, so a dose sweep evaluates only
+    the density kernel per dose; and the dichotomized propensities of
+    ``BinaryMSM``.  Every ``bounds`` call is otherwise a pure function of
+    its arguments.  Propensity parameters may be arrays covering many
+    instances at once, and gamma_factor may be a column of budgets; bounds
+    then broadcast to (gammas, instances).  ``bounds`` raises ``ValueError``
+    for a dose outside [0, 1] or NaN, under every model.
     """
 
-    def __init__(
-        self,
-        model: SensitivityModel,
-        propensity: BetaPropensity,
-        trust_precision=None,
-    ):
+    def __init__(self, model: SensitivityModel, propensity: BetaPropensity):
         self.model = model
         self.propensity = propensity
         if isinstance(model, DeltaMSM):
-            if trust_precision is None:
-                trust_precision = propensity.nominal_precision
-            elif not _all_finite_positive(trust_precision):
-                raise ValueError("trust_precision must be finite and positive")
-            self.trust_precision = trust_precision
+            self.trust_precision = propensity.nominal_precision
         elif isinstance(model, BinaryMSM):
             self._below = specfun.reg_inc_beta(
                 propensity.alpha_bar, propensity.beta_bar, BINARY_THRESHOLD

@@ -88,11 +88,11 @@ def test_01_point_identification_collapse():
 
 def test_02_closed_form_expectation_oracle():
     start = time.perf_counter()
-    result = checks.check_closed_forms(samples=200, seed=0, tolerance=1e-7)
+    result = checks.check_closed_forms(samples=200, seed=0)
     elapsed = time.perf_counter() - start
     report(
         2,
-        result.passed and elapsed < 30.0,
+        result.passed and result.tolerance == 1e-7 and elapsed < 30.0,
         f"{result.n_checked} closed-form vs quadrature comparisons, "
         f"max rel err {result.max_error:.2e} (tol 1e-7), {elapsed:.1f}s",
     )
@@ -100,11 +100,11 @@ def test_02_closed_form_expectation_oracle():
 
 def test_03_extremizer_brute_force_oracle():
     start = time.perf_counter()
-    result = checks.check_extremizer(instances=1000, max_n=12, seed=0, tolerance=1e-12)
+    result = checks.check_extremizer(instances=1000, max_n=12, seed=0)
     elapsed = time.perf_counter() - start
     report(
         3,
-        result.passed and elapsed < 60.0,
+        result.passed and result.tolerance == 1e-12 and elapsed < 60.0,
         f"{result.n_checked} instances vs exhaustive vertex search, "
         f"max err {result.max_error:.2e} (tol 1e-12), {elapsed:.1f}s",
     )
@@ -145,10 +145,10 @@ def test_04_interval_nesting_and_coverage_monotonicity():
 
 
 def test_05_training_gradient_checks():
-    result = checks.check_gradients(points=100, seed=0, step=1e-5, tolerance=1e-4)
+    result = checks.check_gradients(points=100, seed=0)
     report(
         5,
-        result.passed,
+        result.passed and result.tolerance == 1e-4,
         f"{result.n_checked} outcome+propensity points vs central differences, "
         f"max rel err {result.max_error:.2e} (tol 1e-4)",
     )

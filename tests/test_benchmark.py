@@ -256,27 +256,27 @@ class TestDivergenceCost:
         return np.array([0.0, 1.0])
 
     def test_degenerate_band_at_the_truth_costs_nothing(self):
-        curve = IntervalCurve(self.grid(), [0.3, 0.8], [0.3, 0.8], "apo", [False, False])
+        curve = IntervalCurve(self.grid(), [0.3, 0.8], [0.3, 0.8], [False, False])
         assert bm.divergence_cost([0.3, 0.8], curve) == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_quadrature_on_a_symmetric_band(self):
-        curve = IntervalCurve(self.grid(), [0.25, 0.25], [0.75, 0.75], "apo", [False, False])
+        curve = IntervalCurve(self.grid(), [0.25, 0.25], [0.75, 0.75], [False, False])
         want = band_kl_quadrature(0.5, 0.25, 0.75)
         assert bm.divergence_cost([0.5, 0.5], curve) == pytest.approx(want, rel=1e-9)
 
     def test_matches_quadrature_when_the_truth_is_outside_the_band(self):
-        curve = IntervalCurve(self.grid(), [0.1, 0.1], [0.2, 0.2], "apo", [False, False])
+        curve = IntervalCurve(self.grid(), [0.1, 0.1], [0.2, 0.2], [False, False])
         want = band_kl_quadrature(0.9, 0.1, 0.2)
         assert bm.divergence_cost([0.9, 0.9], curve) == pytest.approx(want, rel=1e-9)
 
     def test_mean_over_grid_points(self):
-        curve = IntervalCurve(self.grid(), [0.2, 0.6], [0.4, 0.9], "apo", [False, False])
+        curve = IntervalCurve(self.grid(), [0.2, 0.6], [0.4, 0.9], [False, False])
         want = 0.5 * (band_kl_quadrature(0.5, 0.2, 0.4) + band_kl_quadrature(0.7, 0.6, 0.9))
         assert bm.divergence_cost([0.5, 0.7], curve) == pytest.approx(want, rel=1e-9)
 
     def test_flagged_points_pay_for_the_full_clamped_interval(self):
         flagged = IntervalCurve(
-            self.grid(), [0.2, np.nan], [0.4, np.nan], "apo", [False, True]
+            self.grid(), [0.2, np.nan], [0.4, np.nan], [False, True]
         )
         want = 0.5 * (
             band_kl_quadrature(0.5, 0.2, 0.4)
@@ -285,7 +285,7 @@ class TestDivergenceCost:
         assert bm.divergence_cost([0.5, 0.7], flagged) == pytest.approx(want, rel=1e-7)
 
     def test_bounds_and_truth_are_clamped(self):
-        curve = IntervalCurve(self.grid(), [0.0, 0.0], [1.0, 1.0], "apo", [False, False])
+        curve = IntervalCurve(self.grid(), [0.0, 0.0], [1.0, 1.0], [False, False])
         edge = bm.divergence_cost([0.0, 1.0], curve)
         clamp = bm.PROB_CLAMP
         want = 0.5 * (
@@ -297,7 +297,7 @@ class TestDivergenceCost:
 
     def test_hairline_band_collapses_to_midpoint_divergence(self):
         lo, hi = 0.4, 0.4 + 1e-12
-        curve = IntervalCurve(self.grid(), [lo, lo], [hi, hi], "apo", [False, False])
+        curve = IntervalCurve(self.grid(), [lo, lo], [hi, hi], [False, False])
         want = bernoulli_kl(0.6, 0.5 * (lo + hi))
         assert bm.divergence_cost([0.6, 0.6], curve) == pytest.approx(want, rel=1e-9)
 
@@ -308,21 +308,19 @@ class TestDivergenceCost:
 
 class TestCoverage:
     def test_counts_contained_points(self):
-        curve = IntervalCurve(
-            [0.0, 0.5, 1.0], [0.2, 0.2, 0.2], [0.6, 0.6, 0.6], "apo", [False] * 3
-        )
-        assert bm.coverage([0.3, 0.7, 0.2], curve) == pytest.approx(2.0 / 3.0)
+        p_true = [0.3, 0.7, 0.2]
+        lo, hi, undefined = [0.2, 0.2, 0.2], [0.6, 0.6, 0.6], [False] * 3
+        assert bm.coverage(p_true, lo, hi, undefined) == pytest.approx(2.0 / 3.0)
+        # (doses, gammas) tables give one share per gamma column
+        tables = [[0.2, 0.1], [0.2, 0.1], [0.2, 0.1]], [[0.6, 0.8]] * 3, [[False] * 2] * 3
+        np.testing.assert_array_equal(bm.coverage(p_true, *tables), [2.0 / 3.0, 1.0])
 
     def test_flagged_points_count_as_covered(self):
-        curve = IntervalCurve(
-            [0.0, 1.0], [0.2, np.nan], [0.3, np.nan], "apo", [False, True]
-        )
-        assert bm.coverage([0.9, 0.9], curve) == pytest.approx(0.5)
+        assert bm.coverage([0.9, 0.9], [0.2, np.nan], [0.3, np.nan], [False, True]) == 0.5
 
     def test_shape_mismatch_raises(self):
-        curve = IntervalCurve([0.0, 1.0], [0.1, 0.1], [0.2, 0.2], "apo", [False, False])
         with pytest.raises(ValueError):
-            bm.coverage([0.1, 0.2, 0.3], curve)
+            bm.coverage([0.1, 0.2, 0.3], [0.1, 0.1], [0.2, 0.2], [False, False])
 
 
 class TestKsUniform:
@@ -381,14 +379,14 @@ class TestCalibrateGamma:
             apo_interval(models, sens, test_x, t_grid, float(g))
             for g in config.gamma_grid()
         ]
-        covs = [bm.coverage(p_true, c) for c in curves]
+        covs = [bm.coverage(p_true, c.lo, c.hi, c.undefined_mask) for c in curves]
         hits = [i for i, c in enumerate(covs) if c >= config.target_coverage]
         pick = hits[0] if hits else len(curves) - 1
         if hits:
             cost = bm.divergence_cost(p_true, curves[pick])
         else:
             vacuous = IntervalCurve(
-                t_grid, np.zeros_like(t_grid), np.ones_like(t_grid), "apo",
+                t_grid, np.zeros_like(t_grid), np.ones_like(t_grid),
                 np.zeros(len(t_grid), dtype=bool),
             )
             cost = bm.divergence_cost(p_true, vacuous)
@@ -436,7 +434,7 @@ class TestCalibrateGamma:
         t_grid = config.dose_grid()
         p_true = bm.true_apo(trial, t_grid)
         vacuous = IntervalCurve(
-            t_grid, np.zeros_like(t_grid), np.ones_like(t_grid), "apo",
+            t_grid, np.zeros_like(t_grid), np.ones_like(t_grid),
             np.zeros(len(t_grid), dtype=bool),
         )
         assert score.cost == pytest.approx(bm.divergence_cost(p_true, vacuous), rel=1e-13)
@@ -465,11 +463,11 @@ def full_scan_score(method, propensity_params, prob_matrix, p_true, t_grid, gamm
         flags.append("undefined_points")
     if "uncalibrated" in flags:
         curve = IntervalCurve(
-            t_grid, np.zeros_like(t_grid), np.ones_like(t_grid), "apo",
+            t_grid, np.zeros_like(t_grid), np.ones_like(t_grid),
             np.zeros(len(t_grid), dtype=bool),
         )
     else:
-        curve = IntervalCurve(t_grid, lo[:, pick], hi[:, pick], "apo", undefined[:, pick])
+        curve = IntervalCurve(t_grid, lo[:, pick], hi[:, pick], undefined[:, pick])
     return bm.MethodScore(
         method=method,
         gamma_star=float(gammas[pick]),

@@ -191,7 +191,6 @@ class TestBounds:
         assert run(*base, "--model", "uniform", "--gamma", 2, "--target", "capo") == 2
         assert run(*base, "--model", "uniform", "--gamma", 2, "--target", "capo",
                    "--instance", 999) == 2
-        assert run(*base, "--model", "uniform", "--gamma", 2, "--precision", -1) == 2
         capsys.readouterr()
 
     def test_models_are_the_benchmark_methods(self, tmp_path, capsys):
@@ -252,20 +251,24 @@ class TestBounds:
         assert "--gamma must be finite and >= 1" in capsys.readouterr().err
 
     def test_infinite_precision_is_a_usage_error(self, tmp_path, capsys, no_fitting):
+        # the trust precision is always the propensity's nominal one
         data = tmp_path / "train.csv"
         write_training_csv(data)
-        assert run("bounds", "--data", data, "--model", "uniform", "--gamma", 2,
-                   "--precision", "inf") == 2
-        assert "--precision must be positive and finite" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            run("bounds", "--data", data, "--model", "deltamsm", "--gamma", 2,
+                "--precision", "inf")
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --precision inf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model", ["cmsm", "uniform", "binarymsm"])
     def test_precision_without_deltamsm_is_a_usage_error(self, tmp_path, capsys, no_fitting, model):
-        # only DeltaMSM has a trust precision
         data = tmp_path / "train.csv"
         write_training_csv(data)
-        assert run("bounds", "--data", data, "--model", model, "--gamma", "1.5",
-                   "--precision", 3, "--out", tmp_path) == 2
-        assert "--precision only applies to --model deltamsm" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            run("bounds", "--data", data, "--model", model, "--gamma", "1.5",
+                "--precision", 3, "--out", tmp_path)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --precision 3" in capsys.readouterr().err
         assert not (tmp_path / "bounds.csv").exists()
 
     def test_instance_without_capo_is_a_usage_error(self, tmp_path, capsys, no_fitting):
@@ -349,13 +352,10 @@ class TestBenchmarkCommand:
         assert "uniform" in stdout and "cmsm" in stdout
 
     def test_flag_overrides(self, tmp_path):
-        config = benchmark_config(tmp_path)
+        config = benchmark_config(tmp_path, n_trials=1)
         out = tmp_path / "o"
-        assert run("benchmark", "--config", config, "--trials", 1, "--methods",
-                   "uniform", "--seed", 99, "--out", out) == 0
+        assert run("benchmark", "--config", config, "--seed", 99, "--out", out) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["n_trials"] == 1
-        assert summary["methods"] == ["uniform"]
         assert summary["config"]["seed"] == 99
 
     def test_unknown_config_keys_exit_before_computation(self, tmp_path, capsys):
@@ -367,9 +367,10 @@ class TestBenchmarkCommand:
         assert run("benchmark", "--config", tmp_path / "none.json") == 2
 
     def test_non_numeric_trust_precision_is_a_usage_error(self, tmp_path, capsys):
+        # the trust precision is always the propensity's nominal one
         config = benchmark_config(tmp_path, trust_precision="abc")
         assert run("benchmark", "--config", config, "--out", tmp_path) == 2
-        assert "config.trust_precision must be a number" in capsys.readouterr().err
+        assert "config: unknown keys ['trust_precision']" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
     def test_boolean_n_trials_is_a_usage_error(self, tmp_path, capsys):
@@ -428,17 +429,17 @@ class TestBenchmarkCommand:
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_non_positive_trials_is_a_usage_error(self, tmp_path, capsys, no_fitting, trials):
+        # the config key n_trials is the one way to set the trial count
         config = benchmark_config(tmp_path)
-        assert run("benchmark", "--config", config, "--trials", trials, "--out", tmp_path) == 2
-        assert f"--trials must be a positive integer, got {trials}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            run("benchmark", "--config", config, "--trials", trials, "--out", tmp_path)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: --trials {trials}" in capsys.readouterr().err
 
     def test_unknown_method_is_a_usage_error(self, tmp_path, capsys):
         config = benchmark_config(tmp_path, methods=["msm"])
         assert run("benchmark", "--config", config, "--out", tmp_path) == 2
         assert "unknown method 'msm'" in capsys.readouterr().err
-        config = benchmark_config(tmp_path)
-        assert run("benchmark", "--config", config, "--methods", "bogus", "--out", tmp_path) == 2
-        assert "unknown method 'bogus'" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
     def test_duplicate_config_methods_are_a_usage_error(self, tmp_path, capsys, no_fitting):
@@ -449,10 +450,13 @@ class TestBenchmarkCommand:
         assert not (tmp_path / "summary.json").exists()
 
     def test_duplicate_methods_flag_is_a_usage_error(self, tmp_path, capsys, no_fitting):
+        # the config key methods is the one way to choose methods
         config = benchmark_config(tmp_path)
-        assert run("benchmark", "--config", config, "--methods", "uniform,uniform,cmsm",
-                   "--out", tmp_path) == 2
-        assert "--methods: duplicate methods: 'uniform'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            run("benchmark", "--config", config, "--methods", "uniform,uniform,cmsm",
+                "--out", tmp_path)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --methods" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
     @pytest.mark.parametrize(
@@ -476,8 +480,6 @@ class TestRunConfig:
         assert config.n_trials == 50
         assert config.methods == ("deltamsm", "cmsm", "uniform", "binarymsm")
         assert config.raw_rows == 1000 and config.raw_cols == 16
-        assert config.trust_precision is None
-        assert config.out_dir == "."
 
     def test_raw_path_is_not_held_to_the_default_row_count(self):
         config = load_run_config(
@@ -535,13 +537,27 @@ class TestConfigTypes:
             ("raw", {"path": 5}, "config.raw.path must be a string, got 5"),
             ("raw", {"path": True}, "config.raw.path must be a string, got True"),
             ("raw", {"path": ["a"]}, "config.raw.path must be a string, got ['a']"),
-            ("out", 5, "config.out must be a string, got 5"),
             ("train.lr", True, "learning_rate must be a number, got True"),
             ("trial.gamma_max", True, "gamma_max must be a number, got True"),
             ("trial.target_coverage", False, "target_coverage must be a number, got False"),
         ],
     )
     def test_bad_type_is_a_usage_error(self, tmp_path, capsys, no_fitting, key, value, message):
+        config = config_with(tmp_path, key, value)
+        assert run("benchmark", "--config", config, "--out", tmp_path) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("out", "results", "config: unknown keys ['out']"),
+            ("trial.seed", 3, "config.trial: unknown keys ['seed']"),
+        ],
+        ids=["out", "trial.seed"],
+    )
+    def test_removed_key_is_unknown(self, tmp_path, capsys, no_fitting, key, value, message):
+        # --out sets the output directory, and the top-level seed the trial seed
         config = config_with(tmp_path, key, value)
         assert run("benchmark", "--config", config, "--out", tmp_path) == 2
         assert message in capsys.readouterr().err

@@ -397,7 +397,6 @@ class TestCurves:
         np.testing.assert_allclose(curve.lo, expected, atol=1e-9)
         np.testing.assert_allclose(curve.hi, expected, atol=1e-9)
         assert not curve.undefined_mask.any()
-        assert curve.target == "capo"
 
     def test_bands_bracket_nominal_and_nest(self):
         models = FittedModels(self.outcome(), PropensityStub([4.0], [2.0]))
@@ -419,7 +418,6 @@ class TestCurves:
         apo = apo_interval(models, DeltaMSM(), [[1.0]], self.t_grid, 1.7)
         np.testing.assert_allclose(apo.lo, capo.lo, rtol=1e-13)
         np.testing.assert_allclose(apo.hi, capo.hi, rtol=1e-13)
-        assert apo.target == "apo"
 
     def test_cmsm_capo_matches_uniform(self):
         # per-instance the CMSM box is the uniform box scaled by the nominal
@@ -686,7 +684,6 @@ def flat_curve(grid, fn, half_width=0.0):
         t_grid=np.asarray(grid, dtype=float),
         lo=values - half_width,
         hi=values + half_width,
-        target="capo",
         undefined_mask=np.zeros(len(grid), dtype=bool),
     )
 
@@ -706,7 +703,6 @@ class TestCacd:
         # one-sided quotients of t^2 give 2t +- h
         assert deriv.lo[0] == pytest.approx(2.0 * self.grid[0] + h, abs=1e-12)
         assert deriv.hi[-1] == pytest.approx(2.0 * self.grid[-1] - h, abs=1e-12)
-        assert deriv.target == "cacd"
 
     def test_band_width_combines_endpoint_widths(self):
         curve = flat_curve(self.grid, lambda t: math.sin(t), half_width=0.05)
@@ -762,7 +758,6 @@ class TestCacd:
             t_grid=np.array([0.0, 0.1, 0.35]),
             lo=np.zeros(3),
             hi=np.ones(3),
-            target="capo",
             undefined_mask=np.zeros(3, dtype=bool),
         )
         with pytest.raises(ValueError):
@@ -773,11 +768,11 @@ class TestIntervalCurve:
     def test_validation(self):
         grid = np.array([0.0, 0.5, 1.0])
         with pytest.raises(ValueError):
-            IntervalCurve(grid, np.ones(3), np.zeros(3), "capo", np.zeros(3, dtype=bool))
+            IntervalCurve(grid, np.ones(3), np.zeros(3), np.zeros(3, dtype=bool))
         with pytest.raises(ValueError):
-            IntervalCurve(grid[::-1], np.zeros(3), np.ones(3), "capo", np.zeros(3, dtype=bool))
+            IntervalCurve(grid[::-1], np.zeros(3), np.ones(3), np.zeros(3, dtype=bool))
         with pytest.raises(ValueError):
-            IntervalCurve(grid, np.zeros(2), np.ones(3), "capo", np.zeros(3, dtype=bool))
+            IntervalCurve(grid, np.zeros(2), np.ones(3), np.zeros(3, dtype=bool))
 
     def test_undefined_points_exempt_from_order_check(self):
         grid = np.array([0.0, 1.0])
@@ -785,7 +780,6 @@ class TestIntervalCurve:
             grid,
             np.array([0.2, np.nan]),
             np.array([0.8, np.nan]),
-            "apo",
             np.array([False, True]),
         )
         assert curve.width[0] == pytest.approx(0.6)

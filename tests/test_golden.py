@@ -9,9 +9,11 @@ those 50 trials once.
 ``tests/golden_bounds`` holds the ``bounds.csv`` (as
 ``<target>_<model>.csv``) and the shared ``models.json`` that
 ``dosebounds bounds --gamma 1.5`` wrote on the ``dgp --trial --seed 0``
-bundle.  A change that moves the numbers on purpose rewrites all of these
-references with ``sh tests/golden/regenerate.sh`` (from the repository
-root) and says so in CHANGES.md.
+bundle.  ``tests/golden/kernels.json`` holds one digest per (layer, case)
+of ``layer_manifest``'s probe set.  A change that moves the numbers on
+purpose rewrites all of these references with
+``sh tests/golden/regenerate.sh`` (from the repository root) and says so in
+CHANGES.md, naming the manifest entries that moved.
 """
 
 import json
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import layer_manifest
 from dosebounds import benchmark as bm
 from dosebounds import cli
 from dosebounds.models import TrainConfig
@@ -61,7 +64,6 @@ def test_fifty_trial_run_matches_the_reference(tmp_path, fifty_trial_run):
         TrainConfig(), bm.DEFAULT_METHODS, 50
     )
     assert (config.raw_rows, config.raw_cols, config.raw_path) == (1000, 16, None)
-    assert config.trust_precision is None
     report, _ = fifty_trial_run
     bm.write_summary_json(str(tmp_path / "summary.json"), report)
     bm.write_trials_csv(str(tmp_path / "trials.csv"), report)
@@ -83,3 +85,8 @@ def test_bounds_outputs_match_the_reference(tmp_path, seed0_training_table, case
     assert cli.main(argv + BOUNDS_CASES[case] + ["--out", str(tmp_path)]) == 0
     assert (tmp_path / "bounds.csv").read_bytes() == (GOLDEN_BOUNDS / f"{case}.csv").read_bytes()
     assert (tmp_path / "models.json").read_bytes() == (GOLDEN_BOUNDS / "models.json").read_bytes()
+
+
+def test_layer_manifest_matches_the_reference():
+    want = json.loads(Path(layer_manifest.MANIFEST).read_text())
+    assert layer_manifest.moved(want, layer_manifest.compute()) == []

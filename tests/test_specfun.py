@@ -350,3 +350,9 @@ class TestDefaults:
         assert checks.QUADRATURE_ABS_TOL == 1e-10
         assert checks.QUADRATURE_REL_TOL == 1e-9
         assert checks.QUADRATURE_MAX_SUBDIVISIONS == 2000
+
+    def test_self_check_defaults(self):
+        assert checks.CLOSED_FORM_TOLERANCE == 1e-7
+        assert checks.EXTREMIZER_TOLERANCE == 1e-12
+        assert checks.GRADIENT_TOLERANCE == 1e-4
+        assert checks.GRADIENT_STEP == 1e-5
