@@ -13,11 +13,11 @@ functions directly:
   Kummer reflection for negative arguments, summed until it converges; it
   is the elementwise oracle for ``hyp1f1_grid``,
 * ``hyp1f1_grid`` tabulates 1F1(a; c; s) for 0 <= a <= c and s >= 0 over
-  every (s, (a, c)) pair as one matrix product of scaled powers s^k/k! and
-  Pochhammer ratios (a)_k/(c)_k.  Each term is at most s^k/k! and the sum is
-  at least 1, so the tail after K terms is below s^K/K! / (1 - s/(K+1))
-  relative; ``_hyp1f1_terms`` fixes K from the largest s so that this bound
-  is at most 2^-53, with no convergence test,
+  every (s, (a, c)) pair, one matrix-vector product of scaled powers s^k/k!
+  and Pochhammer ratios (a)_k/(c)_k per s.  Each term is at most s^k/k! and
+  the sum is at least 1, so the tail after K terms is below
+  s^K/K! / (1 - s/(K+1)) relative; ``_hyp1f1_terms`` fixes each s's own K
+  so that this bound is at most 2^-53, with no convergence test,
 * ``reg_inc_beta`` uses the continued-fraction expansion.
 
 The adaptive quadrature that checks the closed forms built on these lives
@@ -186,10 +186,11 @@ def hyp1f1(a, b, z):
 HYP1F1_TAIL_BOUND = 2.0**-53
 
 
-def _hyp1f1_terms(s_max: float) -> int:
+def _hyp1f1_terms(s_max: float, start: int = 1) -> int:
     """Fewest terms K with K + 1 > s_max whose tail bound
     s^K/K! / (1 - s/(K+1)) is within ``HYP1F1_TAIL_BOUND`` for every
-    0 <= s <= s_max (the bound grows with s)."""
+    0 <= s <= s_max (the bound grows with s).  K never falls as s_max grows,
+    so a search may ``start`` from the K of any smaller s_max."""
     s_max = float(s_max)
     if not (0.0 <= s_max < math.inf):
         raise DomainError(f"_hyp1f1_terms requires a finite s_max >= 0, got {s_max!r}")
@@ -197,7 +198,7 @@ def _hyp1f1_terms(s_max: float) -> int:
         return 1
     log_s = math.log(s_max)
     log_bound = math.log(HYP1F1_TAIL_BOUND)
-    k = max(1, math.floor(s_max))  # the geometric tail needs K + 1 > s
+    k = max(start, math.floor(s_max))  # the geometric tail needs K + 1 > s
     while k * log_s - math.lgamma(k + 1.0) - math.log1p(-s_max / (k + 1.0)) > log_bound:
         k += 1
     return k
@@ -208,12 +209,13 @@ def hyp1f1_grid(a, c, s) -> np.ndarray:
 
     ``a`` and ``c`` broadcast to one flat list of shapes with 0 <= a <= c and
     c > 0; ``s`` is a flat list of arguments s >= 0.  Returns the
-    (len(s), len(a)) matrix s_pow @ coeff with s_pow[i, k] = s_i^k / k! and
-    coeff[k, j] = (a_j)_k / (c_j)_k, k < ``_hyp1f1_terms(max s)``.  Callers
-    reach negative arguments through Kummer's transformation (A&S 13.1.27),
-    1F1(a; c; -s) = e^-s 1F1(c - a; c; s), which keeps every term positive.
-    ``_pochhammer_table`` builds ``coeff`` row by row, with the bits of a
-    ``np.cumprod`` down its columns.
+    (len(s), len(a)) table whose row i is one matrix-vector product,
+    s_pow[i, :K_i] @ coeff[:K_i], with s_pow[i, k] = s_i^k / k!, coeff[k, j]
+    = (a_j)_k / (c_j)_k and K_i = ``_hyp1f1_terms(s_i)``.  Both tables fill
+    their rows one after another, so for one set of shapes a row holds the
+    bits of the one-s call on its s.  Callers reach negative arguments
+    through Kummer's transformation (A&S 13.1.27), 1F1(a; c; -s) =
+    e^-s 1F1(c - a; c; s), which keeps every term positive.
     """
     a, c = np.broadcast_arrays(
         np.ravel(np.asarray(a, dtype=float)), np.ravel(np.asarray(c, dtype=float))
@@ -225,11 +227,17 @@ def hyp1f1_grid(a, c, s) -> np.ndarray:
         raise DomainError("hyp1f1_grid requires 0 <= a <= c and c > 0")
     if np.any(s < 0.0):
         raise DomainError("hyp1f1_grid requires s >= 0; use Kummer's transformation")
-    n_terms = _hyp1f1_terms(s.max()) if s.size else 1
+    terms, n_terms = np.ones(s.size, dtype=int), 1
+    for i in np.argsort(s):  # up the sorted s, each count searched from the last
+        n_terms = terms[i] = _hyp1f1_terms(s[i], n_terms)
     k = np.arange(n_terms - 1, dtype=float)
     s_pow = np.ones((s.size, n_terms))
     np.cumprod(s[:, None] / (k + 1.0), axis=1, out=s_pow[:, 1:])
-    return s_pow @ _pochhammer_table(a, c, n_terms)
+    coeff = _pochhammer_table(a, c, n_terms)
+    out = np.empty((s.size, a.size))
+    for i, n in enumerate(terms):
+        np.dot(s_pow[i, :n], coeff[:n], out=out[i])
+    return out
 
 
 def _pochhammer_table(a, c, n_terms: int) -> np.ndarray:
@@ -237,8 +245,7 @@ def _pochhammer_table(a, c, n_terms: int) -> np.ndarray:
 
     Row k + 1 is row k times (a + k) / (c + k), one row at a time: the same
     products in the same order as ``np.cumprod`` over the ratios' first
-    axis, so the same bits, but contiguous row operations instead of a
-    strided accumulation down each column.
+    axis, so the same bits, and the first K rows do not depend on n_terms.
     """
     k = np.arange(n_terms - 1, dtype=float)
     ratio = (a + k[:, None]) / (c + k[:, None])

@@ -3,8 +3,9 @@
 # summary.json and trials.csv of each tests/golden/<case>, and the five
 # bounds.csv files and the shared models.json of tests/golden_bounds, and
 # the per-layer digests of tests/golden/kernels.json.
-# Run it from the repository root, only for a change that moves the numbers
-# on purpose, and say so in CHANGES.md:
+# It prints the manifest entries that moved.  Run it from the repository
+# root, only for a change that moves the numbers on purpose, and say so in
+# CHANGES.md:
 #
 #     sh tests/golden/regenerate.sh
 set -eu
@@ -28,4 +29,4 @@ bounds --model deltamsm --target capo --instance 0
 cp "$tmp/out/bounds.csv" tests/golden_bounds/capo_deltamsm.csv
 cp "$tmp/out/models.json" tests/golden_bounds/models.json
 
-PYTHONPATH=src python3 tests/layer_manifest.py >/dev/null
+PYTHONPATH=src python3 tests/layer_manifest.py

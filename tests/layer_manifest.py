@@ -11,20 +11,23 @@ outcome-probability matrix, ``true_apo``, the divisor of each method, the
 band of each method, calibration plus scoring of each method, and the
 special functions under them.  Divisor cases cross a scalar and an array
 propensity with doses 0, 1 and interior, and with a scalar gamma, a gamma
-column and a one-gamma column (whose 1F1 table is a matrix-vector product).
+column and a one-gamma column.
 
 Entries that go through BLAS (training, the probability matrix, the 1F1
-table's matrix product and everything downstream of them) hold on the
-machine and BLAS build that wrote them, as the other references do.
+table's matrix-vector product per row and everything downstream of them)
+hold on the machine and BLAS build that wrote them, as the other
+references do.
 
 Rewrite the manifest from the repository root with
 
     PYTHONPATH=src python3 tests/layer_manifest.py
 
-which ``tests/golden/regenerate.sh`` also runs.
+which ``tests/golden/regenerate.sh`` also runs.  It prints every entry
+that moved against the manifest it replaces.
 """
 
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -166,5 +169,10 @@ def moved(want: dict, got: dict) -> list:
 
 
 if __name__ == "__main__":
-    fileio.write_json(MANIFEST, compute())
+    with open(MANIFEST, encoding="utf-8") as handle:
+        old = json.load(handle)
+    new = compute()
+    fileio.write_json(MANIFEST, new)
     print(f"wrote {MANIFEST}")
+    for entry in moved(old, new):
+        print(f"moved: {entry}")

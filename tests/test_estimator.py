@@ -645,15 +645,9 @@ class TestBandKernelProperties:
             for g, gamma in enumerate(gammas):
                 curve = capo_interval(models, model, [float(row)], t_grid, gamma)
                 np.testing.assert_array_equal(curve.undefined_mask, undefined[:, g])
-                np.testing.assert_allclose(curve.lo, lo[:, g], rtol=0, atol=1e-15)
-                np.testing.assert_allclose(curve.hi, hi[:, g], rtol=0, atol=1e-15)
+                np.testing.assert_array_equal(curve.lo, lo[:, g])
+                np.testing.assert_array_equal(curve.hi, hi[:, g])
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="a gamma column's 1F1 sum depends on the sweep's row count; "
-        "ROADMAP item 11's per-element Horner sum is the fix",
-    )
     @pytest.mark.parametrize(
         "alpha, beta, prob, gammas",
         [
@@ -664,8 +658,8 @@ class TestBandKernelProperties:
         ],
     )
     def test_lone_gamma_column_matches_the_sweep(self, alpha, beta, prob, gammas):
-        # Hypothesis examples of test_capo_is_the_one_gamma_column that miss
-        # its atol of 1e-15 at the largest gamma
+        # Hypothesis examples on which test_capo_is_the_one_gamma_column once
+        # missed an atol of 1e-15 at the largest gamma
         propensity = BetaPropensity(np.array([alpha]), np.array([beta]))
         engine = DivisorEngine(DeltaMSM(), propensity)
         prob = np.array(prob)[:, None]
@@ -674,8 +668,8 @@ class TestBandKernelProperties:
         lo, hi, undefined = apo_band_matrix(engine, prob, t_grid, gammas)
         lone_lo, lone_hi, lone_undefined = apo_band_matrix(engine, prob, t_grid, gammas[-1:])
         np.testing.assert_array_equal(lone_undefined[:, 0], undefined[:, -1])
-        np.testing.assert_allclose(lone_hi[:, 0], hi[:, -1], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(lone_lo[:, 0], lo[:, -1], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(lone_hi[:, 0], hi[:, -1])
+        np.testing.assert_array_equal(lone_lo[:, 0], lo[:, -1])
 
 
 def flat_curve(grid, fn, half_width=0.0):

@@ -290,10 +290,14 @@ class TestHyp1F1Grid:
         coeff = np.ones((n_terms, n_cols))
         np.cumprod((a + k[:, None]) / (c + k[:, None]), axis=0, out=coeff[1:])
         assert specfun._pochhammer_table(a, c, n_terms).tobytes() == coeff.tobytes()
-        s = np.array([0.0, 0.5 * s_max, s_max])
-        s_pow = np.ones((s.size, n_terms))
-        np.cumprod(s[:, None] / (k + 1.0), axis=1, out=s_pow[:, 1:])
-        assert hyp1f1_grid(a, c, s).tobytes() == (s_pow @ coeff).tobytes()
+        # each row is its own matrix-vector product over its own term count,
+        # whatever order the s come in
+        s = np.concatenate([[s_max, 0.0, 0.5 * s_max], rng.uniform(0.0, s_max, 8)])
+        for row, s_i in zip(hyp1f1_grid(a, c, s), s):
+            n = hyp1f1_terms(s_i)
+            s_pow = np.ones(n)
+            np.cumprod(s_i / (k[: n - 1] + 1.0), out=s_pow[1:])
+            assert row.tobytes() == (s_pow @ coeff[:n]).tobytes()
 
     def test_large_arguments_do_not_overflow(self):
         s = 700.0
