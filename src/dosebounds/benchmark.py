@@ -10,11 +10,11 @@ dose-response curve, and scored by how much information the resulting
 ignorance band gives away (average Bernoulli KL from truth to the points of
 the band).  Lower cost at equal coverage is better.
 
-Calibration builds about 2 sqrt(n) of the n gamma columns: coverage is
-nondecreasing in gamma, so a two-stage search (``_calibrate_from_tables``)
-finds the first crossing.  Every probe set holds at least two columns and
-ends at gamma_max, which keeps the Beta-compound 1F1 tables, and so every
-score, bitwise equal to those of a full sweep.
+Calibration builds at most 2 ceil(sqrt(n)) - 1 of the n gamma columns:
+coverage is nondecreasing in gamma, so a two-stage search
+(``_calibrate_from_tables``) finds the first crossing.  A band column does
+not depend on which other gammas share its call, so every score equals
+that of a full sweep bit for bit.
 
 Trials are independent: every trial derives its own named random substreams
 from the benchmark seed, so reports are bit-identical across reruns.  They
@@ -401,13 +401,8 @@ def _calibrate_from_tables(
     builds the bands of every s-th column counted back from gamma_max; if
     gamma_max misses the target, the method is uncalibrated.  Stage 2 builds
     the columns strictly between the last coarse column that misses and the
-    first that reaches, plus gamma_max again; the pick is the first of them
-    that reaches, else that coarse column.  Each stage ends at gamma_max
-    with at least two columns because a column's DeltaMSM band depends on
-    the set it is computed with: the 1F1 term count follows the largest
-    gamma, and a one-column table goes through a matrix-vector product that
-    sums in another order.  So every probed column equals the full sweep's
-    bit for bit.
+    first that reaches; the pick is the first of them that reaches, else
+    that coarse column.
     A method that never reaches the target keeps the largest gamma, takes an
     "uncalibrated" flag, and is charged for the fully ignorant band: the cost
     measures the price of the target coverage, and a band that never attains
@@ -420,24 +415,22 @@ def _calibrate_from_tables(
         lo, hi, undefined = apo_band_matrix(engine, prob_matrix, t_grid, gammas[cols])
         return lo, hi, undefined, coverage(p_true, lo, hi, undefined)
 
-    # stage 1: every step-th column, counted back from gamma_max; the step is
-    # ceil(sqrt(n)), except that a two-gamma grid probes both columns at once
+    # stage 1: every step-th column, counted back from gamma_max, with the
+    # step ceil(sqrt(n))
     last = len(gammas) - 1
-    step = min(math.isqrt(last) + 1, last)
+    step = math.isqrt(last) + 1
     cols = np.arange(last % step, last + 1, step)
     band = probe(cols)
     reached = band[3] >= target
     calibrated = bool(reached[-1])
     j = int(np.argmax(reached)) if calibrated else len(cols) - 1
-    # stage 2: the columns between the last coarse miss and the first coarse
-    # hit, probed together with gamma_max again
+    # stage 2: the columns between the last coarse miss and the first coarse hit
     between = np.arange(cols[j - 1] + 1 if j else 0, cols[j])
     if calibrated and between.size:
-        fine_cols = np.append(between, last)
-        fine = probe(fine_cols)
-        fine_reached = fine[3][:-1] >= target
+        fine = probe(between)
+        fine_reached = fine[3] >= target
         if fine_reached.any():
-            cols, band, j = fine_cols, fine, int(np.argmax(fine_reached))
+            cols, band, j = between, fine, int(np.argmax(fine_reached))
     lo, hi, undefined, covered = (part[..., j] for part in band)
     flags = [] if calibrated else ["uncalibrated"]
     if undefined.any():

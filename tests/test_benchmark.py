@@ -572,7 +572,7 @@ class TestCalibrationSearch:
 
         monkeypatch.setattr(bm, "apo_band_matrix", counting)
         gammas = np.linspace(1.0, REDUCED.gamma_max, size)
-        budget = 2 * math.ceil(math.sqrt(size)) + 1
+        budget = 2 * math.ceil(math.sqrt(size)) - 1
         for tables in reduced_tables[:8]:
             for target in (0.0, 0.8, 1.0):
                 for method in bm.DEFAULT_METHODS:
@@ -580,11 +580,30 @@ class TestCalibrationSearch:
                     bm._calibrate_from_tables(method, *tables, gammas, target)
                     assert 1 <= len(calls) <= 2
                     assert sum(len(probe) for probe in calls) <= budget
+                    # gamma_max decides whether the method is calibrated
+                    assert calls[0][-1] == gammas[-1]
                     for probe in calls:
-                        # the exactness premise: at least two columns, the
-                        # last one gamma_max
-                        assert len(probe) >= 2 and probe[-1] == gammas[-1]
                         assert np.all(np.diff(probe) > 0.0)
+
+    def test_a_band_column_does_not_depend_on_the_gammas_it_is_built_with(self):
+        # the search's exactness premise: any increasing gamma subset gives
+        # the full sweep's columns bit for bit, flagged points included
+        config = bm.TrialConfig()
+        raw = bm.synthetic_raw(1000, 16, seed=0)
+        propensity, prob_matrix, _, t_grid = trial_tables(raw, config, TrainConfig(), 0)
+        gammas = config.gamma_grid()
+        rng = np.random.default_rng(0)
+        subsets = [
+            np.sort(rng.choice(len(gammas), rng.integers(1, 9), replace=False))
+            for _ in range(30)
+        ]
+        for method in bm.DEFAULT_METHODS:
+            engine = DivisorEngine(bm.sensitivity_model_for(method), propensity)
+            full = apo_band_matrix(engine, prob_matrix, t_grid, gammas)
+            for cols in subsets:
+                part = apo_band_matrix(engine, prob_matrix, t_grid, gammas[cols])
+                for whole, sub in zip(full, part):
+                    np.testing.assert_array_equal(sub, whole[:, cols])
 
 
 class TestRunBenchmark:

@@ -1,10 +1,16 @@
 """The self-check suites must pass on a correct build and, just as
-importantly, actually catch injected defects."""
+importantly, actually catch injected defects.  The adaptive quadrature that
+serves them as an oracle, and the module's tolerance constants, are tested
+here too."""
+
+import math
 
 import numpy as np
 import pytest
 
 from dosebounds import checks
+from dosebounds.checks import integrate
+from dosebounds.specfun import DomainError, NumericError
 
 
 class TestSuitesPass:
@@ -163,3 +169,51 @@ class TestVertexEnumeratorOracle:
         f = np.array([2.0])
         lo, hi = checks._vertex_extrema(f, np.array([0.0]), np.array([1.0]))
         assert lo == 2.0 and hi == 2.0
+
+
+class TestIntegrate:
+    """Adaptive Gauss-Kronrod integration on finite ranges."""
+
+    def test_cubic_is_exact(self):
+        value = integrate(lambda tau: tau**3, 0.0, 1.0)
+        assert value == pytest.approx(0.25, abs=1e-14)
+
+    def test_oscillatory(self):
+        value = integrate(lambda tau: np.cos(40.0 * tau), 0.0, 1.0)
+        assert value == pytest.approx(math.sin(40.0) / 40.0, abs=1e-10)
+
+    def test_integrable_endpoint_singularity(self):
+        value = integrate(lambda tau: 1.0 / np.sqrt(tau), 0.0, 1.0)
+        assert value == pytest.approx(2.0, rel=1e-8)
+
+    def test_budget_exhaustion_reports_partial(self, monkeypatch):
+        monkeypatch.setattr(checks, "QUADRATURE_ABS_TOL", 1e-13)
+        monkeypatch.setattr(checks, "QUADRATURE_REL_TOL", 1e-13)
+        monkeypatch.setattr(checks, "QUADRATURE_MAX_SUBDIVISIONS", 3)
+        with pytest.raises(NumericError) as excinfo:
+            integrate(lambda tau: 1.0 / np.sqrt(tau), 0.0, 1.0)
+        assert excinfo.value.value == pytest.approx(2.0, rel=1e-2)
+        assert excinfo.value.error is not None
+
+    def test_bad_bounds(self):
+        with pytest.raises(DomainError):
+            integrate(lambda tau: tau, 1.0, 0.0)
+        with pytest.raises(DomainError):
+            integrate(lambda tau: tau, math.nan, 1.0)
+        with pytest.raises(DomainError):
+            integrate(lambda tau: tau, -math.inf, 0.0)
+        with pytest.raises(DomainError):
+            integrate(lambda tau: tau, 0.0, math.inf)
+
+
+class TestDefaults:
+    def test_quadrature_defaults(self):
+        assert checks.QUADRATURE_ABS_TOL == 1e-10
+        assert checks.QUADRATURE_REL_TOL == 1e-9
+        assert checks.QUADRATURE_MAX_SUBDIVISIONS == 2000
+
+    def test_self_check_defaults(self):
+        assert checks.CLOSED_FORM_TOLERANCE == 1e-7
+        assert checks.EXTREMIZER_TOLERANCE == 1e-12
+        assert checks.GRADIENT_TOLERANCE == 1e-4
+        assert checks.GRADIENT_STEP == 1e-5

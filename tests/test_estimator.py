@@ -562,11 +562,10 @@ class TestApoBandMatrix:
 
 class TestGammaSubsetExactness:
     """Calibration probes gamma subsets instead of the whole grid and must
-    score exactly what the full sweep scores.  For DeltaMSM that holds only
-    because a subset of two or more columns ending at the last gamma keeps
-    the full sweep's 1F1 term count (set by the largest s) and a matrix,
-    not a vector, product in ``hyp1f1_grid``.  A lone column can differ in
-    the last bits, so it is not part of the premise."""
+    score exactly what the full sweep scores.  For DeltaMSM that holds
+    because ``hyp1f1_grid`` makes each row its own matrix-vector product over
+    its own term count, so a column does not depend on the other gammas in
+    its call."""
 
     def test_subsets_ending_at_the_last_gamma_match_the_full_sweep(self):
         rng = np.random.default_rng(7)

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dosebounds import checks, specfun
+from dosebounds import specfun
 from dosebounds.checks import integrate
 from dosebounds.models import PROPENSITY_CAP
 from dosebounds.specfun import (
     DomainError,
-    NumericError,
     digamma,
     erf,
     hyp1f1,
@@ -26,41 +25,6 @@ from dosebounds.specfun import _hyp1f1_terms as hyp1f1_terms
 def beta_pdf(tau, a, b):
     lnb = log_gamma(a) + log_gamma(b) - log_gamma(a + b)
     return np.exp((a - 1.0) * np.log(tau) + (b - 1.0) * np.log1p(-tau) - lnb)
-
-
-class TestIntegrate:
-    """Adaptive Gauss-Kronrod integration on finite ranges."""
-
-    def test_cubic_is_exact(self):
-        value = integrate(lambda tau: tau**3, 0.0, 1.0)
-        assert value == pytest.approx(0.25, abs=1e-14)
-
-    def test_oscillatory(self):
-        value = integrate(lambda tau: np.cos(40.0 * tau), 0.0, 1.0)
-        assert value == pytest.approx(math.sin(40.0) / 40.0, abs=1e-10)
-
-    def test_integrable_endpoint_singularity(self):
-        value = integrate(lambda tau: 1.0 / np.sqrt(tau), 0.0, 1.0)
-        assert value == pytest.approx(2.0, rel=1e-8)
-
-    def test_budget_exhaustion_reports_partial(self, monkeypatch):
-        monkeypatch.setattr(checks, "QUADRATURE_ABS_TOL", 1e-13)
-        monkeypatch.setattr(checks, "QUADRATURE_REL_TOL", 1e-13)
-        monkeypatch.setattr(checks, "QUADRATURE_MAX_SUBDIVISIONS", 3)
-        with pytest.raises(NumericError) as excinfo:
-            integrate(lambda tau: 1.0 / np.sqrt(tau), 0.0, 1.0)
-        assert excinfo.value.value == pytest.approx(2.0, rel=1e-2)
-        assert excinfo.value.error is not None
-
-    def test_bad_bounds(self):
-        with pytest.raises(DomainError):
-            integrate(lambda tau: tau, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            integrate(lambda tau: tau, math.nan, 1.0)
-        with pytest.raises(DomainError):
-            integrate(lambda tau: tau, -math.inf, 0.0)
-        with pytest.raises(DomainError):
-            integrate(lambda tau: tau, 0.0, math.inf)
 
 
 class TestLogGamma:
@@ -347,16 +311,3 @@ class TestRegIncBeta:
             reg_inc_beta(0.0, 1.0, 0.5)
         with pytest.raises(DomainError):
             reg_inc_beta(1.0, 1.0, 1.5)
-
-
-class TestDefaults:
-    def test_quadrature_defaults(self):
-        assert checks.QUADRATURE_ABS_TOL == 1e-10
-        assert checks.QUADRATURE_REL_TOL == 1e-9
-        assert checks.QUADRATURE_MAX_SUBDIVISIONS == 2000
-
-    def test_self_check_defaults(self):
-        assert checks.CLOSED_FORM_TOLERANCE == 1e-7
-        assert checks.EXTREMIZER_TOLERANCE == 1e-12
-        assert checks.GRADIENT_TOLERANCE == 1e-4
-        assert checks.GRADIENT_STEP == 1e-5
