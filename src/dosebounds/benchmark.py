@@ -10,11 +10,12 @@ dose-response curve, and scored by how much information the resulting
 ignorance band gives away (average Bernoulli KL from truth to the points of
 the band).  Lower cost at equal coverage is better.
 
-Calibration builds at most 2 ceil(sqrt(n)) - 1 of the n gamma columns:
-coverage is nondecreasing in gamma, so a two-stage search
-(``_calibrate_from_tables``) finds the first crossing.  A band column does
-not depend on which other gammas share its call, so every score equals
-that of a full sweep bit for bit.
+Calibration builds one band point per dose and bisection round, not whole
+gamma columns: a dose's band nests as gamma grows, so every dose bisects
+for its first covered column at once (``_calibrate_from_tables``), in
+ceil(log2(n + 1)) rounds for n gammas, and one more call builds the picked
+column.  A band point does not depend on which other points share its
+call, so every score equals that of a full sweep bit for bit.
 
 Trials are independent: every trial derives its own named random substreams
 from the benchmark seed, so reports are bit-identical across reruns.  They
@@ -29,7 +30,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .estimator import IntervalCurve, _outcome_prob_matrix, apo_band_matrix
+from .estimator import IntervalCurve, _band_points, _outcome_prob_matrix
+# perfbench's tracer patches apo_band_matrix here; no benchmark code calls it
+from .estimator import apo_band_matrix  # noqa: F401
 from .models import (
     FittedModels,
     TrainConfig,
@@ -347,9 +350,14 @@ def coverage(p_true, lo, hi, undefined):
     if p.shape != lo.shape[:1]:
         raise ValueError("p_true must match the band's dose grid")
     p = p.reshape(p.shape + (1,) * (lo.ndim - 1))
+    return np.mean(_covers(p, lo, hi, undefined), axis=0)
+
+
+def _covers(p, lo, hi, undefined):
+    """Whether each band point holds its true value ``p``; a flagged point
+    counts as covered, since its interval is vacuously unbounded."""
     with np.errstate(invalid="ignore"):
-        inside = (lo <= p) & (p <= hi)
-    return np.mean(inside | undefined, axis=0)
+        return ((lo <= p) & (p <= hi)) | undefined
 
 
 @dataclass(frozen=True)
@@ -395,43 +403,37 @@ def _calibrate_from_tables(
 ) -> MethodScore:
     """Smallest grid gamma reaching the target coverage, and its cost.
 
-    Coverage is nondecreasing in gamma (bands nest, and points that lose
-    their divisor floor stay flagged), so the first crossing is the optimum
-    and a search finds it.  With s = ceil(sqrt(n)) for n grid gammas, stage 1
-    builds the bands of every s-th column counted back from gamma_max; if
-    gamma_max misses the target, the method is uncalibrated.  Stage 2 builds
-    the columns strictly between the last coarse column that misses and the
-    first that reaches; the pick is the first of them that reaches, else
-    that coarse column.
+    A dose's band nests as gamma grows, and a point that loses its divisor
+    floor stays flagged, so each dose is covered from its first covered
+    column on, and the coverage at column j is the share of doses whose
+    first covered column is at most j.  Every dose bisects for that column
+    at once: a round makes one ``_band_points`` call, with one point per
+    dose still open, at the middle column of its open range, so n gammas
+    take ceil(log2(n + 1)) rounds.  The pick is the first column whose
+    coverage reaches the target.  One more call builds the picked column's
+    band, which gives the reported coverage, the flags and the cost.
     A method that never reaches the target keeps the largest gamma, takes an
     "uncalibrated" flag, and is charged for the fully ignorant band: the cost
     measures the price of the target coverage, and a band that never attains
     it only certifies the vacuous interval.
     """
     engine = DivisorEngine(sensitivity_model_for(method), propensity_params)
-
-    def probe(cols):
-        """(lo, hi, undefined, coverage) at ascending gamma columns ``cols``."""
-        lo, hi, undefined = apo_band_matrix(engine, prob_matrix, t_grid, gammas[cols])
-        return lo, hi, undefined, coverage(p_true, lo, hi, undefined)
-
-    # stage 1: every step-th column, counted back from gamma_max, with the
-    # step ceil(sqrt(n))
-    last = len(gammas) - 1
-    step = math.isqrt(last) + 1
-    cols = np.arange(last % step, last + 1, step)
-    band = probe(cols)
-    reached = band[3] >= target
+    n = len(gammas)
+    # each dose's first covered column lies in [left, right]; n means none
+    left = np.zeros(len(t_grid), dtype=int)
+    right = np.full(len(t_grid), n)
+    while (rows := np.flatnonzero(left < right)).size:
+        mid = (left[rows] + right[rows]) // 2
+        band = _band_points(engine, prob_matrix, t_grid, rows, gammas[mid])
+        covered = _covers(p_true[rows], *band)
+        right[rows] = np.where(covered, mid, right[rows])
+        left[rows] = np.where(covered, left[rows], mid + 1)
+    reached = np.mean(left[:, None] <= np.arange(n), axis=0) >= target
     calibrated = bool(reached[-1])
-    j = int(np.argmax(reached)) if calibrated else len(cols) - 1
-    # stage 2: the columns between the last coarse miss and the first coarse hit
-    between = np.arange(cols[j - 1] + 1 if j else 0, cols[j])
-    if calibrated and between.size:
-        fine = probe(between)
-        fine_reached = fine[3] >= target
-        if fine_reached.any():
-            cols, band, j = between, fine, int(np.argmax(fine_reached))
-    lo, hi, undefined, covered = (part[..., j] for part in band)
+    pick = int(np.argmax(reached)) if calibrated else n - 1
+    lo, hi, undefined = _band_points(
+        engine, prob_matrix, t_grid, np.arange(len(t_grid)), np.full(len(t_grid), gammas[pick])
+    )
     flags = [] if calibrated else ["uncalibrated"]
     if undefined.any():
         flags.append("undefined_points")
@@ -444,8 +446,8 @@ def _calibrate_from_tables(
         )
     return MethodScore(
         method=method,
-        gamma_star=float(gammas[cols[j]]),
-        coverage=float(covered),
+        gamma_star=float(gammas[pick]),
+        coverage=float(coverage(p_true, lo, hi, undefined)),
         cost=divergence_cost(p_true, curve),
         flags=tuple(flags),
     )

@@ -23,6 +23,8 @@ pools the instances of a probability matrix into one closed-form band per
 ``FittedModels``: ``capo_interval`` conditions on one covariate row,
 ``apo_interval`` pools a whole instance set, and ``cacd_interval`` turns a
 CAPO band into a band on the derivative via conservative central differences.
+Calibration needs only scattered (dose, gamma) points of that grid, and
+``_band_points`` computes them with the grid's bits.
 """
 
 from __future__ import annotations
@@ -341,6 +343,39 @@ def apo_band_matrix(engine: DivisorEngine, prob_matrix, t_grid, gamma_grid):
         valid = d_lo > 0.0
         undefined[i] = ~valid.all(axis=-1)
         lo[i], hi[i] = _bernoulli_extremes(prob_matrix[i], d_lo, d_hi, valid=valid)
+    return lo, hi, undefined
+
+
+# _band_points takes as many points per block as fill this many bytes of one
+# (points, instances) table of doubles: 16 points of 250 instances.  The
+# largest array of a block, DeltaMSM's 1F1 coefficient table, holds 2 K such
+# tables (points x K terms x 2 instances, K = 18 at gamma 2.5).  A default
+# trial's DeltaMSM calibration peaks at 1.8 MB traced in these blocks, and at
+# 9.4 MB with its 100-point rounds unblocked.
+_BLOCK_BYTES = 32 * 1024
+
+
+def _band_points(engine: DivisorEngine, prob_matrix, t_grid, dose_idx, gammas):
+    """``apo_band_matrix`` at matched points: point k is the dose
+    t_grid[dose_idx[k]] under the budget gammas[k].
+
+    Returns flat (lo, hi, undefined) arrays, one entry per point, bit for bit
+    the grid's entries there.  Each block asks the engine for (points,
+    instances) divisors at the points' doses and gammas, which every model
+    computes elementwise, and pools them in one ``_bernoulli_extremes``
+    call.
+    """
+    lo = np.empty(len(dose_idx))
+    hi = np.empty(len(dose_idx))
+    undefined = np.empty(len(dose_idx), dtype=bool)
+    step = max(1, _BLOCK_BYTES // (8 * prob_matrix.shape[1]))
+    for start in range(0, len(dose_idx), step):
+        block = slice(start, start + step)
+        rows = dose_idx[block]
+        d_lo, d_hi = engine.bounds(t_grid[rows, None], gammas[block, None])
+        valid = d_lo > 0.0
+        undefined[block] = ~valid.all(axis=-1)
+        lo[block], hi[block] = _bernoulli_extremes(prob_matrix[rows], d_lo, d_hi, valid=valid)
     return lo, hi, undefined
 
 

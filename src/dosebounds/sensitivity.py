@@ -167,31 +167,40 @@ def _beta_mgf_pair(a, b, s):
     These are 1F1(a; a+b; s) and 1F1(b; a+b; s); since 1 - tau ~ Beta(b, a),
     e^-s times the second is E_q[e^(-s tau)], which is Kummer's
     transformation.  Both come from one ``specfun.hyp1f1_grid`` table over
-    the s values and the shape pairs (a, a+b), (b, a+b).  The table is an
-    outer product, so s may vary only along axes before q's (a gamma column
-    against a row of instances, or either one a scalar); matched arrays
-    raise ``ValueError``.  Under that rule the broadcast shape is s's
-    varying axes followed by q's, so its C order runs over s in the outer
-    index and q in the inner, as the table's rows and columns do.  Each half
-    is therefore a reshaped slice of the table, holding the same bits as a
-    gather of the matching entries.  Scalar s and q give floats.
+    the s values and the shape pairs (a, a+b), (b, a+b).  Either s varies
+    only along axes before q's (a gamma column against a row of instances,
+    or either one a scalar), and one set of shapes serves every s; or s has
+    shape (P, 1) against q of shape (P, N), and row i of q holds the shapes
+    of s_i alone (matched (dose, gamma) points against instances).  Other
+    shapes raise ``ValueError``.  Either way the broadcast shape runs over s
+    in the outer index and q in the inner, as the table's rows and columns
+    do, so each half is a reshaped slice of the table, holding the same bits
+    as a gather of the matching entries.  Scalar s and q give floats.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     s = np.asarray(s, dtype=float)
-    ndim = max(s.ndim, a.ndim)
-    s_dims = (1,) * (ndim - s.ndim) + s.shape
-    q_dims = (1,) * (ndim - a.ndim) + a.shape
-    split = max((i + 1 for i, n in enumerate(s_dims) if n != 1), default=0)
-    if any(n != 1 for n in q_dims[:split]):
-        raise ValueError(
-            "s may vary only along axes before q's (a gamma column against a row "
-            f"of instances); got s shape {s.shape} and q shape {a.shape}"
-        )
-    shape = s_dims[:split] + q_dims[split:]
-    c = (a + b).ravel()
-    table = specfun.hyp1f1_grid(np.concatenate([a.ravel(), b.ravel()]), np.concatenate([c, c]), s)
+    c = a + b
+    if a.ndim == 2 and s.shape == (len(a), 1):
+        shape = a.shape
+        shapes, tops = np.concatenate([a, b], axis=1), np.concatenate([c, c], axis=1)
+    else:
+        ndim = max(s.ndim, a.ndim)
+        s_dims = (1,) * (ndim - s.ndim) + s.shape
+        q_dims = (1,) * (ndim - a.ndim) + a.shape
+        split = max((i + 1 for i, n in enumerate(s_dims) if n != 1), default=0)
+        if any(n != 1 for n in q_dims[:split]):
+            raise ValueError(
+                "s may vary only along axes before q's (a gamma column against a row "
+                "of instances), or be a (P, 1) column against q of shape (P, N); "
+                f"got s shape {s.shape} and q shape {a.shape}"
+            )
+        shape = s_dims[:split] + q_dims[split:]
+        c = c.ravel()
+        shapes, tops = np.concatenate([a.ravel(), b.ravel()]), np.concatenate([c, c])
+    table = specfun.hyp1f1_grid(shapes, tops, s)
+    half = table.shape[1] // 2
     # [()] turns a 0-d result into a float and leaves arrays as they are
-    return table[:, : a.size].reshape(shape)[()], table[:, a.size :].reshape(shape)[()]
+    return table[:, :half].reshape(shape)[()], table[:, half:].reshape(shape)[()]
 
 
 # ---------------------------------------------------------------------------

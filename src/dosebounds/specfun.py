@@ -13,11 +13,12 @@ functions directly:
   Kummer reflection for negative arguments, summed until it converges; it
   is the elementwise oracle for ``hyp1f1_grid``,
 * ``hyp1f1_grid`` tabulates 1F1(a; c; s) for 0 <= a <= c and s >= 0 over
-  every (s, (a, c)) pair, one matrix-vector product of scaled powers s^k/k!
-  and Pochhammer ratios (a)_k/(c)_k per s.  Each term is at most s^k/k! and
-  the sum is at least 1, so the tail after K terms is below
-  s^K/K! / (1 - s/(K+1)) relative; ``_hyp1f1_terms`` fixes each s's own K
-  so that this bound is at most 2^-53, with no convergence test,
+  each s and its shapes (one set shared by every s, or one row per s), one
+  matrix-vector product of scaled powers s^k/k! and Pochhammer ratios
+  (a)_k/(c)_k per s.  Each term is at most s^k/k! and the sum is at least
+  1, so the tail after K terms is below s^K/K! / (1 - s/(K+1)) relative;
+  ``_hyp1f1_terms`` fixes each s's own K so that this bound is at most
+  2^-53, with no convergence test,
 * ``reg_inc_beta`` uses the continued-fraction expansion.
 
 The adaptive quadrature that checks the closed forms built on these lives
@@ -205,22 +206,28 @@ def _hyp1f1_terms(s_max: float, start: int = 1) -> int:
 
 
 def hyp1f1_grid(a, c, s) -> np.ndarray:
-    """Table of 1F1(a_j; c_j; s_i) over every s and every (a, c) pair.
+    """Table of 1F1(a; c; s_i) over every s and its (a, c) pairs.
 
-    ``a`` and ``c`` broadcast to one flat list of shapes with 0 <= a <= c and
-    c > 0; ``s`` is a flat list of arguments s >= 0.  Returns the
-    (len(s), len(a)) table whose row i is one matrix-vector product,
-    s_pow[i, :K_i] @ coeff[:K_i], with s_pow[i, k] = s_i^k / k!, coeff[k, j]
-    = (a_j)_k / (c_j)_k and K_i = ``_hyp1f1_terms(s_i)``.  Both tables fill
-    their rows one after another, so for one set of shapes a row holds the
-    bits of the one-s call on its s.  Callers reach negative arguments
-    through Kummer's transformation (A&S 13.1.27), 1F1(a; c; -s) =
-    e^-s 1F1(c - a; c; s), which keeps every term positive.
+    ``s`` is a flat list of arguments s >= 0.  ``a`` and ``c`` broadcast to
+    either one flat list of shapes shared by every s or, when 2-d, one row
+    of M shapes per s (a gamma paired with its dose's shapes); always
+    0 <= a <= c and c > 0.  Returns the (len(s), M) table whose row i is one
+    matrix-vector product, s_pow[i, :K_i] @ coeff_i[:K_i], with s_pow[i, k]
+    = s_i^k / k!, coeff_i[k, j] = (a_j)_k / (c_j)_k over row i's shapes and
+    K_i = ``_hyp1f1_terms(s_i)``.  Shared shapes are the one-row case: every
+    s reads the same coefficient table.  Each coeff_i is a contiguous (K, M)
+    table and both tables fill their rows one after another, so row i holds
+    the bits of the one-s call on its s and its shapes, whatever the other
+    rows are.  Callers reach negative arguments through Kummer's
+    transformation (A&S 13.1.27), 1F1(a; c; -s) = e^-s 1F1(c - a; c; s),
+    which keeps every term positive.
     """
-    a, c = np.broadcast_arrays(
-        np.ravel(np.asarray(a, dtype=float)), np.ravel(np.asarray(c, dtype=float))
-    )
+    a, c = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(c, dtype=float))
     s = np.ravel(np.asarray(s, dtype=float))
+    if a.ndim != 2:
+        a, c = np.ravel(a), np.ravel(c)
+    elif len(a) != s.size:
+        raise DomainError(f"hyp1f1_grid needs one row of shapes per s, got {len(a)} rows")
     if not (np.isfinite(a).all() and np.isfinite(c).all() and np.isfinite(s).all()):
         raise DomainError("hyp1f1_grid requires finite arguments")
     if np.any(a < 0.0) or np.any(c < a) or np.any(c <= 0.0):
@@ -234,24 +241,43 @@ def hyp1f1_grid(a, c, s) -> np.ndarray:
     s_pow = np.ones((s.size, n_terms))
     np.cumprod(s[:, None] / (k + 1.0), axis=1, out=s_pow[:, 1:])
     coeff = _pochhammer_table(a, c, n_terms)
-    out = np.empty((s.size, a.size))
-    for i, n in enumerate(terms):
-        np.dot(s_pow[i, :n], coeff[:n], out=out[i])
+    out = np.empty((s.size, a.shape[-1]))
+    # row i reads its own table, or the one table that every row shares
+    tables = coeff if a.ndim == 2 else [coeff] * s.size
+    for i, (n, table) in enumerate(zip(terms, tables)):
+        np.dot(s_pow[i, :n], table[:n], out=out[i])
     return out
 
 
+# _pochhammer_table forms its ratios (a + k) / (c + k) for a slab of k values
+# at a time, at most this many bytes: all k for one set of shapes over a few
+# hundred instances, a few k for a block of matched points.  With all k in
+# one slab, a default trial's DeltaMSM calibration faulted in about 29,000
+# pages per call, as malloc returned its table-sized temporaries to the
+# system, and took 2.8x the CPU time.
+_RATIO_SLAB_BYTES = 1 << 17
+
+
 def _pochhammer_table(a, c, n_terms: int) -> np.ndarray:
-    """(n_terms, a.size) table of (a_j)_k / (c_j)_k for flat ``a`` and ``c``.
+    """(..., n_terms, M) table of (a_j)_k / (c_j)_k for ``a`` and ``c`` of
+    shape (..., M): one contiguous (n_terms, M) table per row of shapes.
 
     Row k + 1 is row k times (a + k) / (c + k), one row at a time: the same
-    products in the same order as ``np.cumprod`` over the ratios' first
-    axis, so the same bits, and the first K rows do not depend on n_terms.
+    products in the same order as ``np.cumprod`` over the ratios' k axis,
+    so the same bits, and the first K rows do not depend on n_terms or on
+    the other rows of shapes.
     """
-    k = np.arange(n_terms - 1, dtype=float)
-    ratio = (a + k[:, None]) / (c + k[:, None])
-    coeff = np.ones((n_terms, a.size))
-    for j in range(n_terms - 1):
-        np.multiply(coeff[j], ratio[j], out=coeff[j + 1])
+    coeff = np.empty(a.shape[:-1] + (n_terms, a.shape[-1]))
+    steps = coeff.swapaxes(0, -2)  # steps[k] is row k of every table
+    steps[0] = 1.0
+    slab = max(1, _RATIO_SLAB_BYTES // (8 * a.size))
+    for start in range(0, n_terms - 1, slab):
+        k = np.arange(start, min(start + slab, n_terms - 1), dtype=float)
+        k = k.reshape((-1,) + (1,) * a.ndim)
+        ratios = a + k
+        ratios /= c + k
+        for j, ratio in enumerate(ratios, start):
+            np.multiply(steps[j], ratio, out=steps[j + 1])
     return coeff
 
 

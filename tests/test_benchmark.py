@@ -15,7 +15,13 @@ import pytest
 
 from dosebounds import benchmark as bm
 from dosebounds.checks import integrate
-from dosebounds.estimator import IntervalCurve, apo_band_matrix, apo_interval
+from dosebounds.estimator import (
+    _BLOCK_BYTES,
+    IntervalCurve,
+    _band_points,
+    apo_band_matrix,
+    apo_interval,
+)
 from dosebounds.models import FittedModels, TrainConfig, fit_outcome, fit_propensity
 from dosebounds.seeds import derive_seed
 from dosebounds.sensitivity import CMSM, BinaryMSM, DeltaMSM, DivisorEngine, Uniform
@@ -526,8 +532,8 @@ def search_and_scan(tables, gammas, target, methods=bm.DEFAULT_METHODS):
 
 
 class TestCalibrationSearch:
-    """The two-stage gamma search picks what a scan of every column picks,
-    with bitwise-equal coverage and cost."""
+    """The per-dose bisection picks what a scan of every column picks, with
+    bitwise-equal coverage and cost, and its band points are the grid's."""
 
     def assert_same(self, pairs):
         for got, want in pairs:
@@ -548,7 +554,7 @@ class TestCalibrationSearch:
         config = bm.TrialConfig()
         raw = bm.synthetic_raw(1000, 16, seed=0)
         flags = set()
-        for trial_id in range(4):
+        for trial_id in range(12):
             tables = trial_tables(raw, config, TrainConfig(), trial_id)
             pairs = search_and_scan(tables, config.gamma_grid(), config.target_coverage)
             self.assert_same(pairs)
@@ -563,27 +569,51 @@ class TestCalibrationSearch:
             self.assert_same(search_and_scan(tables, gammas, target))
 
     @pytest.mark.parametrize("size", [2, 3, 4, 8, 17, 100])
-    def test_probes_few_columns_in_at_most_two_calls(self, reduced_tables, monkeypatch, size):
-        calls = []
+    def test_bisects_each_dose_once_per_round(self, reduced_tables, monkeypatch, size):
+        rounds = []
 
-        def counting(engine, prob_matrix, t_grid, gamma_grid):
-            calls.append(np.array(gamma_grid))
-            return apo_band_matrix(engine, prob_matrix, t_grid, gamma_grid)
+        def counting(engine, prob_matrix, t_grid, dose_idx, gammas):
+            rounds.append(np.array(dose_idx))
+            return _band_points(engine, prob_matrix, t_grid, dose_idx, gammas)
 
-        monkeypatch.setattr(bm, "apo_band_matrix", counting)
+        monkeypatch.setattr(bm, "_band_points", counting)
         gammas = np.linspace(1.0, REDUCED.gamma_max, size)
-        budget = 2 * math.ceil(math.sqrt(size)) - 1
+        # ceil(log2(n + 1)) bisection rounds, then the picked column's band
+        budget = math.ceil(math.log2(size + 1)) + 1
         for tables in reduced_tables[:8]:
-            for target in (0.0, 0.8, 1.0):
+            for target in (0.0, 0.5, 0.8, 1.0):
                 for method in bm.DEFAULT_METHODS:
-                    calls.clear()
+                    rounds.clear()
                     bm._calibrate_from_tables(method, *tables, gammas, target)
-                    assert 1 <= len(calls) <= 2
-                    assert sum(len(probe) for probe in calls) <= budget
-                    # gamma_max decides whether the method is calibrated
-                    assert calls[0][-1] == gammas[-1]
-                    for probe in calls:
-                        assert np.all(np.diff(probe) > 0.0)
+                    assert 1 <= len(rounds) <= budget
+                    assert sum(map(len, rounds)) <= REDUCED.t_grid_size * budget
+                    for doses in rounds:
+                        assert len(np.unique(doses)) == len(doses)
+
+    def test_band_points_are_the_grid_entries(self):
+        # at random (dose, gamma) points of default trials 0 and 3, flagged
+        # points included and many blocks long, each method's kernel gives
+        # the bits of the full product grid
+        config = bm.TrialConfig()
+        raw = bm.synthetic_raw(1000, 16, seed=0)
+        gammas = config.gamma_grid()
+        rng = np.random.default_rng(3)
+        flagged = 0
+        for trial_id in (0, 3):
+            propensity, prob_matrix, _, t_grid = trial_tables(
+                raw, config, TrainConfig(), trial_id
+            )
+            assert 500 > _BLOCK_BYTES // (8 * prob_matrix.shape[1])
+            for method in bm.DEFAULT_METHODS:
+                engine = DivisorEngine(bm.sensitivity_model_for(method), propensity)
+                full = apo_band_matrix(engine, prob_matrix, t_grid, gammas)
+                doses = rng.integers(0, len(t_grid), 500)
+                cols = rng.integers(0, len(gammas), 500)
+                points = _band_points(engine, prob_matrix, t_grid, doses, gammas[cols])
+                for got, whole in zip(points, full):
+                    assert got.tobytes() == whole[doses, cols].tobytes()
+                flagged += int(points[2].sum())
+        assert flagged > 0
 
     def test_a_band_column_does_not_depend_on_the_gammas_it_is_built_with(self):
         # the search's exactness premise: any increasing gamma subset gives

@@ -11,6 +11,7 @@ from dosebounds.estimator import (
     _WEIGHT_CAP,
     DegenerateDrawsError,
     IntervalCurve,
+    _band_points,
     _bernoulli_extremes,
     _max_ratio_sorted,
     apo_band_matrix,
@@ -561,11 +562,12 @@ class TestApoBandMatrix:
 
 
 class TestGammaSubsetExactness:
-    """Calibration probes gamma subsets instead of the whole grid and must
-    score exactly what the full sweep scores.  For DeltaMSM that holds
-    because ``hyp1f1_grid`` makes each row its own matrix-vector product over
-    its own term count, so a column does not depend on the other gammas in
-    its call."""
+    """Calibration reads band points at scattered (dose, gamma) pairs
+    instead of the whole grid and must score exactly what the full sweep
+    scores.  For DeltaMSM that holds because ``hyp1f1_grid`` makes each row
+    its own matrix-vector product over its own term count and its own
+    shapes, so an entry does not depend on the other gammas or points in its
+    call."""
 
     def test_subsets_ending_at_the_last_gamma_match_the_full_sweep(self):
         rng = np.random.default_rng(7)
@@ -584,6 +586,21 @@ class TestGammaSubsetExactness:
             part = apo_band_matrix(engine, prob, t_grid, gammas[cols])
             for whole, sub in zip(full, part):
                 assert sub.tobytes() == whole[:, cols].tobytes()
+
+    @pytest.mark.parametrize("model", [DeltaMSM(), CMSM(), Uniform(), BinaryMSM()])
+    def test_points_with_a_shared_propensity_match_the_grid(self, model):
+        # a scalar propensity gives (points, 1) divisors, which broadcast
+        # against each point's row of probabilities; 300 points fill 3 blocks
+        rng = np.random.default_rng(11)
+        t_grid = np.linspace(0.0, 1.0, 12)
+        prob = rng.uniform(0.05, 0.95, (len(t_grid), 40))
+        gammas = np.linspace(1.0, 2.5, 100)
+        engine = DivisorEngine(model, BetaPropensity(2.0, 3.0))
+        full = apo_band_matrix(engine, prob, t_grid, gammas)
+        doses, cols = rng.integers(0, len(t_grid), 300), rng.integers(0, len(gammas), 300)
+        points = _band_points(engine, prob, t_grid, doses, gammas[cols])
+        for got, whole in zip(points, full):
+            assert got.tobytes() == whole[doses, cols].tobytes()
 
 
 @st.composite

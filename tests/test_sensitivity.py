@@ -260,8 +260,25 @@ class TestBetaMgfPairAxes:
         want = self.gathered(3.0, 4.0, math.log(1.7))
         assert [float(v) for v in pair] == [float(v) for v in want]
 
+    def test_one_s_per_row_of_q_equals_per_row_calls(self):
+        # s of shape (P, 1) against q of shape (P, N): row i of q holds s_i's
+        # own shapes, as a matched (dose, gamma) point does
+        rng = np.random.default_rng(17)
+        a, b = rng.uniform(0.5, 41.0, (2, 3, 4))
+        gammas = rng.uniform(1.0, 10.0, (3, 1))
+        got_pair = _beta_mgf_pair(a, b, np.log(gammas))
+        got_folded = _folded_power_bounds(a, b, gammas)
+        for i in range(3):
+            for got, want in zip(got_pair, _beta_mgf_pair(a[i], b[i], np.log(gammas[i, 0]))):
+                assert got.shape == (3, 4)
+                assert got[i].tobytes() == want.tobytes()
+            want_folded = _folded_power_bounds(a[i], b[i], gammas[i, 0])
+            for got_anchor, want_anchor in zip(got_folded, want_folded):
+                for got, want in zip(got_anchor, want_anchor):
+                    assert got[i].tobytes() == want.tobytes()
+
     @pytest.mark.parametrize(
-        "s_shape, q_shape", [((5,), (5,)), ((5,), (5, 1)), ((1, 5), (3, 1)), ((3, 1), (3, 4))]
+        "s_shape, q_shape", [((5,), (5,)), ((5,), (5, 1)), ((1, 5), (3, 1))]
     )
     def test_matched_or_swapped_axes_raise(self, s_shape, q_shape):
         a, b = np.full(q_shape, 3.0), np.full(q_shape, 4.0)

@@ -263,6 +263,21 @@ class TestHyp1F1Grid:
             np.cumprod(s_i / (k[: n - 1] + 1.0), out=s_pow[1:])
             assert row.tobytes() == (s_pow @ coeff[:n]).tobytes()
 
+    @pytest.mark.parametrize("n_cols", [1, 2, 500])
+    def test_a_row_of_shapes_per_s_equals_the_one_s_calls(self, n_cols):
+        # row i reads only s_i's own shapes, with the bits of the one-s call
+        rng = np.random.default_rng(100 + n_cols)
+        s = np.concatenate([[0.0, math.log(2.5), 0.0], rng.uniform(0.0, math.log(10.0), 13)])
+        c = rng.uniform(1e-3, 400.0, (len(s), n_cols))
+        a = c * rng.uniform(0.0, 1.0, c.shape)
+        a[:, 0] = c[:, 0]
+        table = hyp1f1_grid(a, c, s)
+        assert table.shape == (len(s), n_cols)
+        for i, s_i in enumerate(s):
+            assert table[i].tobytes() == hyp1f1_grid(a[i], c[i], [s_i])[0].tobytes()
+        with pytest.raises(DomainError, match="one row of shapes per s"):
+            hyp1f1_grid(a[:3], c[:3], s)
+
     def test_large_arguments_do_not_overflow(self):
         s = 700.0
         value = hyp1f1_grid(2.5, 2.5, [s])[0, 0]
