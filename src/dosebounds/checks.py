@@ -282,11 +282,12 @@ def _vertex_extrema(f, w_lo, w_hi):
     return float(ratios.min()), float(ratios.max())
 
 
-def _bernoulli_vertex_extrema(p_one, d_lo, d_hi, valid):
-    """Vertex extremes of one pooled binary-outcome box; NaN when nothing is valid."""
-    if not valid.any():
+def _bernoulli_vertex_extrema(p_one, d_lo, d_hi):
+    """Vertex extremes of one pooled binary box over its instances with d_lo > 0 (NaN if none)."""
+    keep = d_lo > 0.0
+    if not keep.any():
         return math.nan, math.nan
-    p_one, d_lo, d_hi = p_one[valid], d_lo[valid], d_hi[valid]
+    p_one, d_lo, d_hi = p_one[keep], d_lo[keep], d_hi[keep]
     probs = np.concatenate([1.0 - p_one, p_one])
     d_lo, d_hi = np.concatenate([d_lo, d_lo]), np.concatenate([d_hi, d_hi])
     with np.errstate(divide="ignore", over="ignore"):
@@ -297,7 +298,7 @@ def _bernoulli_vertex_extrema(p_one, d_lo, d_hi, valid):
 
 def _draw_bernoulli_box(n, rng):
     """Random binary-outcome box with certain outcomes, capped upper weights
-    (tiny d_lo), zero lower weights (infinite d_hi) and masked instances."""
+    (tiny d_lo), zero lower weights (infinite d_hi) and dropped instances (d_lo < 0)."""
     p_one = rng.uniform(size=n)
     p_one[rng.uniform(size=n) < 0.2] = 0.0
     p_one[rng.uniform(size=n) < 0.2] = 1.0
@@ -305,8 +306,8 @@ def _draw_bernoulli_box(n, rng):
     d_lo[rng.uniform(size=n) < 0.15] = 1e-32
     d_hi = d_lo * rng.uniform(1.0, 4.0, size=n)
     d_hi[rng.uniform(size=n) < 0.15] = math.inf
-    valid = rng.uniform(size=n) < 0.8
-    return p_one, d_lo, d_hi, valid
+    d_lo[rng.uniform(size=n) >= 0.8] *= -1.0
+    return p_one, d_lo, d_hi
 
 
 def _gap(got, want) -> float:
@@ -352,15 +353,14 @@ def check_extremizer(instances: int = 1000, max_n: int = 12, seed: int = 0) -> C
             failures.append(f"n={n} f={f.tolist()} box=({w_lo.tolist()}, {w_hi.tolist()})")
 
         box = _draw_bernoulli_box(int(binary_rng.integers(1, max(1, max_n // 2) + 1)), binary_rng)
-        got = _bernoulli_extremes(*box)
+        got = _bernoulli_extremes(*box)[:2]
         want = _bernoulli_vertex_extrema(*box)
         err = max(_gap(float(g), w) for g, w in zip(got, want))
         if err > worst:
             worst = err
         if err > EXTREMIZER_TOLERANCE and len(failures) < _MAX_REPORTED_FAILURES:
-            failures.append(
-                "bernoulli p_one={} d_lo={} d_hi={} valid={}".format(*(v.tolist() for v in box))
-            )
+            p_one, d_lo, d_hi = (v.tolist() for v in box)
+            failures.append(f"bernoulli p_one={p_one} d_lo={d_lo} d_hi={d_hi}")
     return CheckResult("extremizer", 4 * instances, worst, EXTREMIZER_TOLERANCE, tuple(failures))
 
 

@@ -17,14 +17,15 @@ ratio of four sums of capped weights (``_bernoulli_extremes``).  The sorted
 sweep serves ``extremize`` for continuous outcomes (``outcome_draws`` with a
 proposal) and is the oracle the closed form is tested against.
 
-One kernel, ``apo_band_matrix``, computes every binary-outcome band: it
-pools the instances of a probability matrix into one closed-form band per
-(dose, gamma) pair.  The curves are views of it at one gamma for a
-``FittedModels``: ``capo_interval`` conditions on one covariate row,
-``apo_interval`` pools a whole instance set, and ``cacd_interval`` turns a
-CAPO band into a band on the derivative via conservative central differences.
-Calibration needs only scattered (dose, gamma) points of that grid, and
-``_band_points`` computes them with the grid's bits.
+One kernel, ``_bernoulli_extremes``, computes every binary-outcome band
+point, dropping and flagging instances whose divisor floor is not
+positive.  ``apo_band_matrix`` feeds it a dose's gamma column for the
+(dose, gamma) grid, and ``_band_points`` a block of matched points, with
+the grid's bits, for calibration.  The curves are grid columns at one
+gamma for a ``FittedModels``: ``capo_interval`` conditions on one
+covariate row, ``apo_interval`` pools a whole instance set, and
+``cacd_interval`` turns a CAPO band into a band on the derivative via
+conservative central differences.
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ def extremize(f, w_lo, w_hi, direction: str = "max") -> float:
     return float(value) if direction == "max" else -float(value)
 
 
-def _bernoulli_extremes(p_one, d_lo, d_hi, valid=None):
-    """(lo, hi) of the pooled ratio for exact binary-outcome draws.
+def _bernoulli_extremes(p_one, d_lo, d_hi):
+    """(lo, hi, undefined) of the pooled ratio for exact binary-outcome draws.
 
     The last axis indexes instances; leading axes are batch dimensions (for
     example a whole gamma grid at once), and the inputs broadcast against
@@ -148,12 +149,12 @@ def _bernoulli_extremes(p_one, d_lo, d_hi, valid=None):
     min(p(y) / d_hi, cap) over instances.  When the side a ratio pushes up
     carries no weight at all (S_hi(1) = 0 for hi, S_hi(0) = 0 for lo), every
     admissible weight vector gives 0 (for hi) or 1 (for lo), which is what
-    the sweep returns too.  ``valid`` removes instances whose divisor floor
-    crossed zero from the sums; batch rows with no weight left come back as
-    NaN.
+    the sweep returns too.  Instances with d_lo <= 0 lost their upper weight
+    and leave the sums; ``undefined`` flags each batch row that dropped one,
+    and rows with none left come back as NaN.
     """
     p_one = np.asarray(p_one, dtype=float)
-    keep = True if valid is None else valid
+    keep = np.asarray(d_lo) > 0.0
 
     def total(p, d):
         return np.minimum(p / d, _WEIGHT_CAP).sum(axis=-1, where=keep)
@@ -168,7 +169,7 @@ def _bernoulli_extremes(p_one, d_lo, d_hi, valid=None):
         lo = np.where(
             hi_zero > 0.0, lo_one / (lo_one + hi_zero), np.where(hi_one > 0.0, 1.0, np.nan)
         )
-    return lo, hi
+    return lo, hi, ~keep.all(axis=-1)
 
 
 def outcome_draws(
@@ -245,10 +246,11 @@ class IntervalCurve:
     """Lower/upper bound curves over a dose grid.
 
     ``undefined_mask`` marks grid points where at least one pooled instance
-    lost its upper bound (divisor crossed zero); such points keep whatever
-    bound the surviving instances give, or NaN when none survive, and should
-    be read as vacuously wide.  ``one_sided`` (derivative curves only) marks
-    endpoints computed with a one-sided difference.
+    lost its upper bound (``_bernoulli_extremes`` saw d_lo <= 0); such points
+    keep whatever bound the surviving instances give, or NaN when none
+    survive, and should be read as vacuously wide.  ``one_sided``
+    (derivative curves only) marks endpoints computed with a one-sided
+    difference.
     """
 
     t_grid: np.ndarray
@@ -294,8 +296,10 @@ def _one_gamma_curve(models, sens, x, t_grid, gamma_factor):
 
 
 def capo_interval(models, sens: SensitivityModel, x, t_grid, gamma_factor: float) -> IntervalCurve:
-    """Covariate-conditional outcome bounds over a dose grid."""
+    """Covariate-conditional outcome bounds over a dose grid for one 1-d covariate row."""
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"capo_interval takes one 1-d row, not shape {x.shape}; see apo_interval")
     return _one_gamma_curve(models, sens, x, t_grid, gamma_factor)
 
 
@@ -317,9 +321,8 @@ def apo_band_matrix(engine: DivisorEngine, prob_matrix, t_grid, gamma_grid):
     undefined) arrays of shape (len(t_grid), len(gamma_grid)).  Each dose
     asks the engine for the whole gamma column at once, so divisors come
     back as (gammas, instances) tables that broadcast against the dose's row
-    of probabilities.  Instances whose divisor floor crosses zero at a given
-    (dose, gamma) are dropped from that pooled ratio and the point is
-    flagged; when every instance drops, the bounds are NaN.
+    of probabilities in one ``_bernoulli_extremes`` call, which drops and
+    flags the instances whose divisor floor crossed zero.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     gammas = np.asarray(gamma_grid, dtype=float)
@@ -336,13 +339,11 @@ def apo_band_matrix(engine: DivisorEngine, prob_matrix, t_grid, gamma_grid):
     shape = (len(t_grid), len(gammas))
     lo = np.empty(shape)
     hi = np.empty(shape)
-    undefined = np.zeros(shape, dtype=bool)
+    undefined = np.empty(shape, dtype=bool)
     gamma_col = gammas[:, None]
     for i, t in enumerate(t_grid):
         d_lo, d_hi = engine.bounds(t, gamma_col)
-        valid = d_lo > 0.0
-        undefined[i] = ~valid.all(axis=-1)
-        lo[i], hi[i] = _bernoulli_extremes(prob_matrix[i], d_lo, d_hi, valid=valid)
+        lo[i], hi[i], undefined[i] = _bernoulli_extremes(prob_matrix[i], d_lo, d_hi)
     return lo, hi, undefined
 
 
@@ -362,8 +363,8 @@ def _band_points(engine: DivisorEngine, prob_matrix, t_grid, dose_idx, gammas):
     Returns flat (lo, hi, undefined) arrays, one entry per point, bit for bit
     the grid's entries there.  Each block asks the engine for (points,
     instances) divisors at the points' doses and gammas, which every model
-    computes elementwise, and pools them in one ``_bernoulli_extremes``
-    call.
+    computes elementwise, and pools and flags them in one
+    ``_bernoulli_extremes`` call.
     """
     lo = np.empty(len(dose_idx))
     hi = np.empty(len(dose_idx))
@@ -373,9 +374,7 @@ def _band_points(engine: DivisorEngine, prob_matrix, t_grid, dose_idx, gammas):
         block = slice(start, start + step)
         rows = dose_idx[block]
         d_lo, d_hi = engine.bounds(t_grid[rows, None], gammas[block, None])
-        valid = d_lo > 0.0
-        undefined[block] = ~valid.all(axis=-1)
-        lo[block], hi[block] = _bernoulli_extremes(prob_matrix[rows], d_lo, d_hi, valid=valid)
+        lo[block], hi[block], undefined[block] = _bernoulli_extremes(prob_matrix[rows], d_lo, d_hi)
     return lo, hi, undefined
 
 

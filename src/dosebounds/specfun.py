@@ -13,10 +13,10 @@ functions directly:
   Kummer reflection for negative arguments, summed until it converges; it
   is the elementwise oracle for ``hyp1f1_grid``,
 * ``hyp1f1_grid`` tabulates 1F1(a; c; s) for 0 <= a <= c and s >= 0 over
-  each s and its shapes (one set shared by every s, or one row per s), one
-  matrix-vector product of scaled powers s^k/k! and Pochhammer ratios
-  (a)_k/(c)_k per s.  Each term is at most s^k/k! and the sum is at least
-  1, so the tail after K terms is below s^K/K! / (1 - s/(K+1)) relative;
+  each s and one table of shapes (one row shared by every s, or one row per
+  s), one matrix-vector product of scaled powers s^k/k! and Pochhammer
+  ratios (a)_k/(c)_k per s.  Each term is at most s^k/k! and the sum is at
+  least 1, so the tail after K terms is below s^K/K! / (1 - s/(K+1)) relative;
   ``_hyp1f1_terms`` fixes each s's own K so that this bound is at most
   2^-53, with no convergence test,
 * ``reg_inc_beta`` uses the continued-fraction expansion.
@@ -209,24 +209,24 @@ def hyp1f1_grid(a, c, s) -> np.ndarray:
     """Table of 1F1(a; c; s_i) over every s and its (a, c) pairs.
 
     ``s`` is a flat list of arguments s >= 0.  ``a`` and ``c`` broadcast to
-    either one flat list of shapes shared by every s or, when 2-d, one row
-    of M shapes per s (a gamma paired with its dose's shapes); always
-    0 <= a <= c and c > 0.  Returns the (len(s), M) table whose row i is one
-    matrix-vector product, s_pow[i, :K_i] @ coeff_i[:K_i], with s_pow[i, k]
-    = s_i^k / k!, coeff_i[k, j] = (a_j)_k / (c_j)_k over row i's shapes and
-    K_i = ``_hyp1f1_terms(s_i)``.  Shared shapes are the one-row case: every
-    s reads the same coefficient table.  Each coeff_i is a contiguous (K, M)
-    table and both tables fill their rows one after another, so row i holds
-    the bits of the one-s call on its s and its shapes, whatever the other
-    rows are.  Callers reach negative arguments through Kummer's
-    transformation (A&S 13.1.27), 1F1(a; c; -s) = e^-s 1F1(c - a; c; s),
-    which keeps every term positive.
+    one (rows, M) table of shapes, with rows 1 (one set shared by every s)
+    or len(s) (a gamma paired with its dose's shapes); any array that is not
+    2-d is flattened into the one shared row.  Always 0 <= a <= c and
+    c > 0.  Returns the (len(s), M) table whose row i is one matrix-vector
+    product, s_pow[i, :K_i] @ coeff_i[:K_i], with s_pow[i, k] = s_i^k / k!,
+    coeff_i[k, j] = (a_j)_k / (c_j)_k over row i's shapes (the shared row,
+    if there is one) and K_i = ``_hyp1f1_terms(s_i)``.  Each coeff_i is a
+    contiguous (K, M) table and both tables fill their rows one after
+    another, so row i holds the bits of the one-s call on its s and its
+    shapes, whatever the other rows are.  Callers reach negative arguments
+    through Kummer's transformation (A&S 13.1.27), 1F1(a; c; -s) =
+    e^-s 1F1(c - a; c; s), which keeps every term positive.
     """
     a, c = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(c, dtype=float))
     s = np.ravel(np.asarray(s, dtype=float))
     if a.ndim != 2:
-        a, c = np.ravel(a), np.ravel(c)
-    elif len(a) != s.size:
+        a, c = a.reshape(1, -1), c.reshape(1, -1)
+    elif len(a) not in (1, s.size):
         raise DomainError(f"hyp1f1_grid needs one row of shapes per s, got {len(a)} rows")
     if not (np.isfinite(a).all() and np.isfinite(c).all() and np.isfinite(s).all()):
         raise DomainError("hyp1f1_grid requires finite arguments")
@@ -241,11 +241,10 @@ def hyp1f1_grid(a, c, s) -> np.ndarray:
     s_pow = np.ones((s.size, n_terms))
     np.cumprod(s[:, None] / (k + 1.0), axis=1, out=s_pow[:, 1:])
     coeff = _pochhammer_table(a, c, n_terms)
-    out = np.empty((s.size, a.shape[-1]))
-    # row i reads its own table, or the one table that every row shares
-    tables = coeff if a.ndim == 2 else [coeff] * s.size
-    for i, (n, table) in enumerate(zip(terms, tables)):
-        np.dot(s_pow[i, :n], table[:n], out=out[i])
+    out = np.empty((s.size, a.shape[1]))
+    # with 1 or len(s) tables, table i % len(a) is row i's own or the shared one
+    for i, n in enumerate(terms):
+        np.dot(s_pow[i, :n], coeff[i % len(a), :n], out=out[i])
     return out
 
 

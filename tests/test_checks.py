@@ -103,9 +103,9 @@ class TestDefectDetection:
 
         real = estimator._bernoulli_extremes
 
-        def biased(p_one, d_lo, d_hi, valid=None):
-            lo, hi = real(p_one, d_lo, d_hi, valid)
-            return lo, hi + 1e-9
+        def biased(p_one, d_lo, d_hi):
+            lo, hi, undefined = real(p_one, d_lo, d_hi)
+            return lo, hi + 1e-9, undefined
 
         monkeypatch.setattr(checks, "_bernoulli_extremes", biased)
         result = checks.check_extremizer(instances=5, seed=0)

@@ -156,14 +156,14 @@ class TestExtremize:
             extremize([1.0, 2.0], [0.1], [0.2, 0.3])
 
 
-def sweep_extremes(p_one, d_lo, d_hi, valid):
-    """(lo, hi) per row by the sorted sweep over the concatenated 0/1 draws,
-    plus the row sums of the four weight boxes (lower zero, upper zero,
-    lower one, upper one)."""
+def sweep_extremes(p_one, d_lo, d_hi):
+    """(lo, hi) per row by the sorted sweep over the concatenated 0/1 draws
+    of the instances with a positive divisor floor, plus the row sums of the
+    four weight boxes (lower zero, upper zero, lower one, upper one)."""
     p_zero = 1.0 - p_one
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         boxes = [
-            np.where(valid, np.minimum(ratio, _WEIGHT_CAP), 0.0)
+            np.where(d_lo > 0.0, np.minimum(ratio, _WEIGHT_CAP), 0.0)
             for ratio in (p_zero / d_hi, p_zero / d_lo, p_one / d_hi, p_one / d_lo)
         ]
     w_lo_zero, w_hi_zero, w_lo_one, w_hi_one = boxes
@@ -181,8 +181,9 @@ def sweep_extremes(p_one, d_lo, d_hi, valid):
 def binary_boxes(draw):
     """Batches of pooled binary-outcome boxes: certain outcomes (zero weights
     on one side), upper weights at the cap (d_lo = 1e-32), zero lower weights
-    next to positive upper ones (d_hi = inf), masked instances and,
-    sometimes, a fully masked row."""
+    next to positive upper ones (d_hi = inf), dropped instances (a zero or
+    negative divisor floor) and, sometimes, a row whose every instance
+    drops."""
     rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
 
     def table(elements):
@@ -192,20 +193,20 @@ def binary_boxes(draw):
     p_one = table(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
     d_lo = table(st.one_of(st.just(1e-32), st.floats(0.05, 5.0)))
     d_hi = d_lo * table(st.one_of(st.just(1.0), st.floats(1.0, 10.0), st.just(math.inf)))
-    valid = table(st.booleans()).astype(bool)
+    sign = table(st.sampled_from([1.0, 1.0, 0.0, -1.0]))
     if draw(st.booleans()):
-        valid[-1] = False
-    return p_one, d_lo, d_hi, valid
+        sign[-1] = np.minimum(sign[-1], 0.0)
+    return p_one, sign * d_lo, d_hi
 
 
 class TestBernoulliClosedForm:
     @given(binary_boxes())
     @settings(max_examples=300, deadline=None)
     def test_matches_vertex_enumeration(self, box):
-        lo, hi = _bernoulli_extremes(*box)
+        lo, hi, _ = _bernoulli_extremes(*box)
         for row in range(len(box[0])):
             want_lo, want_hi = checks._bernoulli_vertex_extrema(*(part[row] for part in box))
-            if not box[3][row].any():
+            if not (box[1][row] > 0.0).any():
                 assert math.isnan(lo[row]) and math.isnan(hi[row])
                 continue
             assert lo[row] == pytest.approx(want_lo, rel=1e-12, abs=1e-300)
@@ -214,9 +215,9 @@ class TestBernoulliClosedForm:
     @given(binary_boxes())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_sorted_sweep(self, box):
-        lo, hi = _bernoulli_extremes(*box)
+        lo, hi, _ = _bernoulli_extremes(*box)
         sweep_lo, sweep_hi, (lo_zero, hi_zero, lo_one, hi_one) = sweep_extremes(*box)
-        masked = ~box[3].any(axis=-1)
+        masked = ~(box[1] > 0.0).any(axis=-1)
         total = lo_zero + hi_zero + lo_one + hi_one
         for got, want, den in ((lo, sweep_lo, lo_one + hi_zero), (hi, sweep_hi, hi_one + lo_zero)):
             assert np.isnan(got[masked]).all() and np.isnan(want[masked]).all()
@@ -229,6 +230,16 @@ class TestBernoulliClosedForm:
             held = scale <= 1e4
             assert np.all(np.abs(got[held] - want[held]) <= 1e-12 * scale[held])
 
+    @given(binary_boxes())
+    @settings(max_examples=100, deadline=None)
+    def test_flags_every_row_that_drops_an_instance(self, box):
+        lo, hi, undefined = _bernoulli_extremes(*box)
+        floor = box[1]
+        assert undefined.tolist() == (~(floor > 0.0).all(axis=-1)).tolist()
+        empty = ~(floor > 0.0).any(axis=-1)
+        assert np.isnan(lo[empty]).all() and np.isnan(hi[empty]).all()
+        assert not np.isnan(lo[~empty]).any() and not np.isnan(hi[~empty]).any()
+
     def test_degenerate_boxes_give_what_the_sweep_gives(self):
         ones = np.ones(3)
         inf = np.full(3, math.inf)
@@ -240,23 +251,27 @@ class TestBernoulliClosedForm:
             (np.array([0.0, 1.0, 0.5]), ones, 2.0 * ones, (1.0 / 3.0, 2.0 / 3.0)),
         ]
         for p_one, d_lo, d_hi, want in cases:
-            lo, hi = _bernoulli_extremes(p_one, d_lo, d_hi, valid=np.ones(3, dtype=bool))
-            sweep_lo, sweep_hi, _ = sweep_extremes(p_one, d_lo, d_hi, np.ones(3, dtype=bool))
+            lo, hi, undefined = _bernoulli_extremes(p_one, d_lo, d_hi)
+            sweep_lo, sweep_hi, _ = sweep_extremes(p_one, d_lo, d_hi)
+            assert not undefined
             assert (float(lo), float(hi)) == pytest.approx(want, rel=1e-15)
             sweep = (float(sweep_lo), float(sweep_hi))
             assert (float(lo), float(hi)) == pytest.approx(sweep, rel=1e-15)
 
     def test_capped_weights_and_masked_rows(self):
-        p_one = np.array([[0.3, 0.9], [0.3, 0.9]])
-        d_lo = np.array([[1e-40, 1.0], [1.0, 1.0]])
-        d_hi = np.array([[1.0, 2.0], [2.0, 2.0]])
-        valid = np.array([[True, True], [False, False]])
-        lo, hi = _bernoulli_extremes(p_one, d_lo, d_hi, valid=valid)
+        p_one = np.array([[0.3, 0.9], [0.3, 0.9], [0.3, 0.9]])
+        d_lo = np.array([[1e-40, 1.0], [0.0, -1.0], [-1e-40, 1.0]])
+        d_hi = np.array([[1.0, 2.0], [2.0, 2.0], [1.0, 2.0]])
+        lo, hi, undefined = _bernoulli_extremes(p_one, d_lo, d_hi)
+        assert undefined.tolist() == [False, True, True]
         # both upper weights of the first instance sit at the cap
         cap = _WEIGHT_CAP
         assert hi[0] == pytest.approx((cap + 0.9) / (cap + 0.9 + 0.7 + 0.05), rel=1e-15)
         assert lo[0] == pytest.approx((0.3 + 0.45) / (0.3 + 0.45 + cap + 0.1), rel=1e-15)
         assert np.isnan(lo[1]) and np.isnan(hi[1])
+        # the third row keeps only its second instance
+        want = (0.45 / (0.45 + 0.1), 0.9 / (0.9 + 0.05))
+        assert (lo[2], hi[2]) == pytest.approx(want, rel=1e-15)
 
 
 class GaussianOutcomeStub:
@@ -476,6 +491,13 @@ class TestCurves:
         models = FittedModels(self.outcome(), PropensityStub([3.0], [3.0]))
         with pytest.raises(ValueError):
             apo_interval(models, Uniform(), np.empty((0, 1)), self.t_grid, 1.5)
+
+    @pytest.mark.parametrize("x", [[[0.0], [1.0]], [[1.0]], 0.0])
+    def test_capo_takes_exactly_one_row(self, x):
+        # a table of rows would be pooled into apo_interval's band
+        models = FittedModels(self.outcome(), PropensityStub([3.0, 5.0], [3.0, 2.0]))
+        with pytest.raises(ValueError, match="apo_interval"):
+            capo_interval(models, DeltaMSM(), x, self.t_grid, 1.5)
 
 
 class TestApoBandMatrix:

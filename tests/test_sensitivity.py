@@ -228,7 +228,7 @@ class TestLambdaExpectationBounds:
 
 
 class TestBetaMgfPairAxes:
-    """s varies only along axes before q's; each table half is a reshaped slice."""
+    """q repeats along s's axes or matches s there; each table half is a reshaped slice."""
 
     @staticmethod
     def gathered(a, b, s):
@@ -260,32 +260,35 @@ class TestBetaMgfPairAxes:
         want = self.gathered(3.0, 4.0, math.log(1.7))
         assert [float(v) for v in pair] == [float(v) for v in want]
 
-    def test_one_s_per_row_of_q_equals_per_row_calls(self):
-        # s of shape (P, 1) against q of shape (P, N): row i of q holds s_i's
-        # own shapes, as a matched (dose, gamma) point does
+    @pytest.mark.parametrize(
+        "points, s_shape, q_shape",
+        [((3,), (3, 1), (3, 4)), ((2, 3), (2, 3, 1), (2, 3, 4)), ((5,), (5,), (5,))],
+    )
+    def test_one_s_per_row_of_q_equals_per_row_calls(self, points, s_shape, q_shape):
+        # q matches s on every axis s varies on: q's row at s_i's index holds
+        # s_i's own shapes, as a matched (dose, gamma) point does
         rng = np.random.default_rng(17)
-        a, b = rng.uniform(0.5, 41.0, (2, 3, 4))
-        gammas = rng.uniform(1.0, 10.0, (3, 1))
+        a, b = rng.uniform(0.5, 41.0, (2,) + q_shape)
+        gammas = rng.uniform(1.0, 10.0, s_shape)
         got_pair = _beta_mgf_pair(a, b, np.log(gammas))
         got_folded = _folded_power_bounds(a, b, gammas)
-        for i in range(3):
-            for got, want in zip(got_pair, _beta_mgf_pair(a[i], b[i], np.log(gammas[i, 0]))):
-                assert got.shape == (3, 4)
-                assert got[i].tobytes() == want.tobytes()
-            want_folded = _folded_power_bounds(a[i], b[i], gammas[i, 0])
+        for idx in np.ndindex(points):
+            gamma = gammas.reshape(points)[idx]
+            for got, want in zip(got_pair, _beta_mgf_pair(a[idx], b[idx], np.log(gamma))):
+                assert got.shape == q_shape
+                assert got[idx].tobytes() == want.tobytes()
+            want_folded = _folded_power_bounds(a[idx], b[idx], gamma)
             for got_anchor, want_anchor in zip(got_folded, want_folded):
                 for got, want in zip(got_anchor, want_anchor):
-                    assert got[i].tobytes() == want.tobytes()
+                    assert got[idx].tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize(
-        "s_shape, q_shape", [((5,), (5,)), ((5,), (5, 1)), ((1, 5), (3, 1))]
-    )
-    def test_matched_or_swapped_axes_raise(self, s_shape, q_shape):
+    @pytest.mark.parametrize("s_shape, q_shape", [((5,), (5, 1)), ((1, 5), (3, 1))])
+    def test_crossed_axes_raise(self, s_shape, q_shape):
         a, b = np.full(q_shape, 3.0), np.full(q_shape, 4.0)
         gammas = np.full(s_shape, 1.5)
-        with pytest.raises(ValueError, match="s may vary only along axes before q's"):
+        with pytest.raises(ValueError, match="q must repeat along every axis"):
             _beta_mgf_pair(a, b, np.log(gammas))
-        with pytest.raises(ValueError, match="s may vary only along axes before q's"):
+        with pytest.raises(ValueError, match="q must repeat along every axis"):
             _folded_power_bounds(a, b, gammas)
 
 

@@ -275,6 +275,8 @@ class TestHyp1F1Grid:
         assert table.shape == (len(s), n_cols)
         for i, s_i in enumerate(s):
             assert table[i].tobytes() == hyp1f1_grid(a[i], c[i], [s_i])[0].tobytes()
+        # a one-row table is the flat set that every s shares
+        assert hyp1f1_grid(a[:1], c[:1], s).tobytes() == hyp1f1_grid(a[0], c[0], s).tobytes()
         with pytest.raises(DomainError, match="one row of shapes per s"):
             hyp1f1_grid(a[:3], c[:3], s)
 
