@@ -226,13 +226,15 @@ def _norm_cdf(z):
     return 0.5 * (1.0 + erf(np.asarray(z, dtype=float) / math.sqrt(2.0)))
 
 
-def _pre_activation(rows: np.ndarray, mixing: np.ndarray, treatment_index: int) -> np.ndarray:
-    """u per row, with the treatment coordinate upscaled by (k - 1) first."""
-    scaled = np.array(rows, dtype=float, copy=True)
-    scaled[:, treatment_index] *= scaled.shape[1] - 1
-    if mixing.ndim == 1:
-        return scaled @ mixing
-    return np.einsum("ij,jk,ik->i", scaled, mixing, scaled)
+def _dose_polynomial(rows: np.ndarray, mixing: np.ndarray, treatment_index: int):
+    """(A, B, C) per row with pre-activation A + B t + C t^2 at dose t, upscaled to (k - 1) t."""
+    up, j = rows.shape[1] - 1, treatment_index
+    s0 = np.array(rows, dtype=float, copy=True)  # the rows at dose 0
+    s0[:, j] = 0.0
+    if mixing.ndim == 1:  # u = s m
+        return s0 @ mixing, up * mixing[j], 0.0
+    cross = s0 @ (mixing[:, j] + mixing[j])  # u = s' M s
+    return np.sum(s0 @ mixing * s0, axis=1), up * cross, up * up * mixing[j, j]
 
 
 def generate_trial(raw, config: TrialConfig) -> TrialData:
@@ -240,10 +242,11 @@ def generate_trial(raw, config: TrialConfig) -> TrialData:
 
     Projects a seeded row subsample through k i.i.d.-normal directions,
     quantile-normalizes each projection, mixes them into the pre-activation
-    u, standardizes u by its median and mean absolute deviation, squashes
-    through the normal CDF into an outcome probability, and samples the
-    Bernoulli outcomes.  The first n_train subsampled rows form the train
-    split, the remainder the test split.
+    u (``_dose_polynomial`` at each row's dose), standardizes u by its median
+    and mean absolute deviation, squashes through the normal CDF into an
+    outcome probability, and samples the Bernoulli outcomes.  The first
+    n_train subsampled rows form the train split, the remainder the test
+    split.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2 or raw.shape[1] < 1:
@@ -263,7 +266,9 @@ def generate_trial(raw, config: TrialConfig) -> TrialData:
         mixing = mix_rng.normal(size=config.k)
     else:
         mixing = mix_rng.normal(size=(config.k, config.k))
-    u = _pre_activation(v_matrix, mixing, config.treatment_index)
+    a, b, c = _dose_polynomial(v_matrix, mixing, config.treatment_index)
+    t = v_matrix[:, config.treatment_index]
+    u = a + t * (b + c * t)
     location = float(np.median(u))
     scale = float(np.mean(np.abs(u - location)))
     if not scale > 0.0:
@@ -287,15 +292,13 @@ def true_apo(trial: TrialData, t_grid) -> np.ndarray:
 
     Sets every test row's treatment coordinate to each grid dose (keeping
     visible and hidden confounders fixed) and averages the frozen outcome
-    probabilities.
+    probabilities, in one expression over the (dose, row) grid of each row's
+    ``_dose_polynomial``.  A dose's value does not depend on the other doses.
     """
-    rows = np.array(trial.v_matrix[trial.test_idx], dtype=float, copy=True)
-    out = np.empty(len(np.asarray(t_grid)))
-    for i, t in enumerate(np.asarray(t_grid, dtype=float)):
-        rows[:, trial.treatment_index] = t
-        u = _pre_activation(rows, trial.mixing, trial.treatment_index)
-        out[i] = float(np.mean(_norm_cdf((u - trial.location) / trial.scale)))
-    return out
+    a, b, c = _dose_polynomial(trial.v_matrix[trial.test_idx], trial.mixing, trial.treatment_index)
+    t = np.asarray(t_grid, dtype=float)[:, None]
+    u = a + t * (b + c * t)
+    return np.mean(_norm_cdf((u - trial.location) / trial.scale), axis=1)
 
 
 def _effective_bounds(lo, hi, undefined):

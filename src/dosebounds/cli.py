@@ -157,10 +157,12 @@ def _load_training_table(path: str):
         raise UsageError(
             f"{path}: expected covariate columns followed by 't' and 'y', got {names}"
         )
-    y = data[:, -1]
+    t, y = data[:, -2], data[:, -1]
+    if np.any((t < 0.0) | (t > 1.0)):
+        raise UsageError(f"{path}: doses 't' must lie in [0, 1]; quantile-normalize them first")
     if np.any((y != 0.0) & (y != 1.0)):
         raise UsageError(f"{path}: column 'y' must hold binary outcomes (0 or 1)")
-    return data[:, :-2], data[:, -2], y
+    return data[:, :-2], t, y
 
 
 def _require_positive(args, *flags: str) -> None:

@@ -137,13 +137,7 @@ class BetaPropensity:
 
 def _compound_shapes(propensity: BetaPropensity, t, r):
     """Shape pair (a, b) of q, the propensity reweighed by the trust weight at t."""
-    # written as trust shape + 1.0, less 2.0 for the product, + 1.0 for the
-    # shape: the shorter alpha_bar + r * t rounds about 2% of random shapes
-    # an ulp differently, which would move every stored reference
-    return (
-        propensity.alpha_bar + (r * t + 1.0) - 2.0 + 1.0,
-        propensity.beta_bar + (r * (1.0 - t) + 1.0) - 2.0 + 1.0,
-    )
+    return propensity.alpha_bar + r * t, propensity.beta_bar + r * (1.0 - t)
 
 
 def _folded_power_bounds(a, b, gamma):

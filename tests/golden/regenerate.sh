@@ -3,20 +3,24 @@
 # summary.json and trials.csv of each tests/golden/<case>, and the five
 # bounds.csv files and the shared models.json of tests/golden_bounds, and
 # the per-layer digests of tests/golden/kernels.json.
-# It prints the manifest entries that moved.  Run it from the repository
-# root, only for a change that moves the numbers on purpose, and say so in
-# CHANGES.md:
+# It prints, for each reference CSV, how many numeric cells moved and the
+# largest relative move, then the manifest entries that moved.  Run it from
+# the repository root, only for a change that moves the numbers on purpose,
+# and say so in CHANGES.md:
 #
 #     sh tests/golden/regenerate.sh
 set -eu
 run() { PYTHONPATH=src python3 -m dosebounds.cli "$@" >/dev/null; }
 
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/before"
+cp -R tests/golden tests/golden_bounds "$tmp/before/"
+
 for config in tests/golden/*/config.json; do
     run benchmark --config "$config" --out "$(dirname "$config")"
 done
 
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
 run dgp --trial --seed 0 --out "$tmp/bundle"
 bounds() {
     run bounds --data "$tmp/bundle/train.csv" --gamma 1.5 --out "$tmp/out" "$@"
@@ -28,5 +32,38 @@ done
 bounds --model deltamsm --target capo --instance 0
 cp "$tmp/out/bounds.csv" tests/golden_bounds/capo_deltamsm.csv
 cp "$tmp/out/models.json" tests/golden_bounds/models.json
+
+# A moved cell is one whose number changed; its relative move is
+# |new - old| / |old| (inf where old is 0).
+python3 - "$tmp/before" <<'EOF'
+import csv
+import math
+import sys
+from pathlib import Path
+
+before = Path(sys.argv[1])
+for old_path in sorted(before.rglob("*.csv")):
+    rel = old_path.relative_to(before)
+    rows = []
+    for path in (old_path, Path("tests") / rel):
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows.append(list(csv.reader(handle)))
+    if [len(row) for row in rows[0]] != [len(row) for row in rows[1]]:
+        print(f"tests/{rel}: the table's shape changed")
+        continue
+    moved, largest, text = 0, 0.0, 0
+    for old_row, new_row in zip(*rows):
+        for old, new in zip(old_row, new_row):
+            try:
+                x, y = float(old), float(new)
+            except ValueError:
+                text += old != new
+                continue
+            if x != y and not (math.isnan(x) and math.isnan(y)):
+                moved += 1
+                largest = max(largest, abs(y - x) / abs(x) if x else math.inf)
+    extra = f", {text} text cells changed" if text else ""
+    print(f"tests/{rel}: {moved} numeric cells moved, largest relative move {largest:.3g}{extra}")
+EOF
 
 PYTHONPATH=src python3 tests/layer_manifest.py

@@ -286,6 +286,26 @@ class TestBounds:
         assert run("bounds", "--data", data, "--model", "uniform", "--gamma", 2) == 2
         assert "column 'y' must hold binary outcomes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dose", [-0.01, 1.01, 100.0])
+    def test_dose_outside_the_unit_interval_is_a_usage_error(
+        self, tmp_path, capsys, no_fitting, dose
+    ):
+        data = tmp_path / "train.csv"
+        fileio.write_csv(str(data), ["x0", "t", "y"], [[0.1, 0.5, 1.0], [0.2, dose, 0.0]])
+        assert run("bounds", "--data", data, "--model", "deltamsm", "--gamma", 1.5,
+                   "--out", tmp_path) == 2
+        assert "quantile-normalize" in capsys.readouterr().err
+        assert not (tmp_path / "bounds.csv").exists()
+
+    def test_doses_at_the_interval_ends_are_accepted(self, tmp_path):
+        x, t, y = write_training_csv(tmp_path / "seed.csv")
+        t[:2] = 0.0, 1.0
+        data = tmp_path / "train.csv"
+        fileio.write_csv(str(data), ["x0", "t", "y"], np.column_stack([x, t, y]).tolist())
+        assert run("bounds", "--data", data, "--model", "uniform", "--gamma", 1.5,
+                   "--out", tmp_path) == 0
+        assert (tmp_path / "bounds.csv").exists()
+
     def test_non_finite_table_value_is_a_usage_error(self, tmp_path, capsys, no_fitting):
         data = tmp_path / "train.csv"
         data.write_text("x0,t,y\n0.1,0.5,1\nnan,0.4,0\n")

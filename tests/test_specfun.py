@@ -12,6 +12,7 @@ from dosebounds.checks import integrate
 from dosebounds.models import PROPENSITY_CAP
 from dosebounds.specfun import (
     DomainError,
+    NumericError,
     digamma,
     erf,
     hyp1f1,
@@ -294,7 +295,79 @@ class TestHyp1F1Grid:
             hyp1f1_terms(-1.0)
 
 
+def scalar_beta_cf(a, b, x):
+    """Scalar modified Lentz iteration, one entry per call."""
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    d = 1.0 / (tiny if abs(d) < tiny else d)
+    h = d
+    for m in range(1, 301):
+        m2 = 2 * m
+        for coeff in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + coeff * d
+            d = 1.0 / (tiny if abs(d) < tiny else d)
+            c = 1.0 + coeff / c
+            c = tiny if abs(c) < tiny else c
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            return h
+    raise AssertionError("scalar continued fraction stalled")
+
+
+def scalar_reg_inc_beta(a, b, x):
+    """Oracle for ``reg_inc_beta``: one scalar continued fraction per call."""
+    if x in (0.0, 1.0):
+        return x
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log1p(-x)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * scalar_beta_cf(a, b, x) / a
+    return 1.0 - front * scalar_beta_cf(b, a, 1.0 - x) / b
+
+
 class TestRegIncBeta:
+    def test_matches_the_scalar_continued_fraction(self):
+        # the continued fraction is the same arithmetic; numpy's exp, log and
+        # log1p in the prefactor move 61 of these 1,000 values, by at most
+        # 1.6e-15, and 1e-14 is about 45 ulps of 1
+        rng = np.random.default_rng(11)
+        a, b = rng.uniform(0.5, 30.0, size=(2, 1000))
+        x = np.concatenate([rng.uniform(0.0, 1.0, size=990), [0.0, 1.0], np.full(8, 0.5)])
+        want = [scalar_reg_inc_beta(*args) for args in zip(a, b, x)]
+        np.testing.assert_allclose(reg_inc_beta(a, b, x), want, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("random_x", [False, True])
+    def test_one_element_calls_equal_the_batch(self, random_x):
+        rng = np.random.default_rng(12)
+        a, b = rng.uniform(0.5, 30.0, size=(2, 250))
+        x = rng.uniform(0.0, 1.0, size=250) if random_x else np.full(250, 0.5)
+        batch = reg_inc_beta(a, b, x)
+        solo = [reg_inc_beta(*args) for args in zip(a, b, x)]
+        assert all(isinstance(v, float) for v in solo)
+        np.testing.assert_array_equal(solo, batch)
+
+    def test_a_stalled_entry_raises(self):
+        # about sqrt(1e7) steps would be needed; the iteration stops at 300
+        with pytest.raises(NumericError):
+            reg_inc_beta(1e7, 1e7, 0.5)
+        with pytest.raises(NumericError):
+            reg_inc_beta(np.array([2.0, 1e7, 3.0]), np.array([5.0, 1e7, 4.0]), 0.5)
+        assert np.all(np.isfinite(reg_inc_beta(np.array([2.0, 3.0]), np.array([5.0, 4.0]), 0.5)))
+
+    def test_empty_and_shaped_inputs(self):
+        assert reg_inc_beta(np.array([]), 2.0, 0.5).shape == (0,)
+        grid = np.array([[0.0, 0.3], [1.0, 0.9]])
+        got = reg_inc_beta(2.0, 3.0, grid)
+        assert got.shape == (2, 2)
+        np.testing.assert_array_equal(got, [[reg_inc_beta(2.0, 3.0, v) for v in r] for r in grid])
+
     def test_quadrature_anchor(self):
         oracle = integrate(lambda tau: beta_pdf(tau, 2.0, 5.0), 0.0, 0.4)
         assert reg_inc_beta(2.0, 5.0, 0.4) == pytest.approx(oracle, abs=1e-9)
