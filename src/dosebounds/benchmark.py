@@ -10,12 +10,12 @@ dose-response curve, and scored by how much information the resulting
 ignorance band gives away (average Bernoulli KL from truth to the points of
 the band).  Lower cost at equal coverage is better.
 
-Calibration builds one band point per dose and bisection round, not whole
-gamma columns: a dose's band nests as gamma grows, so every dose bisects
-for its first covered column at once (``_calibrate_from_tables``), in
-ceil(log2(n + 1)) rounds for n gammas, and one more call builds the picked
-column.  A band point does not depend on which other points share its
-call, so every score equals that of a full sweep bit for bit.
+Calibration bisects the coverage curve, not whole gamma grids: a dose's
+band nests as gamma grows, so coverage never falls from one gamma column to
+the next, and one bisection over the columns (``_calibrate_from_tables``)
+builds at most ceil(log2(n + 1)) of n columns, each over every dose in one
+call.  A band point does not depend on which other points share its call,
+so every score equals that of a full sweep bit for bit.
 
 Trials are independent: every trial derives its own named random substreams
 from the benchmark seed, so reports are bit-identical across reruns.  They
@@ -342,25 +342,16 @@ def divergence_cost(p_true, curve: IntervalCurve) -> float:
 
 
 def coverage(p_true, lo, hi, undefined):
-    """Share of doses whose true value the band contains.
-
-    ``lo``, ``hi`` and ``undefined`` hold one band over the dose grid of
-    ``p_true``, or (doses, gammas) tables with one share per gamma column.
-    Flagged points count as covered: their interval is vacuously unbounded.
+    """Share of doses whose true value the band over the dose grid of
+    ``p_true`` contains.  Flagged points count as covered: their interval is
+    vacuously unbounded.
     """
     p = np.asarray(p_true, dtype=float)
     lo = np.asarray(lo, dtype=float)
-    if p.shape != lo.shape[:1]:
+    if p.shape != lo.shape:
         raise ValueError("p_true must match the band's dose grid")
-    p = p.reshape(p.shape + (1,) * (lo.ndim - 1))
-    return np.mean(_covers(p, lo, hi, undefined), axis=0)
-
-
-def _covers(p, lo, hi, undefined):
-    """Whether each band point holds its true value ``p``; a flagged point
-    counts as covered, since its interval is vacuously unbounded."""
     with np.errstate(invalid="ignore"):
-        return ((lo <= p) & (p <= hi)) | undefined
+        return np.mean(((lo <= p) & (p <= hi)) | undefined)
 
 
 @dataclass(frozen=True)
@@ -407,36 +398,32 @@ def _calibrate_from_tables(
     """Smallest grid gamma reaching the target coverage, and its cost.
 
     A dose's band nests as gamma grows, and a point that loses its divisor
-    floor stays flagged, so each dose is covered from its first covered
-    column on, and the coverage at column j is the share of doses whose
-    first covered column is at most j.  Every dose bisects for that column
-    at once: a round makes one ``_band_points`` call, with one point per
-    dose still open, at the middle column of its open range, so n gammas
-    take ceil(log2(n + 1)) rounds.  The pick is the first column whose
-    coverage reaches the target.  One more call builds the picked column's
-    band, which gives the reported coverage, the flags and the cost.
+    floor stays flagged, so coverage never falls from one gamma column to
+    the next.  One bisection over the columns finds the first that reaches
+    the target: a round makes one ``_band_points`` call that builds the
+    middle column of the open range over every dose, and halves the range
+    by that column's coverage, so n gammas take at most ceil(log2(n + 1))
+    rounds.  The search ends having built the picked column, whose band
+    gives the reported coverage, the flags and the cost.
     A method that never reaches the target keeps the largest gamma, takes an
     "uncalibrated" flag, and is charged for the fully ignorant band: the cost
     measures the price of the target coverage, and a band that never attains
     it only certifies the vacuous interval.
     """
     engine = DivisorEngine(sensitivity_model_for(method), propensity_params)
+    doses = np.arange(len(t_grid))
     n = len(gammas)
-    # each dose's first covered column lies in [left, right]; n means none
-    left = np.zeros(len(t_grid), dtype=int)
-    right = np.full(len(t_grid), n)
-    while (rows := np.flatnonzero(left < right)).size:
-        mid = (left[rows] + right[rows]) // 2
-        band = _band_points(engine, prob_matrix, t_grid, rows, gammas[mid])
-        covered = _covers(p_true[rows], *band)
-        right[rows] = np.where(covered, mid, right[rows])
-        left[rows] = np.where(covered, left[rows], mid + 1)
-    reached = np.mean(left[:, None] <= np.arange(n), axis=0) >= target
-    calibrated = bool(reached[-1])
-    pick = int(np.argmax(reached)) if calibrated else n - 1
-    lo, hi, undefined = _band_points(
-        engine, prob_matrix, t_grid, np.arange(len(t_grid)), np.full(len(t_grid), gammas[pick])
-    )
+    # the first column reaching the target lies in [left, right]; n means none
+    left, right = 0, n
+    while left < right:
+        mid = (left + right) // 2
+        band = _band_points(engine, prob_matrix, t_grid, doses, np.full(len(doses), gammas[mid]))
+        reached = coverage(p_true, *band) >= target
+        # a search that never reaches the target ends on column n - 1
+        if reached or mid == n - 1:
+            pick, (lo, hi, undefined) = mid, band
+        left, right = (left, mid) if reached else (mid + 1, right)
+    calibrated = left < n
     flags = [] if calibrated else ["uncalibrated"]
     if undefined.any():
         flags.append("undefined_points")

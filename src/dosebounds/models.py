@@ -20,6 +20,7 @@ finite-difference tests and perfbench's layer counts, not training.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +79,9 @@ class TrainConfig:
     def __post_init__(self):
         require_integer_fields(self, "batches", "epochs", "seed")
         require_real_fields(self, "learning_rate")
-        if self.learning_rate <= 0.0 or self.batches < 1 or self.epochs < 0:
-            raise ValueError("learning_rate > 0, batches >= 1, epochs >= 0 required")
+        # nan fails both comparisons, and json reads Infinity and NaN
+        if not (0.0 < self.learning_rate < math.inf) or self.batches < 1 or self.epochs < 0:
+            raise ValueError("0 < learning_rate < inf, batches >= 1, epochs >= 0 required")
 
 
 def _sigmoid(u):
@@ -250,11 +252,11 @@ def _adam(grad_fn, params, config: TrainConfig, n_samples: int) -> np.ndarray:
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     step = 0
-    # np.array_split's partition, computed once; batches beyond n_samples are empty
+    # np.array_split's partition, computed once; batches beyond n_samples
+    # would be empty, so there are at most n_samples of them
     spans = [
         (part[0], part[-1] + 1)
-        for part in np.array_split(np.arange(n_samples), config.batches)
-        if len(part)
+        for part in np.array_split(np.arange(n_samples), min(config.batches, n_samples))
     ]
     for _ in range(config.epochs):
         order = rng.permutation(n_samples)

@@ -354,9 +354,6 @@ class TestCoverage:
         p_true = [0.3, 0.7, 0.2]
         lo, hi, undefined = [0.2, 0.2, 0.2], [0.6, 0.6, 0.6], [False] * 3
         assert bm.coverage(p_true, lo, hi, undefined) == pytest.approx(2.0 / 3.0)
-        # (doses, gammas) tables give one share per gamma column
-        tables = [[0.2, 0.1], [0.2, 0.1], [0.2, 0.1]], [[0.6, 0.8]] * 3, [[False] * 2] * 3
-        np.testing.assert_array_equal(bm.coverage(p_true, *tables), [2.0 / 3.0, 1.0])
 
     def test_flagged_points_count_as_covered(self):
         assert bm.coverage([0.9, 0.9], [0.2, np.nan], [0.3, np.nan], [False, True]) == 0.5
@@ -489,7 +486,8 @@ class TestCalibrateGamma:
 
 
 def full_scan_score(method, propensity_params, prob_matrix, p_true, t_grid, gammas, target):
-    """Calibration by scanning every gamma column: the oracle for the search."""
+    """Calibration by scanning every gamma column, the oracle for the search,
+    and the coverage of every column."""
     engine = DivisorEngine(bm.sensitivity_model_for(method), propensity_params)
     lo, hi, undefined = apo_band_matrix(engine, prob_matrix, t_grid, gammas)
     with np.errstate(invalid="ignore"):
@@ -511,13 +509,14 @@ def full_scan_score(method, propensity_params, prob_matrix, p_true, t_grid, gamm
         )
     else:
         curve = IntervalCurve(t_grid, lo[:, pick], hi[:, pick], undefined[:, pick])
-    return bm.MethodScore(
+    score = bm.MethodScore(
         method=method,
         gamma_star=float(gammas[pick]),
         coverage=float(covered[pick]),
         cost=bm.divergence_cost(p_true, curve),
         flags=tuple(flags),
     )
+    return score, covered
 
 
 def trial_tables(raw, config, train_config, trial_id):
@@ -555,34 +554,42 @@ def reduced_tables():
 
 
 def search_and_scan(tables, gammas, target, methods=bm.DEFAULT_METHODS):
-    """(search score, full-scan score) pairs for every method on one trial."""
+    """(search score, full-scan score, full-scan coverage per column) for
+    every method on one trial."""
     propensity, prob_matrix, p_true, t_grid = tables
     return [
         (
             bm._calibrate_from_tables(
                 method, propensity, prob_matrix, p_true, t_grid, gammas, target
             ),
-            full_scan_score(method, propensity, prob_matrix, p_true, t_grid, gammas, target),
+            *full_scan_score(method, propensity, prob_matrix, p_true, t_grid, gammas, target),
         )
         for method in methods
     ]
 
 
 class TestCalibrationSearch:
-    """The per-dose bisection picks what a scan of every column picks, with
-    bitwise-equal coverage and cost, and its band points are the grid's."""
+    """The bisection of the coverage curve picks what a scan of every column
+    picks, with bitwise-equal coverage and cost, and its band points are the
+    grid's."""
 
-    def assert_same(self, pairs):
-        for got, want in pairs:
+    def assert_same(self, results):
+        for got, want, _ in results:
             assert got == want
             assert got.cost.hex() == want.cost.hex()
+
+    def assert_coverage_never_falls(self, results):
+        # the search's premise: coverage never falls as gamma grows
+        for _, _, covered in results:
+            assert np.all(np.diff(covered) >= 0.0)
 
     def test_matches_the_full_scan_on_fifty_reduced_trials(self, reduced_tables):
         seen = set()
         for tables in reduced_tables:
-            pairs = search_and_scan(tables, REDUCED.gamma_grid(), REDUCED.target_coverage)
-            self.assert_same(pairs)
-            for got, _ in pairs:
+            results = search_and_scan(tables, REDUCED.gamma_grid(), REDUCED.target_coverage)
+            self.assert_same(results)
+            self.assert_coverage_never_falls(results)
+            for got, _, _ in results:
                 seen.update(got.flags)
                 seen.add("interior" if 1.0 < got.gamma_star < REDUCED.gamma_max else "edge")
         assert seen == {"uncalibrated", "undefined_points", "interior", "edge"}
@@ -593,9 +600,10 @@ class TestCalibrationSearch:
         flags = set()
         for trial_id in range(12):
             tables = trial_tables(raw, config, TrainConfig(), trial_id)
-            pairs = search_and_scan(tables, config.gamma_grid(), config.target_coverage)
-            self.assert_same(pairs)
-            flags.update(flag for got, _ in pairs for flag in got.flags)
+            results = search_and_scan(tables, config.gamma_grid(), config.target_coverage)
+            self.assert_same(results)
+            self.assert_coverage_never_falls(results)
+            flags.update(flag for got, _, _ in results for flag in got.flags)
         assert flags == {"uncalibrated", "undefined_points"}
 
     @pytest.mark.parametrize("size", [2, 3, 4, 8, 17, 100])
@@ -606,26 +614,38 @@ class TestCalibrationSearch:
             self.assert_same(search_and_scan(tables, gammas, target))
 
     @pytest.mark.parametrize("size", [2, 3, 4, 8, 17, 100])
-    def test_bisects_each_dose_once_per_round(self, reduced_tables, monkeypatch, size):
-        rounds = []
+    def test_bisects_the_coverage_curve_one_column_per_round(
+        self, reduced_tables, monkeypatch, size
+    ):
+        calls = []
 
         def counting(engine, prob_matrix, t_grid, dose_idx, gammas):
-            rounds.append(np.array(dose_idx))
-            return _band_points(engine, prob_matrix, t_grid, dose_idx, gammas)
+            band = _band_points(engine, prob_matrix, t_grid, dose_idx, gammas)
+            calls.append((np.array(dose_idx), np.array(gammas), band))
+            return band
 
         monkeypatch.setattr(bm, "_band_points", counting)
         gammas = np.linspace(1.0, REDUCED.gamma_max, size)
-        # ceil(log2(n + 1)) bisection rounds, then the picked column's band
-        budget = math.ceil(math.log2(size + 1)) + 1
+        doses = np.arange(REDUCED.t_grid_size)
         for tables in reduced_tables[:8]:
             for target in (0.0, 0.5, 0.8, 1.0):
                 for method in bm.DEFAULT_METHODS:
-                    rounds.clear()
+                    calls.clear()
                     bm._calibrate_from_tables(method, *tables, gammas, target)
-                    assert 1 <= len(rounds) <= budget
-                    assert sum(map(len, rounds)) <= REDUCED.t_grid_size * budget
-                    for doses in rounds:
-                        assert len(np.unique(doses)) == len(doses)
+                    assert 1 <= len(calls) <= math.ceil(math.log2(size + 1))
+                    # replayed: each call builds the middle column of the
+                    # open range over every dose, and none follows the search
+                    left, right = 0, size
+                    for dose_idx, point_gammas, band in calls:
+                        assert left < right
+                        mid = (left + right) // 2
+                        np.testing.assert_array_equal(dose_idx, doses)
+                        assert np.all(point_gammas == gammas[mid])
+                        if bm.coverage(tables[2], *band) >= target:
+                            right = mid
+                        else:
+                            left = mid + 1
+                    assert left == right
 
     def test_band_points_are_the_grid_entries(self):
         # at random (dose, gamma) points of default trials 0 and 3, flagged

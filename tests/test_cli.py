@@ -1,6 +1,7 @@
 """End-to-end command line tests; every command is exercised through main()."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -566,6 +567,16 @@ class TestConfigTypes:
         config = config_with(tmp_path, key, value)
         assert run("benchmark", "--config", config, "--out", tmp_path) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["Infinity", "NaN"])
+    def test_non_finite_learning_rate_is_a_usage_error(
+        self, tmp_path, capsys, no_fitting, value
+    ):
+        # json reads Infinity and NaN; neither may reach training
+        config = config_with(tmp_path, "train.lr", value)
+        assert run("benchmark", "--config", config, "--out", tmp_path) == 2
+        assert "learning_rate" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
     @pytest.mark.parametrize(

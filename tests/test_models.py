@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,20 @@ class TestGradientOnlySteps:
                 for got, part in zip(seen, want):
                     assert got.dtype == part.dtype and np.array_equal(got, part)
 
+    def test_batches_beyond_the_row_count_fit_as_one_row_each(self):
+        x, t, y, _ = synthetic_outcome_data(11, n=40)
+        fits = set()
+        for batches in (40, 41, 400):
+            config = TrainConfig(epochs=3, batches=batches)
+            outcome = fit_outcome(x, t, y, config)
+            propensity = fit_propensity(x, t, config)
+            fits.add((
+                bits(np.append(outcome.weights, outcome.bias)),
+                bits(np.append(propensity.alpha_weights, propensity.alpha_bias)),
+                bits(np.append(propensity.beta_weights, propensity.beta_bias)),
+            ))
+        assert len(fits) == 1
+
 
 class TestFitting:
     def test_outcome_fit_recovers_generating_probabilities(self):
@@ -301,6 +317,9 @@ class TestFitting:
             fit_propensity(np.zeros((0, 1)), np.zeros(0))
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+        for rate in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=rate)
         with pytest.raises(ValueError):
             TrainConfig(batches=0)
         # ADAM's moment rates and epsilon are module constants, not settings
