@@ -391,6 +391,9 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
+        out = getattr(args, "out", None)
+        if out is not None and os.path.exists(out) and not os.path.isdir(out):
+            raise UsageError(f"--out must name a directory, but {out} is a file")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ proposal) and is the oracle the closed form is tested against.
 One kernel, ``_bernoulli_extremes``, computes every binary-outcome band
 point, dropping and flagging instances whose divisor floor is not
 positive.  ``apo_band_matrix`` feeds it a dose's gamma column for the
-(dose, gamma) grid, and ``_band_points`` a block of matched points, with
+(dose, gamma) grid, and ``_band_points`` a set of matched points, with
 the grid's bits, for calibration.  The curves are grid columns at one
 gamma for a ``FittedModels``: ``capo_interval`` conditions on one
 covariate row, ``apo_interval`` pools a whole instance set, and
@@ -347,35 +347,17 @@ def apo_band_matrix(engine: DivisorEngine, prob_matrix, t_grid, gamma_grid):
     return lo, hi, undefined
 
 
-# _band_points takes as many points per block as fill this many bytes of one
-# (points, instances) table of doubles: 16 points of 250 instances.  The
-# largest array of a block, DeltaMSM's 1F1 coefficient table, holds 2 K such
-# tables (points x K terms x 2 instances, K = 18 at gamma 2.5).  A default
-# trial's DeltaMSM calibration peaks at 1.8 MB traced in these blocks, and at
-# 9.4 MB with its 100-point rounds unblocked.
-_BLOCK_BYTES = 32 * 1024
-
-
 def _band_points(engine: DivisorEngine, prob_matrix, t_grid, dose_idx, gammas):
     """``apo_band_matrix`` at matched points: point k is the dose
     t_grid[dose_idx[k]] under the budget gammas[k].
 
     Returns flat (lo, hi, undefined) arrays, one entry per point, bit for bit
-    the grid's entries there.  Each block asks the engine for (points,
-    instances) divisors at the points' doses and gammas, which every model
-    computes elementwise, and pools and flags them in one
-    ``_bernoulli_extremes`` call.
+    the grid's entries there.  The engine gives (points, instances) divisors
+    at the points' doses and gammas, which every model computes elementwise,
+    and one ``_bernoulli_extremes`` call pools and flags them.
     """
-    lo = np.empty(len(dose_idx))
-    hi = np.empty(len(dose_idx))
-    undefined = np.empty(len(dose_idx), dtype=bool)
-    step = max(1, _BLOCK_BYTES // (8 * prob_matrix.shape[1]))
-    for start in range(0, len(dose_idx), step):
-        block = slice(start, start + step)
-        rows = dose_idx[block]
-        d_lo, d_hi = engine.bounds(t_grid[rows, None], gammas[block, None])
-        lo[block], hi[block], undefined[block] = _bernoulli_extremes(prob_matrix[rows], d_lo, d_hi)
-    return lo, hi, undefined
+    d_lo, d_hi = engine.bounds(t_grid[dose_idx, None], gammas[:, None])
+    return _bernoulli_extremes(prob_matrix[dose_idx], d_lo, d_hi)
 
 
 def cacd_interval(capo_curve: IntervalCurve, h: float) -> IntervalCurve:

@@ -142,11 +142,11 @@ def _compound_shapes(propensity: BetaPropensity, t, r):
 
 def _folded_power_bounds(a, b, gamma):
     """(E_q[Gamma^-|tau|], E_q[Gamma^|tau|]) for q = Beta(a, b), then the same
-    pair for its mirror Beta(b, a), all four from one ``_beta_mgf_pair`` table.
+    pair for its mirror Beta(b, a), all four from one ``_beta_mgf_pair`` call.
 
     With s = log(Gamma), up = E_q[e^(s tau)] and mirror = E_q[e^(s (1 - tau))],
     q's pair is (e^-s mirror, up); the mirror law is that of 1 - tau, so its
-    pair is (e^-s up, mirror).  gamma and q follow ``_beta_mgf_pair``'s rule.
+    pair is (e^-s up, mirror).  gamma and q broadcast.
     """
     s = np.log(gamma)
     up, mirror = _beta_mgf_pair(a, b, s)
@@ -156,42 +156,20 @@ def _folded_power_bounds(a, b, gamma):
 
 def _beta_mgf_pair(a, b, s):
     """(E_q[e^(s tau)], E_q[e^(s (1 - tau))]) for q = Beta(a, b) and s >= 0,
-    shaped like q and s broadcast.
+    with q and s broadcast.
 
     These are 1F1(a; a+b; s) and 1F1(b; a+b; s); since 1 - tau ~ Beta(b, a),
     e^-s times the second is E_q[e^(-s tau)], which is Kummer's
-    transformation.  Both come from one ``specfun.hyp1f1_grid`` table over
-    the s values and the shape pairs (a, a+b), (b, a+b).  On the axes up to
-    the last one s varies on, either q has extent 1, and one row of shapes
-    serves every s (a gamma column against a row of instances, or either
-    one a scalar); or q has s's extents, and each s reads its own row of
-    shapes from q's remaining axes (matched (dose, gamma) points against
-    instances).  Other pairings raise ``ValueError``.  Either way the
-    broadcast shape runs over s in the outer index and q in the inner, as
-    the table's rows and columns do, so each half is a reshaped slice of the
-    table, holding the same bits as a gather of the matching entries.
-    Scalar s and q give floats.
+    transformation.  Both come from one elementwise ``specfun.hyp1f1`` call
+    over the stacked shape pair (a, b), so each entry holds the bits of its
+    one-element call.  Scalar s and q give floats.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    s = np.asarray(s, dtype=float)
-    ndim = max(s.ndim, a.ndim)
-    s_dims = (1,) * (ndim - s.ndim) + s.shape
-    q_dims = (1,) * (ndim - a.ndim) + a.shape
-    split = max((i + 1 for i, n in enumerate(s_dims) if n != 1), default=0)
-    matched = q_dims[:split] == s_dims[:split]
-    if not matched and any(n != 1 for n in q_dims[:split]):
-        raise ValueError(
-            "q must repeat along every axis up to the last one s varies on, or match s "
-            f"there; got s shape {s.shape} and q shape {a.shape}"
-        )
-    shape = s_dims[:split] + q_dims[split:]
-    rows = s.size if matched else 1
-    a, b = a.reshape(rows, -1), b.reshape(rows, -1)
-    c = a + b
-    table = specfun.hyp1f1_grid(np.concatenate([a, b], axis=1), np.concatenate([c, c], axis=1), s)
-    half = table.shape[1] // 2
-    # [()] turns a 0-d result into a float and leaves arrays as they are
-    return table[:, :half].reshape(shape)[()], table[:, half:].reshape(shape)[()]
+    # a leading pair axis keeps the shapes' own axes innermost, and s aligns
+    # with them once q has at least s's axes
+    a, b = (x.reshape((1,) * (np.ndim(s) - x.ndim) + x.shape) for x in (a, b))
+    up, mirror = specfun.hyp1f1(np.stack([a, b]), a + b, s)
+    return up, mirror
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,18 @@
 """Self-contained special functions on the run path.
 
 Every function here is one that a benchmark trial or a ``bounds`` call
-evaluates, except the scalar ``hyp1f1`` (its docstring says why it stays).
-The module sticks to stdlib ``math`` plus numpy and implements the special
-functions directly:
+evaluates.  The module sticks to stdlib ``math`` plus numpy and implements
+the special functions directly:
 
 * ``log_gamma`` and ``erf`` wrap ``math.lgamma`` / ``math.erf`` (vectorised),
 * ``digamma`` shifts every argument by the same 10 recurrence steps, with
   no data test, then applies the asymptotic series; measured against
   mpmath, its error is at most 1e-15 * max(1, |psi(x)| + 1/x) on (0, 200],
-* ``hyp1f1`` (confluent hypergeometric) uses the Taylor series with the
-  Kummer reflection for negative arguments, summed until it converges; it
-  is the elementwise oracle for ``hyp1f1_grid``,
-* ``hyp1f1_grid`` tabulates 1F1(a; c; s) for 0 <= a <= c and s >= 0 over
-  each s and one table of shapes (one row shared by every s, or one row per
-  s), one matrix-vector product of scaled powers s^k/k! and Pochhammer
-  ratios (a)_k/(c)_k per s.  Each term is at most s^k/k! and the sum is at
-  least 1, so the tail after K terms is below s^K/K! / (1 - s/(K+1)) relative;
-  ``_hyp1f1_terms`` fixes each s's own K so that this bound is at most
-  2^-53, with no convergence test,
+* ``hyp1f1`` sums the Taylor series of 1F1(a; c; s) for 0 <= a <= c and
+  s >= 0 entry by entry.  Each term is at most s^k/k! and the sum is at
+  least 1, so the tail after K terms is below s^K/K! / (1 - s/(K+1))
+  relative; ``_hyp1f1_terms`` fixes each s's own K so that this bound is at
+  most 2^-53, with no convergence test,
 * ``reg_inc_beta`` runs one modified Lentz iteration of the continued
   fraction over all its entries, each stopping at its own convergence.
 
@@ -39,7 +33,6 @@ __all__ = [
     "digamma",
     "erf",
     "hyp1f1",
-    "hyp1f1_grid",
     "reg_inc_beta",
 ]
 
@@ -137,53 +130,6 @@ def digamma(x):
     return _ret(out, scalar)
 
 
-_HYP1F1_MAX_TERMS = 10_000
-
-
-def hyp1f1(a, b, z):
-    """Confluent hypergeometric function 1F1(a; b; z) for b > 0.
-
-    Plain Taylor series in z; for z < 0 (where terms alternate) the Kummer
-    reflection 1F1(a;b;z) = e^z 1F1(b-a;b;-z) restores an all-positive series
-    whenever b > a.  Inputs broadcast elementwise.
-
-    No package code calls it: bands and divisors use ``hyp1f1_grid``, and
-    this series is the tests' elementwise oracle for that table.  It stays
-    here because perfbench's tracer patches ``specfun.hyp1f1`` by name; it
-    moves to a test helper once the tracer patches ``hyp1f1_grid`` instead.
-    """
-    aa, a_scalar = _as_floats(a, "a")
-    bb, b_scalar = _as_floats(b, "b")
-    zz, z_scalar = _as_floats(z, "z")
-    if np.any(bb <= 0.0):
-        raise DomainError("hyp1f1 requires b > 0")
-    scalar = a_scalar and b_scalar and z_scalar
-    aa, bb, zz = np.broadcast_arrays(aa, bb, zz)
-    reflect = (zz < 0.0) & (bb - aa > 0.0)
-    a_eff = np.where(reflect, bb - aa, aa)
-    z_eff = np.where(reflect, -zz, zz)
-
-    term = np.ones_like(z_eff)
-    total = np.ones_like(z_eff)
-    converged_streak = 0
-    for k in range(_HYP1F1_MAX_TERMS):
-        term = term * (a_eff + k) * z_eff / ((bb + k) * (k + 1.0))
-        total = total + term
-        if np.all(np.abs(term) <= 1e-16 * np.abs(total)):
-            converged_streak += 1
-            if converged_streak >= 2:
-                break
-        else:
-            converged_streak = 0
-    else:
-        raise NumericError(
-            f"hyp1f1 series did not converge within {_HYP1F1_MAX_TERMS} terms",
-            value=_ret(np.where(reflect, np.exp(zz) * total, total).copy(), scalar),
-        )
-    out = np.where(reflect, np.exp(zz) * total, total)
-    return _ret(np.ascontiguousarray(out), scalar)
-
-
 # Relative truncation error that _hyp1f1_terms guarantees: the unit roundoff
 # of a double.
 HYP1F1_TAIL_BOUND = 2.0**-53
@@ -207,79 +153,47 @@ def _hyp1f1_terms(s_max: float, start: int = 1) -> int:
     return k
 
 
-def hyp1f1_grid(a, c, s) -> np.ndarray:
-    """Table of 1F1(a; c; s_i) over every s and its (a, c) pairs.
+def hyp1f1(a, c, s):
+    """Confluent hypergeometric function 1F1(a; c; s) for 0 <= a <= c,
+    c > 0 and s >= 0 (elementwise; inputs broadcast).
 
-    ``s`` is a flat list of arguments s >= 0.  ``a`` and ``c`` broadcast to
-    one (rows, M) table of shapes, with rows 1 (one set shared by every s)
-    or len(s) (a gamma paired with its dose's shapes); any array that is not
-    2-d is flattened into the one shared row.  Always 0 <= a <= c and
-    c > 0.  Returns the (len(s), M) table whose row i is one matrix-vector
-    product, s_pow[i, :K_i] @ coeff_i[:K_i], with s_pow[i, k] = s_i^k / k!,
-    coeff_i[k, j] = (a_j)_k / (c_j)_k over row i's shapes (the shared row,
-    if there is one) and K_i = ``_hyp1f1_terms(s_i)``.  Each coeff_i is a
-    contiguous (K, M) table and both tables fill their rows one after
-    another, so row i holds the bits of the one-s call on its s and its
-    shapes, whatever the other rows are.  Callers reach negative arguments
-    through Kummer's transformation (A&S 13.1.27), 1F1(a; c; -s) =
-    e^-s 1F1(c - a; c; s), which keeps every term positive.
+    Each entry sums its own K = ``_hyp1f1_terms(s)`` terms of the Taylor
+    series in ascending k, from term_0 = 1 with
+    term_(k+1) = term_k * ((a + k) / (c + k)) * (s / (k + 1)).  An entry
+    sees only elementwise operations over its own K terms, so it holds the
+    bits of its one-element call whatever else is in the call.  Callers
+    reach negative arguments through Kummer's transformation (A&S 13.1.27),
+    1F1(a; c; -s) = e^-s 1F1(c - a; c; s), which keeps every term positive.
     """
-    a, c = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(c, dtype=float))
-    s = np.ravel(np.asarray(s, dtype=float))
-    if a.ndim != 2:
-        a, c = a.reshape(1, -1), c.reshape(1, -1)
-    elif len(a) not in (1, s.size):
-        raise DomainError(f"hyp1f1_grid needs one row of shapes per s, got {len(a)} rows")
-    if not (np.isfinite(a).all() and np.isfinite(c).all() and np.isfinite(s).all()):
-        raise DomainError("hyp1f1_grid requires finite arguments")
-    if np.any(a < 0.0) or np.any(c < a) or np.any(c <= 0.0):
-        raise DomainError("hyp1f1_grid requires 0 <= a <= c and c > 0")
-    if np.any(s < 0.0):
-        raise DomainError("hyp1f1_grid requires s >= 0; use Kummer's transformation")
-    terms, n_terms = np.ones(s.size, dtype=int), 1
-    for i in np.argsort(s):  # up the sorted s, each count searched from the last
-        n_terms = terms[i] = _hyp1f1_terms(s[i], n_terms)
-    k = np.arange(n_terms - 1, dtype=float)
-    s_pow = np.ones((s.size, n_terms))
-    np.cumprod(s[:, None] / (k + 1.0), axis=1, out=s_pow[:, 1:])
-    coeff = _pochhammer_table(a, c, n_terms)
-    out = np.empty((s.size, a.shape[1]))
-    # with 1 or len(s) tables, table i % len(a) is row i's own or the shared one
-    for i, n in enumerate(terms):
-        np.dot(s_pow[i, :n], coeff[i % len(a), :n], out=out[i])
-    return out
-
-
-# _pochhammer_table forms its ratios (a + k) / (c + k) for a slab of k values
-# at a time, at most this many bytes: all k for one set of shapes over a few
-# hundred instances, a few k for a block of matched points.  With all k in
-# one slab, a default trial's DeltaMSM calibration faulted in about 29,000
-# pages per call, as malloc returned its table-sized temporaries to the
-# system, and took 2.8x the CPU time.
-_RATIO_SLAB_BYTES = 1 << 17
-
-
-def _pochhammer_table(a, c, n_terms: int) -> np.ndarray:
-    """(..., n_terms, M) table of (a_j)_k / (c_j)_k for ``a`` and ``c`` of
-    shape (..., M): one contiguous (n_terms, M) table per row of shapes.
-
-    Row k + 1 is row k times (a + k) / (c + k), one row at a time: the same
-    products in the same order as ``np.cumprod`` over the ratios' k axis,
-    so the same bits, and the first K rows do not depend on n_terms or on
-    the other rows of shapes.
-    """
-    coeff = np.empty(a.shape[:-1] + (n_terms, a.shape[-1]))
-    steps = coeff.swapaxes(0, -2)  # steps[k] is row k of every table
-    steps[0] = 1.0
-    slab = max(1, _RATIO_SLAB_BYTES // (8 * a.size))
-    for start in range(0, n_terms - 1, slab):
-        k = np.arange(start, min(start + slab, n_terms - 1), dtype=float)
-        k = k.reshape((-1,) + (1,) * a.ndim)
-        ratios = a + k
-        ratios /= c + k
-        for j, ratio in enumerate(ratios, start):
-            np.multiply(steps[j], ratio, out=steps[j + 1])
-    return coeff
+    a, c, s = (np.asarray(x, dtype=float) for x in (a, c, s))
+    # NaN fails every comparison, so these also reject non-finite arguments
+    if not ((a >= 0.0) & (a <= c) & (c > 0.0) & (c < math.inf)).all():
+        raise DomainError("hyp1f1 requires finite a and c with 0 <= a <= c and c > 0")
+    if not ((s >= 0.0) & (s < math.inf)).all():
+        raise DomainError("hyp1f1 requires a finite s >= 0; use Kummer's transformation")
+    # each s's own term count, searched up the sorted distinct values
+    flat = s.ravel().tolist()
+    n_terms, own_terms = 1, {}
+    for value in sorted(set(flat)):
+        n_terms = own_terms[value] = _hyp1f1_terms(value, n_terms)
+    # steps[k] = s / (k + 1) while term k + 1 is one of the entry's own, else
+    # 0, which ends its terms: from there on it adds exact zeros
+    next_k = np.arange(1.0, n_terms).reshape((-1,) + (1,) * s.ndim)
+    counts = np.reshape([own_terms[value] for value in flat], s.shape)
+    steps = np.where(counts > next_k, s / next_k, 0.0)
+    # buffers reused by every term: fresh temporaries of a calibration's
+    # (2, points, instances) size took 2.5x the time, as each was faulted in
+    ratio = np.empty(np.broadcast_shapes(a.shape, c.shape))
+    shifted_c = np.empty(c.shape)
+    term = np.ones(np.broadcast_shapes(ratio.shape, s.shape))
+    total = term.copy()
+    for k, step in enumerate(steps):
+        np.add(a, k, out=ratio)
+        ratio /= np.add(c, k, out=shifted_c)
+        term *= ratio
+        term *= step
+        total += term
+    return total if total.ndim else float(total)
 
 
 def _floored(v):

@@ -3,8 +3,9 @@
 # summary.json and trials.csv of each tests/golden/<case>, and the five
 # bounds.csv files and the shared models.json of tests/golden_bounds, and
 # the per-layer digests of tests/golden/kernels.json.
-# It prints, for each reference CSV, how many numeric cells moved and the
-# largest relative move, then the manifest entries that moved.  Run it from
+# It prints, for each reference CSV and for each summary.json and
+# models.json, how many numeric cells or leaves moved and the largest
+# relative move, then the manifest entries that moved.  Run it from
 # the repository root, only for a change that moves the numbers on purpose,
 # and say so in CHANGES.md:
 #
@@ -33,13 +34,43 @@ bounds --model deltamsm --target capo --instance 0
 cp "$tmp/out/bounds.csv" tests/golden_bounds/capo_deltamsm.csv
 cp "$tmp/out/models.json" tests/golden_bounds/models.json
 
-# A moved cell is one whose number changed; its relative move is
-# |new - old| / |old| (inf where old is 0).
+# A moved cell or JSON leaf is one whose number changed; its relative move
+# is |new - old| / |old| (inf where old is 0).
 python3 - "$tmp/before" <<'EOF'
 import csv
+import json
 import math
 import sys
 from pathlib import Path
+
+
+def report(rel, pairs, what):
+    """Print how many (old, new) pairs hold a number that moved, and the
+    largest relative move; other values that differ count as text."""
+    moved, largest, text = 0, 0.0, 0
+    for old, new in pairs:
+        try:
+            x, y = float(old), float(new)
+        except (TypeError, ValueError):
+            text += old != new
+            continue
+        if x != y and not (math.isnan(x) and math.isnan(y)):
+            moved += 1
+            largest = max(largest, abs(y - x) / abs(x) if x else math.inf)
+    extra = f", {text} text {what} changed" if text else ""
+    print(f"tests/{rel}: {moved} numeric {what} moved, largest relative move {largest:.3g}{extra}")
+
+
+def leaves(doc, path=()):
+    """{path: value} of every leaf of a JSON document; a boolean stays text."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return {path: str(doc) if isinstance(doc, bool) or doc is None else doc}
+    return {k: v for key, item in items for k, v in leaves(item, path + (key,)).items()}
+
 
 before = Path(sys.argv[1])
 for old_path in sorted(before.rglob("*.csv")):
@@ -51,19 +82,16 @@ for old_path in sorted(before.rglob("*.csv")):
     if [len(row) for row in rows[0]] != [len(row) for row in rows[1]]:
         print(f"tests/{rel}: the table's shape changed")
         continue
-    moved, largest, text = 0, 0.0, 0
-    for old_row, new_row in zip(*rows):
-        for old, new in zip(old_row, new_row):
-            try:
-                x, y = float(old), float(new)
-            except ValueError:
-                text += old != new
-                continue
-            if x != y and not (math.isnan(x) and math.isnan(y)):
-                moved += 1
-                largest = max(largest, abs(y - x) / abs(x) if x else math.inf)
-    extra = f", {text} text cells changed" if text else ""
-    print(f"tests/{rel}: {moved} numeric cells moved, largest relative move {largest:.3g}{extra}")
+    report(rel, [cell for pair in zip(*rows) for cell in zip(*pair)], "cells")
+for old_path in sorted(before.rglob("*.json")):
+    if old_path.name not in ("summary.json", "models.json"):
+        continue
+    rel = old_path.relative_to(before)
+    docs = [leaves(json.loads(path.read_text())) for path in (old_path, Path("tests") / rel)]
+    if docs[0].keys() != docs[1].keys():
+        print(f"tests/{rel}: the document's structure changed")
+        continue
+    report(rel, [(docs[0][key], docs[1][key]) for key in docs[0]], "leaves")
 EOF
 
 PYTHONPATH=src python3 tests/layer_manifest.py

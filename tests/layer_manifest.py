@@ -13,10 +13,9 @@ special functions under them.  Divisor cases cross a scalar and an array
 propensity with doses 0, 1 and interior, and with a scalar gamma, a gamma
 column and a one-gamma column.
 
-Entries that go through BLAS (training, the probability matrix, the 1F1
-table's matrix-vector product per row and everything downstream of them)
-hold on the machine and BLAS build that wrote them, as the other
-references do.
+Entries that go through BLAS (training, the probability matrix and
+everything downstream of them) hold on the machine and BLAS build that
+wrote them, as the other references do.
 
 Rewrite the manifest from the repository root with
 
@@ -70,9 +69,9 @@ def _special_functions(rng):
             "array": digest(specfun.reg_inc_beta(a, b, rng.uniform(0.0, 1.0, size=24))),
             "scalar": digest(specfun.reg_inc_beta(2.5, 7.0, 0.5)),
         },
-        "specfun.hyp1f1_grid": {
-            "table": digest(specfun.hyp1f1_grid(shapes, c, s)),
-            "one-s": digest(specfun.hyp1f1_grid(shapes, c, s[:1])),
+        "specfun.hyp1f1": {
+            "table": digest(specfun.hyp1f1(shapes, c, s[:, None])),
+            "one-s": digest(specfun.hyp1f1(shapes, c, s[:1, None])),
         },
     }
 

@@ -129,6 +129,20 @@ class TestDgp:
         assert "no data rows" in capsys.readouterr().err
         assert not recwarn.list
 
+    @pytest.mark.parametrize("trial", [False, True])
+    def test_out_that_names_a_file_exits_before_the_work(
+        self, tmp_path, capsys, monkeypatch, trial
+    ):
+        def reached(*args, **kwargs):
+            pytest.fail("an --out file reached the computation")
+
+        monkeypatch.setattr(bm, "synthetic_raw", reached)
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        assert run("dgp", *(["--trial"] if trial else []), "--out", out) == 2
+        assert f"--out must name a directory, but {out} is a file" in capsys.readouterr().err
+        assert out.read_text() == "keep\n"
+
 
 class TestBounds:
     def test_uniform_bounds_match_the_library_call(self, tmp_path):
@@ -333,6 +347,16 @@ class TestBounds:
         fileio.write_csv(str(bad), ["a", "b", "c"], [[1.0, 0.5, 1.0]])
         assert run("bounds", "--data", bad, "--model", "uniform", "--gamma", 2) == 2
 
+    def test_out_that_names_a_file_exits_before_fitting(self, tmp_path, capsys, no_fitting):
+        data = tmp_path / "train.csv"
+        write_training_csv(data)
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        argv = ("bounds", "--data", data, "--model", "uniform", "--gamma", 1.5, "--out", out)
+        assert run(*argv) == 2
+        assert f"--out must name a directory, but {out} is a file" in capsys.readouterr().err
+        assert out.read_text() == "keep\n"
+
 
 def benchmark_config(tmp_path, **extra):
     doc = {
@@ -378,6 +402,14 @@ class TestBenchmarkCommand:
         assert run("benchmark", "--config", config, "--seed", 99, "--out", out) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["seed"] == 99
+
+    def test_out_that_names_a_file_exits_before_any_trial(self, tmp_path, capsys, no_fitting):
+        config = benchmark_config(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        assert run("benchmark", "--config", config, "--out", out) == 2
+        assert f"--out must name a directory, but {out} is a file" in capsys.readouterr().err
+        assert out.read_text() == "keep\n"
 
     def test_unknown_config_keys_exit_before_computation(self, tmp_path, capsys):
         config = benchmark_config(tmp_path, bogus=1)

@@ -586,10 +586,9 @@ class TestApoBandMatrix:
 class TestGammaSubsetExactness:
     """Calibration reads band points at scattered (dose, gamma) pairs
     instead of the whole grid and must score exactly what the full sweep
-    scores.  For DeltaMSM that holds because ``hyp1f1_grid`` makes each row
-    its own matrix-vector product over its own term count and its own
-    shapes, so an entry does not depend on the other gammas or points in its
-    call."""
+    scores.  For DeltaMSM that holds because ``specfun.hyp1f1`` sums each
+    entry over its own term count with elementwise operations only, so an
+    entry does not depend on the other gammas or points in its call."""
 
     def test_subsets_ending_at_the_last_gamma_match_the_full_sweep(self):
         rng = np.random.default_rng(7)
@@ -612,7 +611,7 @@ class TestGammaSubsetExactness:
     @pytest.mark.parametrize("model", [DeltaMSM(), CMSM(), Uniform(), BinaryMSM()])
     def test_points_with_a_shared_propensity_match_the_grid(self, model):
         # a scalar propensity gives (points, 1) divisors, which broadcast
-        # against each point's row of probabilities; 300 points fill 3 blocks
+        # against each point's row of probabilities
         rng = np.random.default_rng(11)
         t_grid = np.linspace(0.0, 1.0, 12)
         prob = rng.uniform(0.05, 0.95, (len(t_grid), 40))
@@ -623,6 +622,13 @@ class TestGammaSubsetExactness:
         points = _band_points(engine, prob, t_grid, doses, gammas[cols])
         for got, whole in zip(points, full):
             assert got.tobytes() == whole[doses, cols].tobytes()
+
+    def test_no_points_give_empty_bands(self):
+        t_grid = np.linspace(0.0, 1.0, 5)
+        engine = DivisorEngine(DeltaMSM(), BetaPropensity(np.full(3, 2.0), np.full(3, 3.0)))
+        empty = np.empty(0, dtype=int)
+        lo, hi, undefined = _band_points(engine, np.full((5, 3), 0.5), t_grid, empty, np.empty(0))
+        assert lo.shape == hi.shape == undefined.shape == (0,)
 
 
 @st.composite

@@ -253,8 +253,7 @@ class TestSourceLayout:
         assert long_lines == []
 
     def test_specfun_holds_only_the_run_path(self):
-        # every public function has a caller elsewhere in the package; the
-        # scalar hyp1f1 stays only because perfbench's tracer patches it
+        # every public function has a caller elsewhere in the package
         from dosebounds import specfun
 
         package = os.path.join(os.path.dirname(__file__), os.pardir, "src", "dosebounds")
@@ -270,11 +269,11 @@ class TestSourceLayout:
             and value.__module__ == specfun.__name__
             and not name.startswith("_")
         ]
-        assert "hyp1f1_grid" in public
+        assert "hyp1f1" in public
         uncalled = [
             name for name in public if not any(re.search(rf"\b{name}\(", s) for s in sources)
         ]
-        assert uncalled == ["hyp1f1"]
+        assert uncalled == []
 
     def test_sensitivity_holds_only_the_run_path(self):
         # every function and class sensitivity defines is read by code in the

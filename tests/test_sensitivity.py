@@ -21,7 +21,8 @@ from dosebounds.sensitivity import (
     _folded_power_bounds,
     _pow_log,
 )
-from dosebounds.specfun import hyp1f1, reg_inc_beta
+from dosebounds.specfun import reg_inc_beta
+from hyp1f1_oracle import hyp1f1
 
 
 def trust_weight(t, r, tau):
@@ -227,69 +228,38 @@ class TestLambdaExpectationBounds:
         assert all(isinstance(v, float) for v in scalar)
 
 
-class TestBetaMgfPairAxes:
-    """q repeats along s's axes or matches s there; each table half is a reshaped slice."""
-
-    @staticmethod
-    def gathered(a, b, s):
-        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-        s = np.asarray(s, dtype=float)
-        c = (a + b).ravel()
-        shapes = np.concatenate([a.ravel(), b.ravel()])
-        table = specfun.hyp1f1_grid(shapes, np.concatenate([c, c]), s)
-        rows = np.arange(s.size).reshape(s.shape)
-        cols = np.arange(a.size).reshape(a.shape)
-        return table[rows, cols], table[rows, cols + a.size]
-
-    @pytest.mark.parametrize(
-        "s_shape, q_shape",
-        [((7, 1), (5,)), ((), (5,)), ((1,), (5,)), ((7, 1), ()), ((1, 1), (5,)),
-         ((2, 3, 1), (4,)), ((3, 1, 1), (1, 4, 2)), ((7, 1), (1, 5))],
-    )
-    def test_halves_equal_the_gathered_table_entries(self, s_shape, q_shape):
-        rng = np.random.default_rng(len(s_shape) + 3 * len(q_shape))
-        a, b = rng.uniform(0.5, 41.0, q_shape), rng.uniform(0.5, 41.0, q_shape)
-        s = np.log(rng.uniform(1.0, 10.0, s_shape))
-        for got, want in zip(_beta_mgf_pair(a, b, s), self.gathered(a, b, s)):
-            assert got.shape == want.shape == np.broadcast_shapes(s_shape, q_shape)
-            assert got.tobytes() == want.tobytes()
+class TestElementwiseDeltaBounds:
+    """Every DeltaMSM divisor entry holds the bits of its one-element call,
+    whatever shapes its propensity, dose and gamma broadcast from."""
 
     def test_scalars_give_floats(self):
         pair = _beta_mgf_pair(3.0, 4.0, math.log(1.7))
         assert all(type(v) is np.float64 for v in pair)
-        want = self.gathered(3.0, 4.0, math.log(1.7))
-        assert [float(v) for v in pair] == [float(v) for v in want]
+        s = math.log(1.7)
+        assert [float(v) for v in pair] == [specfun.hyp1f1(3.0, 7.0, s),
+                                            specfun.hyp1f1(4.0, 7.0, s)]
 
     @pytest.mark.parametrize(
-        "points, s_shape, q_shape",
-        [((3,), (3, 1), (3, 4)), ((2, 3), (2, 3, 1), (2, 3, 4)), ((5,), (5,), (5,))],
+        "gamma_shape, q_shape, t_shape",
+        [((1, 5), (3, 1), ()), ((5,), (5, 1), ()), ((7, 1), (5,), ()),
+         ((4, 1), (5,), (4, 1)), ((2, 3, 1), (4,), (2, 3, 1)), ((1, 5), (3, 1), (3, 1)),
+         ((), (5,), (3, 1)), ((3, 1), (), (3, 1)), ((6,), (6,), (6,))],
     )
-    def test_one_s_per_row_of_q_equals_per_row_calls(self, points, s_shape, q_shape):
-        # q matches s on every axis s varies on: q's row at s_i's index holds
-        # s_i's own shapes, as a matched (dose, gamma) point does
-        rng = np.random.default_rng(17)
-        a, b = rng.uniform(0.5, 41.0, (2,) + q_shape)
-        gammas = rng.uniform(1.0, 10.0, s_shape)
-        got_pair = _beta_mgf_pair(a, b, np.log(gammas))
-        got_folded = _folded_power_bounds(a, b, gammas)
-        for idx in np.ndindex(points):
-            gamma = gammas.reshape(points)[idx]
-            for got, want in zip(got_pair, _beta_mgf_pair(a[idx], b[idx], np.log(gamma))):
-                assert got.shape == q_shape
-                assert got[idx].tobytes() == want.tobytes()
-            want_folded = _folded_power_bounds(a[idx], b[idx], gamma)
-            for got_anchor, want_anchor in zip(got_folded, want_folded):
-                for got, want in zip(got_anchor, want_anchor):
-                    assert got[idx].tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("s_shape, q_shape", [((5,), (5, 1)), ((1, 5), (3, 1))])
-    def test_crossed_axes_raise(self, s_shape, q_shape):
-        a, b = np.full(q_shape, 3.0), np.full(q_shape, 4.0)
-        gammas = np.full(s_shape, 1.5)
-        with pytest.raises(ValueError, match="q must repeat along every axis"):
-            _beta_mgf_pair(a, b, np.log(gammas))
-        with pytest.raises(ValueError, match="q must repeat along every axis"):
-            _folded_power_bounds(a, b, gammas)
+    def test_bounds_equal_per_element_calls(self, gamma_shape, q_shape, t_shape):
+        # the first two pairings were rejected while the 1F1 was a table
+        rng = np.random.default_rng(len(gamma_shape) + 3 * len(q_shape) + 5 * len(t_shape))
+        alphas, betas = rng.uniform(0.5, 41.0, (2,) + q_shape)
+        gammas = rng.uniform(1.0, 10.0, gamma_shape)
+        t = rng.uniform(0.0, 1.0, t_shape)
+        d_lo, d_hi = DivisorEngine(DeltaMSM(), BetaPropensity(alphas, betas)).bounds(t, gammas)
+        shape = np.broadcast_shapes(gamma_shape, q_shape, t_shape)
+        assert d_lo.shape == d_hi.shape == shape
+        alphas, betas, gammas, t = np.broadcast_arrays(alphas, betas, gammas, t)
+        for idx in np.ndindex(shape):
+            engine = DivisorEngine(DeltaMSM(), BetaPropensity(float(alphas[idx]), float(betas[idx])))
+            one = engine.bounds(float(t[idx]), float(gammas[idx]))
+            assert d_lo[idx].tobytes() == np.float64(one[0]).tobytes()
+            assert d_hi[idx].tobytes() == np.float64(one[1]).tobytes()
 
 
 class TestDivisorBounds:

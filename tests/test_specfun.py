@@ -16,11 +16,11 @@ from dosebounds.specfun import (
     digamma,
     erf,
     hyp1f1,
-    hyp1f1_grid,
     log_gamma,
     reg_inc_beta,
 )
 from dosebounds.specfun import _hyp1f1_terms as hyp1f1_terms
+from hyp1f1_oracle import hyp1f1 as taylor
 
 
 def beta_pdf(tau, a, b):
@@ -134,22 +134,24 @@ class TestErf:
             erf(math.inf)
 
 
-class TestHyp1F1:
+class TestTaylorOracle:
+    """The convergence-tested series that ``hyp1f1`` is checked against."""
+
     def test_at_zero(self):
-        assert hyp1f1(2.5, 6.0, 0.0) == 1.0
+        assert taylor(2.5, 6.0, 0.0) == 1.0
 
     def test_exponential_special_case(self):
         # 1F1(1; 2; z) = (e^z - 1) / z
         z = 0.8
-        assert hyp1f1(1.0, 2.0, z) == pytest.approx((math.exp(z) - 1.0) / z, rel=1e-12)
+        assert taylor(1.0, 2.0, z) == pytest.approx((math.exp(z) - 1.0) / z, rel=1e-12)
 
     def test_beta_mgf_anchor(self):
         oracle = integrate(lambda tau: np.exp(0.7 * tau) * beta_pdf(tau, 2.5, 3.5), 0.0, 1.0)
-        assert hyp1f1(2.5, 6.0, 0.7) == pytest.approx(oracle, abs=1e-8)
+        assert taylor(2.5, 6.0, 0.7) == pytest.approx(oracle, abs=1e-8)
 
     def test_kummer_reflection_consistency(self):
         a, b, z = 1.7, 4.2, 1.1
-        assert hyp1f1(a, b, -z) == pytest.approx(math.exp(-z) * hyp1f1(b - a, b, z), rel=1e-12)
+        assert taylor(a, b, -z) == pytest.approx(math.exp(-z) * taylor(b - a, b, z), rel=1e-12)
 
     def test_beta_mgf_random_parameters(self):
         # moment generating function of Beta(A, B) equals 1F1(A; A+B; z)
@@ -159,19 +161,19 @@ class TestHyp1F1:
             b = rng.uniform(0.5, 50.0)
             z = rng.uniform(-math.log(2.5), math.log(2.5))
             oracle = integrate(lambda tau: np.exp(z * tau) * beta_pdf(tau, a, b), 0.0, 1.0)
-            assert hyp1f1(a, a + b, z) == pytest.approx(oracle, rel=1e-7)
+            assert taylor(a, a + b, z) == pytest.approx(oracle, rel=1e-7)
 
     def test_array_broadcast(self):
         a = np.array([1.0, 2.0, 3.0])
-        out = hyp1f1(a, a + 1.0, 0.3)
-        expected = [hyp1f1(float(ai), float(ai) + 1.0, 0.3) for ai in a]
+        out = taylor(a, a + 1.0, 0.3)
+        expected = [taylor(float(ai), float(ai) + 1.0, 0.3) for ai in a]
         np.testing.assert_allclose(out, expected, rtol=1e-14)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            hyp1f1(1.0, 0.0, 0.5)
+            taylor(1.0, 0.0, 0.5)
         with pytest.raises(DomainError):
-            hyp1f1(1.0, -2.0, 0.5)
+            taylor(1.0, -2.0, 0.5)
 
 
 def alternating_series(a, c, z):
@@ -194,7 +196,17 @@ compound_shapes = st.tuples(
 ).map(lambda v: (v[0] + v[3] * v[2], v[0] + v[1] + v[3]))
 
 
-class TestHyp1F1Grid:
+def python_series(a, c, s):
+    """``hyp1f1``'s sum for one entry in plain Python floats: its own term
+    count, in ascending k, with the same products in the same order."""
+    term = total = 1.0
+    for k in range(hyp1f1_terms(s) - 1):
+        term = term * ((a + k) / (c + k)) * (s / (k + 1.0))
+        total += term
+    return total
+
+
+class TestHyp1F1:
     @given(st.lists(compound_shapes, min_size=1, max_size=6), st.floats(1.0, 10.0))
     @settings(max_examples=150, deadline=None)
     def test_matches_the_series_within_the_tail_bound(self, shapes, gamma):
@@ -203,28 +215,28 @@ class TestHyp1F1Grid:
         n_terms = hyp1f1_terms(s.max())
         # truncation (proven) plus the rounding of two sums of n_terms positive terms
         tol = specfun.HYP1F1_TAIL_BOUND + 2 * n_terms * np.finfo(float).eps
-        series = hyp1f1(a, c, s[:, None])
-        np.testing.assert_allclose(hyp1f1_grid(a, c, s), series, rtol=tol, atol=0.0)
+        series = taylor(a, c, s[:, None])
+        np.testing.assert_allclose(hyp1f1(a, c, s[:, None]), series, rtol=tol, atol=0.0)
 
     @given(compound_shapes, st.floats(1.0, 10.0))
     @settings(max_examples=100, deadline=None)
     def test_kummer_transformation(self, shape, gamma):
         a, c = shape
         s = math.log(gamma)
-        via_kummer = math.exp(-s) * hyp1f1_grid(c - a, c, s)[0, 0]
-        assert via_kummer == pytest.approx(hyp1f1(a, c, -s), rel=1e-14)
+        via_kummer = math.exp(-s) * hyp1f1(c - a, c, s)
+        assert via_kummer == pytest.approx(taylor(a, c, -s), rel=1e-14)
         # the alternating sum cancels by up to e^(2s) = gamma^2
         assert via_kummer == pytest.approx(alternating_series(a, c, -s), rel=1e-13 * gamma**2)
 
     def test_zero_argument_is_exactly_one(self):
-        table = hyp1f1_grid([1e-7, 3.0, 150.0], [400.0, 3.0, 399.0], [0.0])
-        assert table.tolist() == [[1.0, 1.0, 1.0]]
+        assert hyp1f1([1e-7, 3.0, 150.0], [400.0, 3.0, 399.0], 0.0).tolist() == [1.0, 1.0, 1.0]
         assert hyp1f1_terms(0.0) == 1
 
     def test_edge_shapes(self):
         s = np.array([0.4, 2.0])
-        np.testing.assert_array_equal(hyp1f1_grid(0.0, 2.0, s)[:, 0], [1.0, 1.0])
-        np.testing.assert_allclose(hyp1f1_grid(2.5, 2.5, s)[:, 0], np.exp(s), rtol=1e-15)
+        np.testing.assert_array_equal(hyp1f1(0.0, 2.0, s), [1.0, 1.0])
+        np.testing.assert_allclose(hyp1f1(2.5, 2.5, s), np.exp(s), rtol=1e-15)
+        assert type(hyp1f1(2.5, 2.5, 0.4)) is float
 
     @pytest.mark.parametrize(
         "s_max", [1e-300, 1e-3, 0.5, math.log(2.5), math.log(10.0), 40.0, 700.0]
@@ -239,58 +251,56 @@ class TestHyp1F1Grid:
         if k > 1 and k > s_max:
             assert log_tail(k - 1) > math.log(specfun.HYP1F1_TAIL_BOUND)
 
-    @pytest.mark.parametrize("n_cols", [1, 2, 500, 1500])
     @pytest.mark.parametrize(
         "s_max, n_terms", [(math.log(2.5), 18), (math.log(1e6), 64), (700.0, 1936)]
     )
-    def test_coefficient_table_is_the_cumprod_of_its_ratios(self, s_max, n_terms, n_cols):
-        # the golden files pin only the package's own table shapes
+    def test_each_entry_sums_its_own_terms_in_ascending_order(self, s_max, n_terms):
+        # the golden files pin only the package's own term counts
         assert hyp1f1_terms(s_max) == n_terms
-        rng = np.random.default_rng(n_cols)
-        c = rng.uniform(1e-3, 400.0, n_cols)
-        a = c * rng.uniform(0.0, 1.0, n_cols)
+        rng = np.random.default_rng(n_terms)
+        c = rng.uniform(1e-3, 400.0, 12)
+        a = c * rng.uniform(0.0, 1.0, 12)
         a[0] = c[0]
-        a[1:2] = 0.0
-        k = np.arange(n_terms - 1, dtype=float)
-        coeff = np.ones((n_terms, n_cols))
-        np.cumprod((a + k[:, None]) / (c + k[:, None]), axis=0, out=coeff[1:])
-        assert specfun._pochhammer_table(a, c, n_terms).tobytes() == coeff.tobytes()
-        # each row is its own matrix-vector product over its own term count,
-        # whatever order the s come in
-        s = np.concatenate([[s_max, 0.0, 0.5 * s_max], rng.uniform(0.0, s_max, 8)])
-        for row, s_i in zip(hyp1f1_grid(a, c, s), s):
-            n = hyp1f1_terms(s_i)
-            s_pow = np.ones(n)
-            np.cumprod(s_i / (k[: n - 1] + 1.0), out=s_pow[1:])
-            assert row.tobytes() == (s_pow @ coeff[:n]).tobytes()
+        a[1] = 0.0
+        s = np.concatenate([[s_max, 0.0, 0.5 * s_max], rng.uniform(0.0, s_max, 9)])
+        got = hyp1f1(a, c, s)
+        for i in range(len(s)):
+            want = python_series(float(a[i]), float(c[i]), float(s[i]))
+            assert got[i].tobytes() == np.float64(want).tobytes()
 
-    @pytest.mark.parametrize("n_cols", [1, 2, 500])
-    def test_a_row_of_shapes_per_s_equals_the_one_s_calls(self, n_cols):
-        # row i reads only s_i's own shapes, with the bits of the one-s call
-        rng = np.random.default_rng(100 + n_cols)
-        s = np.concatenate([[0.0, math.log(2.5), 0.0], rng.uniform(0.0, math.log(10.0), 13)])
-        c = rng.uniform(1e-3, 400.0, (len(s), n_cols))
-        a = c * rng.uniform(0.0, 1.0, c.shape)
-        a[:, 0] = c[:, 0]
-        table = hyp1f1_grid(a, c, s)
-        assert table.shape == (len(s), n_cols)
-        for i, s_i in enumerate(s):
-            assert table[i].tobytes() == hyp1f1_grid(a[i], c[i], [s_i])[0].tobytes()
-        # a one-row table is the flat set that every s shares
-        assert hyp1f1_grid(a[:1], c[:1], s).tobytes() == hyp1f1_grid(a[0], c[0], s).tobytes()
-        with pytest.raises(DomainError, match="one row of shapes per s"):
-            hyp1f1_grid(a[:3], c[:3], s)
+    @pytest.mark.parametrize(
+        "s_shape, a_shape, c_shape",
+        [((4, 1, 1), (3, 5), (1, 5)), ((6,), (6,), (6,)), ((1, 5), (3, 1), (3, 1)),
+         ((5,), (5, 1), (5, 1)), ((), (7,), (7,)), ((2, 3, 1), (2, 3, 4), (1, 1, 4)),
+         ((3, 1), (2, 3, 4), (3, 4)), ((7, 1), (2, 1, 5), (1, 5)), ((4,), (1,), (4,)),
+         ((), (), ())],
+    )
+    def test_each_entry_equals_its_one_element_call(self, s_shape, a_shape, c_shape):
+        rng = np.random.default_rng(len(s_shape) + 3 * len(a_shape) + 7 * len(c_shape))
+        c = rng.uniform(1e-3, 400.0, c_shape)
+        a = c * rng.uniform(0.0, 1.0, a_shape)
+        s = np.log(rng.uniform(1.0, 10.0, s_shape))
+        if s.size > 2:  # repeated and zero arguments share a call with the others
+            s.flat[0], s.flat[1] = 0.0, s.flat[2]
+        got = np.asarray(hyp1f1(a, c, s))
+        assert got.shape == np.broadcast_shapes(s_shape, a_shape, c_shape)
+        a, c, s = np.broadcast_arrays(a, c, s)
+        for idx in np.ndindex(got.shape):
+            one = hyp1f1(float(a[idx]), float(c[idx]), float(s[idx]))
+            assert got[idx].tobytes() == np.float64(one).tobytes()
+
+    def test_empty_arguments_give_an_empty_result(self):
+        assert hyp1f1(np.empty((0, 3)), 2.0, np.full(3, 0.5)).shape == (0, 3)
+        assert hyp1f1(1.0, 2.0, np.empty(0)).shape == (0,)
 
     def test_large_arguments_do_not_overflow(self):
-        s = 700.0
-        value = hyp1f1_grid(2.5, 2.5, [s])[0, 0]
-        assert value == pytest.approx(math.exp(s), rel=1e-12)
+        assert hyp1f1(2.5, 2.5, 700.0) == pytest.approx(math.exp(700.0), rel=1e-12)
 
     def test_domain(self):
         for a, c, s in ((1.0, 2.0, -0.1), (3.0, 2.0, 0.5), (-1.0, 2.0, 0.5), (0.0, 0.0, 0.5),
                         (1.0, 2.0, math.inf), (math.nan, 2.0, 0.5)):
             with pytest.raises(DomainError):
-                hyp1f1_grid(a, c, s)
+                hyp1f1(a, c, s)
         with pytest.raises(DomainError):
             hyp1f1_terms(-1.0)
 
