@@ -392,8 +392,13 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:
             raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         out = getattr(args, "out", None)
-        if out is not None and os.path.exists(out) and not os.path.isdir(out):
-            raise UsageError(f"--out must name a directory, but {out} is a file")
+        if out is not None:
+            # the writers create missing directories under the nearest existing path
+            existing = os.path.abspath(out)
+            while not os.path.exists(existing):
+                existing = os.path.dirname(existing)
+            if not os.path.isdir(existing):
+                raise UsageError(f"--out must name a directory, but {existing} is a file")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

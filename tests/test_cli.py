@@ -129,19 +129,20 @@ class TestDgp:
         assert "no data rows" in capsys.readouterr().err
         assert not recwarn.list
 
+    @pytest.mark.parametrize("below", ["", "sub", "sub/dir"])
     @pytest.mark.parametrize("trial", [False, True])
     def test_out_that_names_a_file_exits_before_the_work(
-        self, tmp_path, capsys, monkeypatch, trial
+        self, tmp_path, capsys, monkeypatch, trial, below
     ):
         def reached(*args, **kwargs):
             pytest.fail("an --out file reached the computation")
 
         monkeypatch.setattr(bm, "synthetic_raw", reached)
-        out = tmp_path / "taken"
-        out.write_text("keep\n")
-        assert run("dgp", *(["--trial"] if trial else []), "--out", out) == 2
-        assert f"--out must name a directory, but {out} is a file" in capsys.readouterr().err
-        assert out.read_text() == "keep\n"
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        assert run("dgp", *(["--trial"] if trial else []), "--out", taken / below) == 2
+        assert f"--out must name a directory, but {taken} is a file" in capsys.readouterr().err
+        assert taken.read_text() == "keep\n"
 
 
 class TestBounds:
