@@ -11,11 +11,13 @@ ignorance band gives away (average Bernoulli KL from truth to the points of
 the band).  Lower cost at equal coverage is better.
 
 Calibration bisects the coverage curve, not whole gamma grids: a dose's
-band nests as gamma grows, so coverage never falls from one gamma column to
-the next, and one bisection over the columns (``_calibrate_from_tables``)
-builds at most ceil(log2(n + 1)) of n columns, each over every dose in one
-call.  A band point does not depend on which other points share its call,
-so every score equals that of a full sweep bit for bit.
+band nests as gamma grows, so a dose covered at one gamma column stays
+covered at every later one, and coverage never falls.  One bisection over
+n columns (``_calibrate_from_tables``) takes at most ceil(log2(n + 1))
+rounds, each building one column on only the doses whose verdict the
+columns built so far leave open; one last call fills in the picked column.
+A band point does not depend on which other points share its call, so
+every score equals that of a full sweep bit for bit.
 
 Trials are independent: every trial derives its own named random substreams
 from the benchmark seed, so reports are bit-identical across reruns.  They
@@ -341,17 +343,23 @@ def divergence_cost(p_true, curve: IntervalCurve) -> float:
     return float(np.mean(_kl_band(p, lo, hi)))
 
 
+def _covers(p, lo, hi, undefined):
+    """Per point: the band contains the true value, or the point is flagged
+    (its interval is vacuously unbounded)."""
+    with np.errstate(invalid="ignore"):
+        return ((lo <= p) & (p <= hi)) | undefined
+
+
 def coverage(p_true, lo, hi, undefined):
     """Share of doses whose true value the band over the dose grid of
-    ``p_true`` contains.  Flagged points count as covered: their interval is
-    vacuously unbounded.
+    ``p_true`` contains, flagged points counted as covered (``_covers``).
     """
     p = np.asarray(p_true, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    if p.shape != lo.shape:
-        raise ValueError("p_true must match the band's dose grid")
-    with np.errstate(invalid="ignore"):
-        return np.mean(((lo <= p) & (p <= hi)) | undefined)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    undefined = np.asarray(undefined, dtype=bool)
+    if not p.shape == lo.shape == hi.shape == undefined.shape:
+        raise ValueError("p_true, lo, hi and undefined must share the dose grid's shape")
+    return np.mean(_covers(p, lo, hi, undefined))
 
 
 @dataclass(frozen=True)
@@ -398,31 +406,50 @@ def _calibrate_from_tables(
     """Smallest grid gamma reaching the target coverage, and its cost.
 
     A dose's band nests as gamma grows, and a point that loses its divisor
-    floor stays flagged, so coverage never falls from one gamma column to
-    the next.  One bisection over the columns finds the first that reaches
-    the target: a round makes one ``_band_points`` call that builds the
-    middle column of the open range over every dose, and halves the range
-    by that column's coverage, so n gammas take at most ceil(log2(n + 1))
-    rounds.  The search ends having built the picked column, whose band
-    gives the reported coverage, the flags and the cost.
+    floor stays flagged, so a dose covered at one column stays covered at
+    every later column, and coverage never falls.  One bisection over the
+    columns finds the first that reaches the target, halving the open range
+    each round, so n gammas take at most ceil(log2(n + 1)) rounds.  Two
+    per-dose masks hold what the built columns decide: doses covered at a
+    column left of the open range, and doses missed at one right of it.  A
+    round's one ``_band_points`` call builds the middle column on the other
+    doses only, and compares the share of covered doses, known and built,
+    with the target.  One more call builds the picked column's skipped doses,
+    whose whole band gives the reported coverage, the flags and the cost.
     A method that never reaches the target keeps the largest gamma, takes an
     "uncalibrated" flag, and is charged for the fully ignorant band: the cost
     measures the price of the target coverage, and a band that never attains
     it only certifies the vacuous interval.
     """
     engine = DivisorEngine(sensitivity_model_for(method), propensity_params)
-    doses = np.arange(len(t_grid))
+
+    def build(dose_idx, gamma):
+        return _band_points(engine, prob_matrix, t_grid, dose_idx, np.full(len(dose_idx), gamma))
+
     n = len(gammas)
+    # doses covered at a built column left of [left, right), or missed right of it
+    covered, missed = np.zeros((2, len(t_grid)), dtype=bool)
     # the first column reaching the target lies in [left, right]; n means none
     left, right = 0, n
     while left < right:
         mid = (left + right) // 2
-        band = _band_points(engine, prob_matrix, t_grid, doses, np.full(len(doses), gammas[mid]))
-        reached = coverage(p_true, *band) >= target
+        open_doses = np.flatnonzero(~(covered | missed))
+        band = build(open_doses, gammas[mid])
+        verdict = covered.copy()
+        verdict[open_doses] = _covers(p_true[open_doses], *band)
+        reached = np.mean(verdict) >= target
         # a search that never reaches the target ends on column n - 1
         if reached or mid == n - 1:
-            pick, (lo, hi, undefined) = mid, band
-        left, right = (left, mid) if reached else (mid + 1, right)
+            pick, built, picked_band = mid, open_doses, band
+        if reached:
+            missed, right = ~verdict, mid
+        else:
+            covered, left = verdict, mid + 1
+    skipped = np.setdiff1d(np.arange(len(t_grid)), built)
+    order = np.argsort(np.concatenate([built, skipped]))
+    lo, hi, undefined = (
+        np.concatenate(parts)[order] for parts in zip(picked_band, build(skipped, gammas[pick]))
+    )
     calibrated = left < n
     flags = [] if calibrated else ["uncalibrated"]
     if undefined.any():

@@ -361,6 +361,16 @@ class TestCoverage:
         with pytest.raises(ValueError):
             bm.coverage([0.1, 0.2, 0.3], [0.1, 0.1], [0.2, 0.2], [False, False])
 
+    def test_every_band_array_must_match_the_truth(self):
+        # a column hi or a short mask would broadcast the rule into a table
+        p_true, lo, hi = np.array([0.3, 0.5, 0.7]), np.full(3, 0.2), np.full(3, 0.6)
+        mask = np.zeros(3, dtype=bool)
+        with pytest.raises(ValueError):
+            bm.coverage(p_true, lo, hi[:, None], mask)
+        with pytest.raises(ValueError):
+            bm.coverage(p_true, lo, hi, mask[:1])
+        assert bm.coverage(p_true, lo, hi, mask) == pytest.approx(2.0 / 3.0)
+
 
 class TestKsUniform:
     def test_hand_worked_two_point_sample(self):
@@ -486,12 +496,13 @@ class TestCalibrateGamma:
 
 def full_scan_score(method, propensity_params, prob_matrix, p_true, t_grid, gammas, target):
     """Calibration by scanning every gamma column, the oracle for the search,
-    and the coverage of every column."""
+    and each (dose, gamma) point's verdict: covered or flagged."""
     engine = DivisorEngine(bm.sensitivity_model_for(method), propensity_params)
     lo, hi, undefined = apo_band_matrix(engine, prob_matrix, t_grid, gammas)
     with np.errstate(invalid="ignore"):
         inside = (lo <= p_true[:, None]) & (p_true[:, None] <= hi)
-    covered = np.mean(inside | undefined, axis=0)
+    verdicts = inside | undefined
+    covered = np.mean(verdicts, axis=0)
     reached = covered >= target
     flags = []
     if reached.any():
@@ -515,7 +526,7 @@ def full_scan_score(method, propensity_params, prob_matrix, p_true, t_grid, gamm
         cost=bm.divergence_cost(p_true, curve),
         flags=tuple(flags),
     )
-    return score, covered
+    return score, verdicts
 
 
 def trial_tables(raw, config, train_config, trial_id):
@@ -553,7 +564,7 @@ def reduced_tables():
 
 
 def search_and_scan(tables, gammas, target, methods=bm.DEFAULT_METHODS):
-    """(search score, full-scan score, full-scan coverage per column) for
+    """(search score, full-scan score, full-scan verdict per point) for
     every method on one trial."""
     propensity, prob_matrix, p_true, t_grid = tables
     return [
@@ -569,25 +580,27 @@ def search_and_scan(tables, gammas, target, methods=bm.DEFAULT_METHODS):
 
 class TestCalibrationSearch:
     """The bisection of the coverage curve picks what a scan of every column
-    picks, with bitwise-equal coverage and cost, and its band points are the
-    grid's."""
+    picks, with bitwise-equal coverage and cost, builds only the doses its
+    built columns leave open, and its band points are the grid's."""
 
     def assert_same(self, results):
         for got, want, _ in results:
             assert got == want
             assert got.cost.hex() == want.cost.hex()
 
-    def assert_coverage_never_falls(self, results):
-        # the search's premise: coverage never falls as gamma grows
-        for _, _, covered in results:
-            assert np.all(np.diff(covered) >= 0.0)
+    def assert_no_dose_is_lost(self, results):
+        # the search's premise: a dose covered at one column stays covered at
+        # the next, so coverage never falls as gamma grows either
+        for _, _, verdicts in results:
+            assert not np.any(verdicts[:, :-1] & ~verdicts[:, 1:])
+            assert np.all(np.diff(np.mean(verdicts, axis=0)) >= 0.0)
 
     def test_matches_the_full_scan_on_fifty_reduced_trials(self, reduced_tables):
         seen = set()
         for tables in reduced_tables:
             results = search_and_scan(tables, REDUCED.gamma_grid(), REDUCED.target_coverage)
             self.assert_same(results)
-            self.assert_coverage_never_falls(results)
+            self.assert_no_dose_is_lost(results)
             for got, _, _ in results:
                 seen.update(got.flags)
                 seen.add("interior" if 1.0 < got.gamma_star < REDUCED.gamma_max else "edge")
@@ -601,7 +614,7 @@ class TestCalibrationSearch:
             tables = trial_tables(raw, config, TrainConfig(), trial_id)
             results = search_and_scan(tables, config.gamma_grid(), config.target_coverage)
             self.assert_same(results)
-            self.assert_coverage_never_falls(results)
+            self.assert_no_dose_is_lost(results)
             flags.update(flag for got, _, _ in results for flag in got.flags)
         assert flags == {"uncalibrated", "undefined_points"}
 
@@ -613,7 +626,7 @@ class TestCalibrationSearch:
             self.assert_same(search_and_scan(tables, gammas, target))
 
     @pytest.mark.parametrize("size", [2, 3, 4, 8, 17, 100])
-    def test_bisects_the_coverage_curve_one_column_per_round(
+    def test_builds_only_the_doses_each_round_leaves_open(
         self, reduced_tables, monkeypatch, size
     ):
         calls = []
@@ -626,25 +639,49 @@ class TestCalibrationSearch:
         monkeypatch.setattr(bm, "_band_points", counting)
         gammas = np.linspace(1.0, REDUCED.gamma_max, size)
         doses = np.arange(REDUCED.t_grid_size)
+        skipped_some = False
         for tables in reduced_tables[:8]:
+            p_true = tables[2]
             for target in (0.0, 0.5, 0.8, 1.0):
                 for method in bm.DEFAULT_METHODS:
                     calls.clear()
-                    bm._calibrate_from_tables(method, *tables, gammas, target)
-                    assert 1 <= len(calls) <= math.ceil(math.log2(size + 1))
-                    # replayed: each call builds the middle column of the
-                    # open range over every dose, and none follows the search
+                    score = bm._calibrate_from_tables(method, *tables, gammas, target)
+                    *rounds, (fill_idx, fill_gammas, _) = calls
+                    assert 1 <= len(rounds) <= math.ceil(math.log2(size + 1))
+                    # replayed: a round builds the middle column of the open
+                    # range on the doses no built column has decided yet
+                    covered = np.zeros(len(doses), dtype=bool)
+                    missed = np.zeros(len(doses), dtype=bool)
                     left, right = 0, size
-                    for dose_idx, point_gammas, band in calls:
+                    for dose_idx, point_gammas, (lo, hi, undefined) in rounds:
                         assert left < right
                         mid = (left + right) // 2
-                        np.testing.assert_array_equal(dose_idx, doses)
+                        np.testing.assert_array_equal(dose_idx, doses[~(covered | missed)])
                         assert np.all(point_gammas == gammas[mid])
-                        if bm.coverage(tables[2], *band) >= target:
-                            right = mid
+                        verdict = covered.copy()
+                        p = p_true[dose_idx]
+                        with np.errstate(invalid="ignore"):
+                            verdict[dose_idx] = ((lo <= p) & (p <= hi)) | undefined
+                        reached = np.mean(verdict) >= target
+                        if reached or mid == size - 1:
+                            pick, built = mid, dose_idx
+                        if reached:
+                            missed, right = ~verdict, mid
                         else:
-                            left = mid + 1
+                            covered, left = verdict, mid + 1
                     assert left == right
+                    assert score.gamma_star == gammas[pick]
+                    # one fill call builds the picked column's skipped doses
+                    np.testing.assert_array_equal(fill_idx, np.setdiff1d(doses, built))
+                    assert np.all(fill_gammas == gammas[pick])
+                    skipped_some |= len(fill_idx) > 0
+                    points = [
+                        (dose, gamma)
+                        for dose_idx, point_gammas, _ in calls
+                        for dose, gamma in zip(dose_idx, point_gammas)
+                    ]
+                    assert len(set(points)) == len(points)
+        assert skipped_some
 
     def test_band_points_are_the_grid_entries(self):
         # at 500 random (dose, gamma) points of default trials 0 and 3,
