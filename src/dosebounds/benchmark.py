@@ -40,6 +40,7 @@ from .models import (
     TrainConfig,
     fit_outcome,
     fit_propensity,
+    require_integer,
     require_integer_fields,
     require_real_fields,
 )
@@ -417,9 +418,10 @@ def _calibrate_from_tables(
     with the target.  One more call builds the picked column's skipped doses,
     whose whole band gives the reported coverage, the flags and the cost.
     A method that never reaches the target keeps the largest gamma, takes an
-    "uncalibrated" flag, and is charged for the fully ignorant band: the cost
-    measures the price of the target coverage, and a band that never attains
-    it only certifies the vacuous interval.
+    "uncalibrated" flag, and its band is scored with every point flagged,
+    which ``_effective_bounds`` widens to the fully ignorant clamped interval:
+    the cost measures the price of the target coverage, and a band that never
+    attains it only certifies the vacuous interval.
     """
     engine = DivisorEngine(sensitivity_model_for(method), propensity_params)
 
@@ -454,18 +456,11 @@ def _calibrate_from_tables(
     flags = [] if calibrated else ["uncalibrated"]
     if undefined.any():
         flags.append("undefined_points")
-    if calibrated:
-        curve = IntervalCurve(t_grid, lo, hi, undefined)
-    else:
-        # the only band such a method can certify is the vacuous one
-        curve = IntervalCurve(
-            t_grid, np.zeros_like(t_grid), np.ones_like(t_grid), np.zeros(len(t_grid), dtype=bool)
-        )
     return MethodScore(
         method=method,
         gamma_star=float(gammas[pick]),
         coverage=float(coverage(p_true, lo, hi, undefined)),
-        cost=divergence_cost(p_true, curve),
+        cost=divergence_cost(p_true, IntervalCurve(t_grid, lo, hi, undefined | (not calibrated))),
         flags=tuple(flags),
     )
 
@@ -515,6 +510,7 @@ def run_benchmark(
     if n_workers != 1:
         raise ValueError(f"n_workers must be 1 (trials run serially), got {n_workers!r}")
     methods = _checked_methods(methods)
+    require_integer("n_trials", n_trials)
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
     raw = np.asarray(raw, dtype=float)
@@ -533,53 +529,37 @@ def run_benchmark(
 
 def _summarize(config, methods, results) -> dict:
     completed = [r for r in results if r.error is None]
-    stats = {
-        name: {
-            "costs": [], "gammas": [], "coverages": [], "ratios": [],
-            "credit": 0.0, "uncalibrated": 0,
-        }
-        for name in methods
-    }
-    for result in completed:
-        costs = np.array([score.cost for score in result.scores])
-        best = float(costs.min())
-        winners = costs == best
-        share = 1.0 / int(winners.sum())
-        for score, is_best in zip(result.scores, winners):
-            entry = stats[score.method]
-            entry["costs"].append(score.cost)
-            entry["gammas"].append(score.gamma_star)
-            entry["coverages"].append(score.coverage)
-            if is_best:
-                entry["credit"] += share
-                entry["ratios"].append(1.0)
-            else:
-                entry["ratios"].append(math.inf if best == 0.0 else score.cost / best)
-            if "uncalibrated" in score.flags:
-                entry["uncalibrated"] += 1
+    # (completed trials x methods) tables; a trial scores methods in order
+    cost, gamma, cover = (
+        np.array([[getattr(score, field) for score in r.scores] for r in completed])
+        .reshape(len(completed), len(methods))
+        for field in ("cost", "gamma_star", "coverage")
+    )
+    best = cost.min(axis=1, keepdims=True)
+    winners = cost == best
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(winners, 1.0, cost / best)  # inf where best is 0
+    # tied winners split a trial's credit; summed over trials in order
+    credit = (winners / winners.sum(axis=1, keepdims=True)).sum(axis=0)
 
-    def mean_std(values):
-        if not values:
+    def mean_std(table, j):
+        if not completed:
             return None, None
-        arr = np.asarray(values, dtype=float)
-        return float(arr.mean()), float(arr.std())
+        return float(table[:, j].mean()), float(table[:, j].std())
 
     per_method = {}
-    for name in methods:
-        entry = stats[name]
-        mean_cost, std_cost = mean_std(entry["costs"])
-        mean_ratio, std_ratio = mean_std(entry["ratios"])
-        mean_gamma, _ = mean_std(entry["gammas"])
-        mean_cov, _ = mean_std(entry["coverages"])
+    for j, name in enumerate(methods):
+        mean_cost, std_cost = mean_std(cost, j)
+        mean_ratio, std_ratio = mean_std(ratio, j)
         per_method[name] = {
             "mean_cost_x1000": None if mean_cost is None else 1000.0 * mean_cost,
             "std_cost_x1000": None if std_cost is None else 1000.0 * std_cost,
-            "pct_best": None if not completed else 100.0 * entry["credit"] / len(completed),
+            "pct_best": None if not completed else 100.0 * float(credit[j]) / len(completed),
             "mean_ratio_to_best": mean_ratio,
             "std_ratio_to_best": std_ratio,
-            "mean_gamma_star": mean_gamma,
-            "mean_coverage": mean_cov,
-            "n_uncalibrated": entry["uncalibrated"],
+            "mean_gamma_star": mean_std(gamma, j)[0],
+            "mean_coverage": mean_std(cover, j)[0],
+            "n_uncalibrated": sum("uncalibrated" in r.scores[j].flags for r in completed),
         }
     return {
         "schema": "dosebounds-benchmark-summary-v1",

@@ -4,8 +4,9 @@ Every writer lands the full payload in a temporary file first and renames it
 into place, so interrupted runs never leave half-written artifacts; the file
 gets the mode a plain ``open`` would give it (0o666 less the umask).  Floats
 are rendered with 17 significant digits, which round-trips IEEE doubles.
-JSON output is strict: non-finite floats, which JSON cannot hold, are written
-as the strings "inf", "-inf" and "nan".
+JSON output is strict: numpy integers, floats and bools are written as their
+Python values, and non-finite floats, which JSON cannot hold, as the strings
+"inf", "-inf" and "nan".
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def _strict_json(value):
+    if isinstance(value, (np.integer, np.floating, np.bool_)):
+        value = value.item()  # the matching Python int, float or bool
     if isinstance(value, float) and not math.isfinite(value):
         return str(float(value))
     if isinstance(value, dict):

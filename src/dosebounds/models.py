@@ -11,8 +11,12 @@ its denominator guard are the usual values, fixed as the module constants
 ``ADAM_BETA1`` = 0.9, ``ADAM_BETA2`` = 0.999 and ``ADAM_EPSILON`` = 1e-8.
 
 ADAM takes gradient-only steps: ``_outcome_grad`` and ``_propensity_grad``
-never evaluate the loss.  A propensity step makes one ``digamma`` call, and
-the outcome features, log(t) and log(1 - t) are built once per fit.
+never evaluate the loss.  A fit hands ``_adam`` its gradient and a tuple of
+equally long per-row arrays, built once per fit (the outcome features; the
+covariates, log(t) and log(1 - t)).  Each epoch gathers every array's rows
+in one shuffled order once, and a step passes the gradient contiguous slices
+of them, one batch of the same rows from every array.  A propensity step
+makes one ``digamma`` call.
 ``outcome_loss_grad`` and ``propensity_loss_grad`` return the loss plus that
 same gradient, bit for bit; they serve the gradient self-check, the
 finite-difference tests and perfbench's layer counts, not training.
@@ -51,13 +55,17 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
+def require_integer(name: str, value) -> None:
+    """Reject a value that is not an int or numpy integer; bools and whole
+    floats such as 4.0 count as non-integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def require_integer_fields(config, *names: str) -> None:
-    """Reject a named field that is not an int or numpy integer; bools and
-    whole floats such as 4.0 count as non-integers."""
+    """``require_integer`` on each named field of ``config``."""
     for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        require_integer(name, getattr(config, name))
 
 
 def require_real_fields(config, *names: str) -> None:
@@ -95,11 +103,13 @@ def _softplus(u):
 
 
 def _features(x, t):
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    x2 = np.atleast_2d(x)
-    t_arr = np.broadcast_to(np.asarray(t, dtype=float), (x2.shape[0],))
-    return np.column_stack([x2, t_arr]), single and np.ndim(t) == 0
+    x2 = np.atleast_2d(np.asarray(x, dtype=float))
+    return np.column_stack([x2, np.broadcast_to(np.asarray(t, dtype=float), (x2.shape[0],))])
+
+
+def _logit(x, weights, bias):
+    """The stretched pre-activation (x . w + b) / STRETCH of one head."""
+    return (x @ weights + bias) / STRETCH
 
 
 @dataclass(frozen=True)
@@ -120,13 +130,13 @@ class OutcomeModel:
         return len(self.weights) - 1
 
     def predict(self, x, t):
-        feats, collapse = _features(x, t)
+        feats = _features(x, t)
         if feats.shape[1] != len(self.weights):
             raise ValueError(
                 f"expected {self.n_covariates} covariates, got {feats.shape[1] - 1}"
             )
-        p = _sigmoid((feats @ self.weights + self.bias) / STRETCH)
-        return float(p[0]) if collapse else p
+        p = _sigmoid(_logit(feats, self.weights, self.bias))
+        return float(p[0]) if np.ndim(x) == 1 and np.ndim(t) == 0 else p
 
     def outcome_support(self, x, t):
         p = self.predict(x, t)
@@ -159,8 +169,8 @@ class PropensityModel:
         x2 = np.atleast_2d(x)
         if x2.shape[1] != self.n_covariates:
             raise ValueError(f"expected {self.n_covariates} covariates, got {x2.shape[1]}")
-        alpha = PROPENSITY_CAP * _sigmoid((x2 @ self.alpha_weights + self.alpha_bias) / STRETCH)
-        beta = PROPENSITY_CAP * _sigmoid((x2 @ self.beta_weights + self.beta_bias) / STRETCH)
+        alpha = PROPENSITY_CAP * _sigmoid(_logit(x2, self.alpha_weights, self.alpha_bias))
+        beta = PROPENSITY_CAP * _sigmoid(_logit(x2, self.beta_weights, self.beta_bias))
         alpha = np.clip(alpha, _PARAM_EDGE, PROPENSITY_CAP - _PARAM_EDGE)
         beta = np.clip(beta, _PARAM_EDGE, PROPENSITY_CAP - _PARAM_EDGE)
         if single:
@@ -176,7 +186,7 @@ class FittedModels:
 
 def _outcome_grad(params, feats, y):
     """Gradient of the mean Bernoulli negative log-likelihood (no loss)."""
-    u = (feats @ params[:-1] + params[-1]) / STRETCH
+    u = _logit(feats, params[:-1], params[-1])
     dz = (_sigmoid(u) - y) / (STRETCH * len(y))
     return np.concatenate([feats.T @ dz, [dz.sum()]])
 
@@ -187,9 +197,9 @@ def outcome_loss_grad(params, x, t, y):
     ``params`` stacks the feature weights (treatment last) and then the bias.
     """
     params = np.asarray(params, dtype=float)
-    feats, _ = _features(x, t)
+    feats = _features(x, t)
     y = np.asarray(y, dtype=float)
-    u = (feats @ params[:-1] + params[-1]) / STRETCH
+    u = _logit(feats, params[:-1], params[-1])
     loss = float(np.mean(_softplus(u) - y * u))
     return loss, _outcome_grad(params, feats, y)
 
@@ -197,8 +207,8 @@ def outcome_loss_grad(params, x, t, y):
 def _beta_heads(params, x2):
     """Gates and (alpha, beta) of the two Beta heads at stacked ``params``."""
     d = x2.shape[1]
-    gate_a = _sigmoid((x2 @ params[:d] + params[d]) / STRETCH)
-    gate_b = _sigmoid((x2 @ params[d + 1 : 2 * d + 1] + params[2 * d + 1]) / STRETCH)
+    gate_a = _sigmoid(_logit(x2, params[:d], params[d]))
+    gate_b = _sigmoid(_logit(x2, params[d + 1 : 2 * d + 1], params[2 * d + 1]))
     return gate_a, gate_b, PROPENSITY_CAP * gate_a, PROPENSITY_CAP * gate_b
 
 
@@ -247,7 +257,10 @@ def propensity_loss_grad(params, x, t):
     return loss, _propensity_grad(params, x2, ln_t, ln_1mt)
 
 
-def _adam(grad_fn, params, config: TrainConfig, n_samples: int) -> np.ndarray:
+def _adam(grad_fn, params, data, config: TrainConfig) -> np.ndarray:
+    """ADAM on ``grad_fn(params, *batch)``, a batch being the same rows of
+    every array in ``data``."""
+    n_samples = len(data[0])
     rng = substream(config.seed, "batch-shuffle")
     m = np.zeros_like(params)
     v = np.zeros_like(params)
@@ -260,8 +273,9 @@ def _adam(grad_fn, params, config: TrainConfig, n_samples: int) -> np.ndarray:
     ]
     for _ in range(config.epochs):
         order = rng.permutation(n_samples)
+        shuffled = [array[order] for array in data]
         for start, stop in spans:
-            grad = grad_fn(params, order[start:stop])
+            grad = grad_fn(params, *(array[start:stop] for array in shuffled))
             step += 1
             m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
             v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
@@ -285,12 +299,7 @@ def fit_outcome(x, t, y, config: TrainConfig | None = None) -> OutcomeModel:
     if np.all(y == y[0]):
         flags.append("constant_outcome")
 
-    feats, _ = _features(x2, t)
-
-    def grad_fn(params, batch):
-        return _outcome_grad(params, feats[batch], y[batch])
-
-    params = _adam(grad_fn, np.zeros(x2.shape[1] + 2), config, len(y))
+    params = _adam(_outcome_grad, np.zeros(x2.shape[1] + 2), (_features(x2, t), y), config)
     return OutcomeModel(weights=params[:-1], bias=float(params[-1]), flags=tuple(flags))
 
 
@@ -306,14 +315,9 @@ def fit_propensity(x, t, config: TrainConfig | None = None) -> PropensityModel:
     if np.any(clamped != t):
         flags.append("clamped_treatments")
 
-    ln_t = np.log(clamped)
-    ln_1mt = np.log1p(-clamped)
-
-    def grad_fn(params, batch):
-        return _propensity_grad(params, x2[batch], ln_t[batch], ln_1mt[batch])
-
     d = x2.shape[1]
-    params = _adam(grad_fn, np.zeros(2 * d + 2), config, len(t))
+    data = (x2, np.log(clamped), np.log1p(-clamped))
+    params = _adam(_propensity_grad, np.zeros(2 * d + 2), data, config)
     return PropensityModel(
         alpha_weights=params[:d],
         alpha_bias=float(params[d]),

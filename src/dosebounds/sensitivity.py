@@ -253,7 +253,8 @@ class DivisorEngine:
             tau = np.clip(t, _EDGE_CLEARANCE, 1.0 - _EDGE_CLEARANCE)
             # the propensity's pdf, with its normaliser read once per engine
             density = np.exp(self.propensity.log_kernel(tau) - self._log_normaliser)
-            return density / gamma, density * gamma
+            with np.errstate(over="ignore"):  # inf saturates: zero weight
+                return density / gamma, density * gamma
         if isinstance(model, Uniform):
             ones = np.ones(np.shape(self.propensity.alpha_bar))
             return ones / gamma, ones * gamma
@@ -282,6 +283,8 @@ def _anchored_divisor(a, b, t, gamma, power_bounds):
     m1 = a / c - t
     abs_m1 = np.abs(m1)
     m2 = a * b / (c * c * (c + 1.0)) + m1 * m1
-    d_lo = lo_e - s * growth * abs_m1
-    d_hi = hi_e + s * growth * abs_m1 + 0.5 * s * s * growth * m2
+    # at a huge finite gamma these saturate to -inf (a flagged point) and inf
+    with np.errstate(over="ignore"):
+        d_lo = lo_e - s * growth * abs_m1
+        d_hi = hi_e + s * growth * abs_m1 + 0.5 * s * s * growth * m2
     return d_lo, d_hi

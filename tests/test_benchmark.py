@@ -811,8 +811,25 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             bm.run_benchmark(config, raw, n_trials=0)
 
+    @pytest.mark.parametrize("n_trials", [1.5, 2.0, True, "2"])
+    def test_n_trials_must_be_an_integer(self, monkeypatch, n_trials):
+        monkeypatch.setattr(bm, "generate_trial", lambda *args: pytest.fail("a trial ran"))
+        with pytest.raises(ValueError, match="n_trials must be an integer"):
+            bm.run_benchmark(small_config(), bm.synthetic_raw(150, 5, seed=1), n_trials=n_trials)
+
 
 class TestReportFiles:
+    def test_summary_json_holds_numpy_scalar_config_fields(self, tmp_path):
+        config = small_config(seed=np.int64(1), gamma_max=np.float32(2.5))
+        raw = bm.synthetic_raw(150, 5, seed=1)
+        report = bm.run_benchmark(config, raw, methods=("uniform",), n_trials=1,
+                                  train_config=FAST_TRAIN)
+        path = tmp_path / "summary.json"
+        bm.write_summary_json(str(path), report)
+        summary = json.loads(path.read_text())
+        assert summary["config"]["seed"] == 1 and summary["config"]["gamma_max"] == 2.5
+        assert summary["n_failed"] == 0
+
     def test_trials_csv_layout(self, tmp_path):
         config = small_config()
         raw = bm.synthetic_raw(150, 5, seed=1)
@@ -862,6 +879,41 @@ class TestReportFiles:
         )
         assert path_a.read_bytes() == path_b.read_bytes()
         assert json.loads(path_a.read_text())["schema"] == "dosebounds-benchmark-summary-v1"
+
+    def test_summary_equals_a_per_trial_loop(self):
+        # costs come from a small pool so that two- and three-way ties occur
+        rng = np.random.default_rng(5)
+        methods = ("deltamsm", "cmsm", "uniform")
+        results = tuple(
+            bm.TrialResult(i, (), "ValueError: boom") if i % 7 == 3 else bm.TrialResult(i, tuple(
+                bm.MethodScore(m, float(rng.uniform(1.0, 2.5)), float(rng.uniform()),
+                               float(rng.choice([0.1, 1 / 3, 0.7])),
+                               ("uncalibrated",) if rng.uniform() < 0.3 else ())
+                for m in methods))
+            for i in range(60)
+        )
+        summary = bm._summarize(small_config(), methods, results)
+        completed = [r for r in results if r.error is None]
+        for j, name in enumerate(methods):
+            scores = [r.scores[j] for r in completed]
+            credit, ratios = 0.0, []
+            for r in completed:
+                costs = [score.cost for score in r.scores]
+                best = min(costs)
+                if costs[j] == best:
+                    credit += 1.0 / costs.count(best)
+                ratios.append(costs[j] / best if costs[j] != best else 1.0)
+            costs = np.array([score.cost for score in scores])
+            assert summary["per_method"][name] == {
+                "mean_cost_x1000": 1000.0 * float(costs.mean()),
+                "std_cost_x1000": 1000.0 * float(costs.std()),
+                "pct_best": 100.0 * credit / len(completed),
+                "mean_ratio_to_best": float(np.mean(ratios)),
+                "std_ratio_to_best": float(np.std(ratios)),
+                "mean_gamma_star": float(np.mean([score.gamma_star for score in scores])),
+                "mean_coverage": float(np.mean([score.coverage for score in scores])),
+                "n_uncalibrated": sum("uncalibrated" in score.flags for score in scores),
+            }
 
     def test_summary_json_is_strict_when_a_trial_costs_nothing(self, tmp_path):
         # a zero best cost makes the other methods' ratio-to-best inf and its std NaN

@@ -188,6 +188,20 @@ class TestBounds:
         _, table = fileio.read_csv(str(out / "bounds.csv"))
         assert np.all(table[:, 1] <= table[:, 2])
 
+    @pytest.mark.parametrize("target", ["apo", "capo"])
+    @pytest.mark.parametrize("model", ["deltamsm", "cmsm", "uniform", "binarymsm"])
+    def test_the_largest_finite_gamma_saturates_without_warnings(self, tmp_path, model, target):
+        # the divisor bounds overflow to inf on purpose; RuntimeWarnings are
+        # errors under the test settings, so a stray warning exits 1
+        data = tmp_path / "train.csv"
+        write_training_csv(data)
+        out = tmp_path / "out"
+        argv = ["bounds", "--data", data, "--model", model, "--gamma", "1.7976931348623157e308",
+                "--target", target, "--out", out]
+        assert run(*argv, *(["--instance", 3] if target == "capo" else [])) == 0
+        _, table = fileio.read_csv(str(out / "bounds.csv"))
+        assert table.shape == (100, 4)
+
     def test_models_json_contains_both_models(self, tmp_path):
         data = tmp_path / "train.csv"
         write_training_csv(data)

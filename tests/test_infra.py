@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import math
 import os
 import pkgutil
 import re
@@ -136,6 +137,17 @@ class TestFileio:
         assert path.read_bytes() == first
         assert first.endswith(b"\n")
         assert first.index(b'"a"') < first.index(b'"b"') < first.index(b'"c"')
+
+    def test_write_json_writes_numpy_scalars_as_python_values(self, tmp_path):
+        numpy_path, plain_path = tmp_path / "numpy.json", tmp_path / "plain.json"
+        write_json(str(numpy_path), {
+            "i": np.int64(3), "f": np.float32(0.5), "inf": np.float64(np.inf),
+            "nan": np.float32(np.nan), "b": np.bool_(True), "list": [np.uint8(7)],
+        })
+        write_json(str(plain_path), {
+            "i": 3, "f": 0.5, "inf": math.inf, "nan": math.nan, "b": True, "list": [7],
+        })
+        assert numpy_path.read_bytes() == plain_path.read_bytes()
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "table.csv"

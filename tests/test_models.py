@@ -175,7 +175,7 @@ class TestGradientOnlySteps:
             x = rng.normal(size=(n, d))
             t = rng.uniform(0.0, 1.0, size=n)
             y = (rng.uniform(size=n) < 0.5).astype(float)
-            feats, _ = _features(x, t)
+            feats = _features(x, t)
             for _ in range(5):
                 params = rng.normal(scale=20.0, size=d + 2)
                 _, grad = outcome_loss_grad(params, x, t, y)
@@ -204,10 +204,10 @@ class TestGradientOnlySteps:
         clamped = np.clip(t, TREATMENT_CLEARANCE, 1.0 - TREATMENT_CLEARANCE)
 
         ref_outcome = _adam(
-            lambda p, b: outcome_loss_grad(p, x[b], t[b], y[b])[1], np.zeros(5), config, 301
+            lambda p, xb, tb, yb: outcome_loss_grad(p, xb, tb, yb)[1], np.zeros(5), (x, t, y), config
         )
         ref_propensity = _adam(
-            lambda p, b: propensity_loss_grad(p, x[b], clamped[b])[1], np.zeros(8), config, 301
+            lambda p, xb, tb: propensity_loss_grad(p, xb, tb)[1], np.zeros(8), (x, clamped), config
         )
         outcome = fit_outcome(x, t, y, config)
         propensity = fit_propensity(x, t, config)
@@ -229,7 +229,7 @@ class TestGradientOnlySteps:
                     seen.append(batch)
                     return np.ones_like(params)
 
-                _adam(grad_fn, np.zeros(2), config, n)
+                _adam(grad_fn, np.zeros(2), (np.arange(n),), config)
                 rng = substream(config.seed, "batch-shuffle")
                 want = [
                     part
@@ -240,6 +240,25 @@ class TestGradientOnlySteps:
                 assert len(seen) == len(want) == config.epochs * min(n, batches)
                 for got, part in zip(seen, want):
                     assert got.dtype == part.dtype and np.array_equal(got, part)
+
+    def test_a_batch_takes_the_same_rows_from_every_array(self):
+        for n in (1, 7, 40):
+            config = TrainConfig(seed=n, batches=3, epochs=4)
+            seen = []
+
+            def grad_fn(params, rows, tens):
+                seen.append((rows, tens))
+                return np.ones_like(params)
+
+            _adam(grad_fn, np.zeros(2), (np.arange(n), 10 * np.arange(n)), config)
+            per_epoch = min(n, config.batches)
+            assert len(seen) == config.epochs * per_epoch
+            for rows, tens in seen:
+                assert len(rows) and np.array_equal(tens, 10 * rows)
+            for epoch in range(config.epochs):
+                batches = seen[epoch * per_epoch : (epoch + 1) * per_epoch]
+                rows = np.concatenate([rows for rows, _ in batches])
+                assert np.array_equal(np.sort(rows), np.arange(n))
 
     def test_batches_beyond_the_row_count_fit_as_one_row_each(self):
         x, t, y, _ = synthetic_outcome_data(11, n=40)
