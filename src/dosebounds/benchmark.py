@@ -151,7 +151,8 @@ class TrialConfig:
         return np.linspace(0.0, 1.0, self.t_grid_size)
 
     def gamma_grid(self) -> np.ndarray:
-        return np.linspace(1.0, self.gamma_max, self.gamma_grid_size)
+        # float() keeps the grid float64 for a numpy float32 gamma_max
+        return np.linspace(1.0, float(self.gamma_max), self.gamma_grid_size)
 
 
 @dataclass(frozen=True)
@@ -550,7 +551,8 @@ def _summarize(config, methods, results) -> dict:
     per_method = {}
     for j, name in enumerate(methods):
         mean_cost, std_cost = mean_std(cost, j)
-        mean_ratio, std_ratio = mean_std(ratio, j)
+        with np.errstate(invalid="ignore"):  # a column holding inf has std NaN
+            mean_ratio, std_ratio = mean_std(ratio, j)
         per_method[name] = {
             "mean_cost_x1000": None if mean_cost is None else 1000.0 * mean_cost,
             "std_cost_x1000": None if std_cost is None else 1000.0 * std_cost,

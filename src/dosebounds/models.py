@@ -94,8 +94,7 @@ class TrainConfig:
 
 def _sigmoid(u):
     shrink = np.exp(-np.abs(u))
-    denom = 1.0 + shrink
-    return np.where(np.asarray(u) >= 0.0, 1.0 / denom, shrink / denom)
+    return np.where(u >= 0.0, 1.0, shrink) / (1.0 + shrink)
 
 
 def _softplus(u):

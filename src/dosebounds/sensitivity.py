@@ -142,34 +142,22 @@ def _compound_shapes(propensity: BetaPropensity, t, r):
 
 def _folded_power_bounds(a, b, gamma):
     """(E_q[Gamma^-|tau|], E_q[Gamma^|tau|]) for q = Beta(a, b), then the same
-    pair for its mirror Beta(b, a), all four from one ``_beta_mgf_pair`` call.
+    pair for its mirror Beta(b, a), all four from one elementwise 1F1 call.
 
-    With s = log(Gamma), up = E_q[e^(s tau)] and mirror = E_q[e^(s (1 - tau))],
-    q's pair is (e^-s mirror, up); the mirror law is that of 1 - tau, so its
-    pair is (e^-s up, mirror).  gamma and q broadcast.
+    With s = log(Gamma), up = E_q[e^(s tau)] = 1F1(a; a+b; s) and mirror =
+    E_q[e^(s (1 - tau))] = 1F1(b; a+b; s); by Kummer's transformation q's
+    pair is (e^-s mirror, up) and the mirror's is (e^-s up, mirror).  One
+    ``specfun.hyp1f1`` call over the stacked (a, b) gives each entry the bits
+    of its one-element call; gamma and q broadcast, and scalars give floats.
     """
     s = np.log(gamma)
-    up, mirror = _beta_mgf_pair(a, b, s)
-    down = np.exp(-s)
-    return (down * mirror, up), (down * up, mirror)
-
-
-def _beta_mgf_pair(a, b, s):
-    """(E_q[e^(s tau)], E_q[e^(s (1 - tau))]) for q = Beta(a, b) and s >= 0,
-    with q and s broadcast.
-
-    These are 1F1(a; a+b; s) and 1F1(b; a+b; s); since 1 - tau ~ Beta(b, a),
-    e^-s times the second is E_q[e^(-s tau)], which is Kummer's
-    transformation.  Both come from one elementwise ``specfun.hyp1f1`` call
-    over the stacked shape pair (a, b), so each entry holds the bits of its
-    one-element call.  Scalar s and q give floats.
-    """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     # a leading pair axis keeps the shapes' own axes innermost, and s aligns
     # with them once q has at least s's axes
     a, b = (x.reshape((1,) * (np.ndim(s) - x.ndim) + x.shape) for x in (a, b))
     up, mirror = specfun.hyp1f1(np.stack([a, b]), a + b, s)
-    return up, mirror
+    down = np.exp(-s)
+    return (down * mirror, up), (down * up, mirror)
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +188,6 @@ class BinaryMSM:
 SensitivityModel = Union[DeltaMSM, CMSM, Uniform, BinaryMSM]
 
 
-def _check_gamma(gamma_factor):
-    """Validated gamma as an array; a gamma column sweeps a whole grid."""
-    gamma = np.asarray(gamma_factor, dtype=float)
-    if not np.all(np.isfinite(gamma)) or np.any(gamma < 1.0):
-        raise ValueError(f"gamma_factor must be finite and >= 1, got {gamma_factor!r}")
-    return gamma
-
-
 class DivisorEngine:
     """Divisor-bound evaluator for one sensitivity model.
 
@@ -220,8 +200,10 @@ class DivisorEngine:
     ``BinaryMSM``.  Every ``bounds`` call is otherwise a pure function of
     its arguments.  Propensity parameters may be arrays covering many
     instances at once, and gamma_factor may be a column of budgets; bounds
-    then broadcast to (gammas, instances).  ``bounds`` raises ``ValueError``
-    for a dose outside [0, 1] or NaN, under every model.
+    then broadcast to (gammas, instances).  Under every model ``bounds``
+    raises ``ValueError`` for a dose outside [0, 1] or a gamma outside
+    [1, inf), NaN included.  ``DeltaMSM`` runs ``_folded_power_bounds``
+    once and ``_anchored_divisor`` per anchor.
     """
 
     def __init__(self, model: SensitivityModel, propensity: BetaPropensity):
@@ -245,7 +227,9 @@ class DivisorEngine:
         # NaN fails both comparisons; .all() on the mask is cheaper than np.all
         if not ((t >= 0.0) & (t <= 1.0)).all():
             raise ValueError(f"doses must lie in [0, 1], got {t!r}")
-        gamma = _check_gamma(gamma_factor)
+        gamma = np.asarray(gamma_factor, dtype=float)
+        if not ((gamma >= 1.0) & (gamma < np.inf)).all():
+            raise ValueError(f"gamma_factor must be finite and >= 1, got {gamma_factor!r}")
         model = self.model
         if isinstance(model, DeltaMSM):
             return self._delta_bounds(t, gamma)
@@ -268,8 +252,10 @@ class DivisorEngine:
         # The mirrored propensity Beta(beta_bar, alpha_bar) at dose 1 - t has
         # q = Beta(b, a), so one pair of 1F1 series serves both anchors.
         power0, power1 = _folded_power_bounds(a, b, gamma)
-        lo0, hi0 = _anchored_divisor(a, b, t, gamma, power0)
-        lo1, hi1 = _anchored_divisor(b, a, 1.0 - t, gamma, power1)
+        # at a huge finite gamma these saturate to -inf (a flagged point) and inf
+        with np.errstate(over="ignore"):
+            lo0, hi0 = _anchored_divisor(a, b, t, gamma, power0)
+            lo1, hi1 = _anchored_divisor(b, a, 1.0 - t, gamma, power1)
         return t * lo0 + (1.0 - t) * lo1, t * hi0 + (1.0 - t) * hi1
 
 
@@ -283,8 +269,6 @@ def _anchored_divisor(a, b, t, gamma, power_bounds):
     m1 = a / c - t
     abs_m1 = np.abs(m1)
     m2 = a * b / (c * c * (c + 1.0)) + m1 * m1
-    # at a huge finite gamma these saturate to -inf (a flagged point) and inf
-    with np.errstate(over="ignore"):
-        d_lo = lo_e - s * growth * abs_m1
-        d_hi = hi_e + s * growth * abs_m1 + 0.5 * s * s * growth * m2
+    d_lo = lo_e - s * growth * abs_m1
+    d_hi = hi_e + s * growth * abs_m1 + 0.5 * s * s * growth * m2
     return d_lo, d_hi

@@ -142,6 +142,12 @@ class TestTrialConfig:
         gammas = config.gamma_grid()
         assert gammas[0] == 1.0 and gammas[-1] == config.gamma_max
 
+    def test_a_float32_gamma_max_gives_the_float64_grid(self):
+        # np.linspace follows its endpoints' dtype
+        grid = bm.TrialConfig(gamma_max=np.float32(2.5)).gamma_grid()
+        assert grid.dtype == np.float64
+        assert grid.tobytes() == bm.TrialConfig().gamma_grid().tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             small_config(n_confounders=3)
@@ -924,8 +930,7 @@ class TestReportFiles:
             bm.TrialResult(1, (bm.MethodScore("deltamsm", 1.2, 0.93, 0.01),
                                bm.MethodScore("uniform", 1.5, 0.95, 0.02))),
         )
-        with np.errstate(invalid="ignore"):
-            summary = bm._summarize(small_config(), methods, results)
+        summary = bm._summarize(small_config(), methods, results)
         assert math.isinf(summary["per_method"]["uniform"]["mean_ratio_to_best"])
         path = tmp_path / "summary.json"
         bm.write_summary_json(str(path), bm.TrialReport(methods, results, summary))

@@ -332,20 +332,44 @@ class TestPerfbenchWorkloads:
     # one round of each perfbench workload, so an API break such as a dropped
     # keyword shows here and not first as failed benchmark operations
     KNOWN_FAULTS = {"trial": set(), "bounds": {("cmsm", "1.0")}, "capo": set()}
+    DIVISORS = {f"sensitivity.divisor.{m}" for m in ("binarymsm", "cmsm", "deltamsm", "uniform")}
+    SPECFUN = {"specfun.hyp1f1", "specfun.special"}
+    FITS = {"models.fit_outcome", "models.fit_propensity"}
+    # the tracer's layers that a round reaches; a function imported by name
+    # past the tracer (``from .specfun import hyp1f1``) would drop out here
+    LAYERS = {
+        "trial": {"benchmark.generate_trial", "benchmark.prob_matrix", "benchmark.true_apo"}
+        | FITS | DIVISORS | SPECFUN,
+        "bounds": {"estimator.band", "fileio.io"} | FITS | DIVISORS | SPECFUN,
+        "capo": {"estimator.band", "estimator.cacd"}
+        | (DIVISORS - {"sensitivity.divisor.cmsm"}) | SPECFUN,
+    }
+
+    @staticmethod
+    def load(perfbench, name):
+        spec = importlib.util.spec_from_file_location(
+            f"perfbench_{name}", os.path.join(perfbench, f"{name}.py")
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
 
     @pytest.mark.parametrize("name", sorted(KNOWN_FAULTS))
     def test_one_round_runs_and_checks(self, tmp_path, monkeypatch, name):
         pytest.importorskip("mpmath")
         perfbench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
         monkeypatch.syspath_prepend(perfbench)
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", os.path.join(perfbench, "workloads.py")
-        )
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads, tracing = (self.load(perfbench, module) for module in ("workloads", "tracing"))
         workload = workloads.WORKLOADS[name]()
         workload.prepare(str(tmp_path))
-        results = [(op, workload.run(op)) for op in workload.round_ops(0)]
+        with tracing.Tracer() as tracer:
+            results = [(op, workload.run(op)) for op in workload.round_ops(0)]
         problems, faults = workload.check(results)
         assert not problems
         assert faults <= self.KNOWN_FAULTS[name]
+        layers = {
+            key.removesuffix(".calls")
+            for key, count in tracer.counts.items()
+            if key.endswith(".calls") and count > 0
+        }
+        assert layers == self.LAYERS[name]

@@ -50,6 +50,15 @@ def synthetic_outcome_data(seed, n=4000, d=2):
 
 
 class TestHeads:
+    def test_sigmoid_equals_the_two_division_form(self):
+        u = np.array([0.0, -0.0, 1e-300, -1e-300, 37.0, -37.0, 745.0, -745.0,
+                      800.0, -800.0, np.inf, -np.inf, np.nan])
+        for arr in (u, u.reshape(-1, 1)):
+            shrink = np.exp(-np.abs(arr))
+            denom = 1.0 + shrink
+            oracle = np.where(arr >= 0.0, 1.0 / denom, shrink / denom)
+            assert _sigmoid(arr).tobytes() == oracle.tobytes()
+
     def test_zero_initialized_outcome_predicts_half(self):
         model = OutcomeModel(weights=np.zeros(3), bias=0.0)
         assert model.predict(np.array([0.4, -1.0]), 0.7) == pytest.approx(0.5)

@@ -16,7 +16,6 @@ from dosebounds.sensitivity import (
     DivisorEngine,
     Uniform,
     _anchored_divisor,
-    _beta_mgf_pair,
     _compound_shapes,
     _folded_power_bounds,
     _pow_log,
@@ -211,9 +210,16 @@ class TestLambdaExpectationBounds:
         assert np.all(np.diff(los) <= 1e-12)
         assert np.all(np.diff(his) >= -1e-12)
 
-    def test_rejects_gamma_below_one(self):
+    @pytest.mark.parametrize(
+        "gamma", [0.9, math.nan, math.inf, [[1.0], [0.5]]], ids=["0.9", "nan", "inf", "column"]
+    )
+    @pytest.mark.parametrize(
+        "model", [DeltaMSM(), CMSM(), Uniform(), BinaryMSM()],
+        ids=["deltamsm", "cmsm", "uniform", "binarymsm"],
+    )
+    def test_rejects_gamma_below_one(self, model, gamma):
         with pytest.raises(ValueError, match="gamma_factor"):
-            DivisorEngine(DeltaMSM(), BetaPropensity(2.0, 2.0)).bounds(0.5, 0.9)
+            DivisorEngine(model, BetaPropensity(2.0, 2.0)).bounds(0.5, gamma)
 
     def test_beta_grid_broadcasts_like_the_series(self):
         rng = np.random.default_rng(8)
@@ -233,11 +239,12 @@ class TestElementwiseDeltaBounds:
     whatever shapes its propensity, dose and gamma broadcast from."""
 
     def test_scalars_give_floats(self):
-        pair = _beta_mgf_pair(3.0, 4.0, math.log(1.7))
-        assert all(type(v) is np.float64 for v in pair)
-        s = math.log(1.7)
-        assert [float(v) for v in pair] == [specfun.hyp1f1(3.0, 7.0, s),
-                                            specfun.hyp1f1(4.0, 7.0, s)]
+        pairs = _folded_power_bounds(3.0, 4.0, 1.7)
+        assert all(type(v) is np.float64 for pair in pairs for v in pair)
+        (_, up), (_, mirror) = pairs
+        s = np.log(1.7)
+        assert up.tobytes() == np.float64(specfun.hyp1f1(3.0, 7.0, s)).tobytes()
+        assert mirror.tobytes() == np.float64(specfun.hyp1f1(4.0, 7.0, s)).tobytes()
 
     @pytest.mark.parametrize(
         "gamma_shape, q_shape, t_shape",
